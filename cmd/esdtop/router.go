@@ -32,12 +32,8 @@ func fetchRouter(client *http.Client, base string) (*cluster.Status, *cluster.Cl
 
 // renderRouter draws one fleet dashboard frame.
 func renderRouter(w io.Writer, st *cluster.Status, cs *cluster.ClusterStatus) {
-	tracing := "tracing off"
-	if st.Tracing {
-		tracing = fmt.Sprintf("tracing on · %d flight records", st.FlightRecords)
-	}
-	fmt.Fprintf(w, "esd cluster · epoch %d · %d nodes (%d healthy) · replication %d · %s · up %s\n",
-		st.Epoch, len(st.Nodes), st.Healthy, st.Replication, tracing,
+	fmt.Fprintf(w, "esd cluster · epoch %d · %d nodes (%d healthy) · replication %d · %d flight records · up %s\n",
+		st.Epoch, len(st.Nodes), st.Healthy, st.Replication, st.FlightRecords,
 		(time.Duration(st.UptimeS * float64(time.Second))).Round(time.Second))
 	fmt.Fprintf(w, "routing     retries=%d failovers=%d hedges=%d read-repairs=%d",
 		st.Retries, st.Failovers, st.Hedges, st.ReadRepairs)

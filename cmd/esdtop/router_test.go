@@ -28,7 +28,6 @@ func cannedRouter(t *testing.T) *httptest.Server {
 		Failovers:     1,
 		Hedges:        12,
 		UptimeS:       300,
-		Tracing:       true,
 		FlightRecords: 812,
 		Hops: map[string]server.StageStatus{
 			"route":   {Count: 100, P50Ns: 250000, P99Ns: 900000},
@@ -79,7 +78,7 @@ func TestRouterOnceRendersFleet(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"epoch 3", "3 nodes (2 healthy)", "replication 2",
-		"tracing on · 812 flight records",
+		"812 flight records",
 		"retries=4 failovers=1 hedges=12",
 		"hops (p50/p99 ns)", "route", "attempt",
 		"2/3 members reachable", "8 shards",

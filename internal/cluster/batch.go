@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/esdsim/esd/internal/server"
 	"github.com/esdsim/esd/internal/telemetry"
@@ -77,7 +78,7 @@ func (r *Router) WriteBatchTraced(trace uint64, ops []server.BatchWriteOp, res [
 	if len(ops) == 0 {
 		return nil
 	}
-	began := r.hopClock()
+	began := time.Now()
 	if r.Resharding() {
 		for i := range ops {
 			out, err := r.WriteTraced(trace, ops[i].Addr, ops[i].Line)
@@ -110,11 +111,8 @@ func (r *Router) WriteBatchTraced(trace uint64, ops []server.BatchWriteOp, res [
 				continue
 			}
 			err := r.doNodeCtx(st, trace, server.OpWriteBatch, ops[g.idxs[0]].Addr, func(c *server.TCPClient) error {
-				if trace != 0 && r.tracedCap(st) {
-					_, err := c.WriteBatchTraced(trace, subOps, subRes)
-					return err
-				}
-				return c.WriteBatch(subOps, subRes)
+				_, err := c.WriteBatchTraced(trace, subOps, subRes)
+				return err
 			})
 			if err != nil {
 				continue // doNodeCtx already counted the error and marked health
@@ -176,7 +174,7 @@ func (r *Router) ReadBatchTraced(trace uint64, addrs []uint64, res []server.Batc
 	if len(addrs) == 0 {
 		return nil
 	}
-	began := r.hopClock()
+	began := time.Now()
 	done := make([]bool, len(addrs))
 	groups := r.groupByReplicaSet(func(i int) uint64 { return addrs[i] }, len(addrs), false)
 	subAddrs := make([]uint64, 0, len(addrs))
@@ -197,11 +195,8 @@ func (r *Router) ReadBatchTraced(trace uint64, addrs []uint64, res []server.Batc
 				continue
 			}
 			err := r.doNodeCtx(st, trace, server.OpReadBatch, addrs[g.idxs[0]], func(c *server.TCPClient) error {
-				if trace != 0 && r.tracedCap(st) {
-					_, err := c.ReadBatchTraced(trace, subAddrs, subRes)
-					return err
-				}
-				return c.ReadBatch(subAddrs, subRes)
+				_, err := c.ReadBatchTraced(trace, subAddrs, subRes)
+				return err
 			})
 			if err != nil {
 				continue

@@ -11,8 +11,8 @@ import (
 )
 
 // benchCluster boots one real backend and a router over it for the
-// tracing-overhead benchmark (startBackend needs *testing.T).
-func benchCluster(b *testing.B, noTrace bool) *Router {
+// routed-write benchmark (startBackend needs *testing.T).
+func benchCluster(b *testing.B) *Router {
 	b.Helper()
 	cfg := config.Default()
 	cfg.PCM.CapacityBytes = 1 << 26
@@ -36,7 +36,6 @@ func benchCluster(b *testing.B, noTrace bool) *Router {
 	r, err := NewRouter(Config{
 		Nodes:         []Node{{Name: "bench0", TCPAddr: srv.TCPAddr(), HTTPAddr: srv.Addr()}},
 		ProbeInterval: time.Hour,
-		NoTrace:       noTrace,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -45,30 +44,21 @@ func benchCluster(b *testing.B, noTrace bool) *Router {
 	return r
 }
 
-// BenchmarkRouterTracingOverhead measures a routed write through a real
-// TCP backend with distributed tracing off vs on. The "on" path adds the
-// trace preamble + echo on the wire (16 bytes), two clock reads and ring
-// writes per attempt, and one hello probe amortized over the run; the
-// allocation count must not move (hop recording is alloc-free — enforced
-// by TestHopRecorderRecordDoesNotAllocate at the telemetry layer).
-func BenchmarkRouterTracingOverhead(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		noTrace bool
-	}{{"off", true}, {"on", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			r := benchCluster(b, mode.noTrace)
-			line := lineFor(1)
-			if _, err := r.Write(0, line); err != nil {
-				b.Fatal(err) // warm the pool + capability cache
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.Write(uint64(i)%4096, line); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// BenchmarkRoutedWrite measures a routed write through a real TCP
+// backend: the router's hop recording (two clock reads and a ring write
+// per attempt, allocation-free — enforced by TestHopRecordingDoesNotAllocate
+// at the telemetry layer) plus one traced frame round trip.
+func BenchmarkRoutedWrite(b *testing.B) {
+	r := benchCluster(b)
+	line := lineFor(1)
+	if _, err := r.Write(0, line); err != nil {
+		b.Fatal(err) // warm the pool
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Write(uint64(i)%4096, line); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -15,9 +15,10 @@ import (
 )
 
 // ErrNoReplica is returned when every candidate node for an address was
-// down or exhausted its retry budget; the TCP front-end maps it to
-// StatusUnavailable.
-var ErrNoReplica = errors.New("cluster: no healthy replica")
+// down or exhausted its retry budget. It is server.ErrUnavailable, so the
+// TCP front answers StatusUnavailable and a client of the front sees the
+// same error an in-process router caller does.
+var ErrNoReplica = server.ErrUnavailable
 
 // maxReplicas bounds the replication factor (stack buffers on the
 // routing path are sized by it).
@@ -60,14 +61,6 @@ type Config struct {
 	PoolIdleTimeout time.Duration
 	// Log receives router event lines (nil discards).
 	Log io.Writer
-	// NoTrace disables distributed tracing: no fleet trace IDs are minted
-	// or propagated, and no hop histograms or flight records are kept.
-	// Tracing is on by default (the zero Config traces) because its hot-
-	// path cost is two clock reads and a ring write per attempt.
-	NoTrace bool
-	// HopSlots sizes the router flight-recorder ring (0 selects
-	// telemetry.DefaultHopSlots).
-	HopSlots int
 }
 
 func (c Config) withDefaults() Config {
@@ -99,11 +92,6 @@ type nodeState struct {
 	node Node
 	pool *server.Pool
 	up   atomic.Bool
-
-	// traced caches the node's protocol capability (capUnknown /
-	// capTraced / capLegacy), established by one hello probe on first
-	// traced use — see tracedCap in trace.go.
-	traced atomic.Int32
 
 	writes    atomic.Uint64
 	reads     atomic.Uint64
@@ -139,9 +127,9 @@ type Router struct {
 	repairs   atomic.Uint64
 	readSeq   atomic.Uint64
 
-	// Distributed-tracing state (nil / zero when Config.NoTrace): per-hop
-	// latency histograms, the router flight recorder, and the fleet trace
-	// ID source (traceBase + traceSeq). See trace.go.
+	// Distributed-tracing state: per-hop latency histograms, the router
+	// flight recorder, and the fleet trace ID source (traceBase +
+	// traceSeq). See trace.go.
 	hops      *telemetry.HopHistograms
 	flight    *telemetry.HopRecorder
 	traceBase uint64
@@ -161,18 +149,16 @@ func NewRouter(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	r := &Router{
-		cfg:       cfg,
-		ring:      ring,
-		state:     make(map[string]*nodeState),
-		probeStop: make(chan struct{}),
-		probeDone: make(chan struct{}),
-	}
-	if !cfg.NoTrace {
-		r.hops = &telemetry.HopHistograms{}
-		r.flight = telemetry.NewHopRecorder(cfg.HopSlots)
+		cfg:    cfg,
+		ring:   ring,
+		state:  make(map[string]*nodeState),
+		hops:   &telemetry.HopHistograms{},
+		flight: telemetry.NewHopRecorder(0),
 		// Boot-time base, shifted to dwarf node-local IDs; the hopSeq term
 		// separates routers booted in the same nanosecond (tests).
-		r.traceBase = (uint64(time.Now().UnixNano()) + hopSeq.Add(1)*1e9) << 20
+		traceBase: (uint64(time.Now().UnixNano()) + hopSeq.Add(1)*1e9) << 20,
+		probeStop: make(chan struct{}),
+		probeDone: make(chan struct{}),
 	}
 	for _, n := range ring.Nodes() {
 		r.addState(n)
@@ -319,9 +305,9 @@ func (r *Router) Write(addr uint64, line ecc.Line) (server.WriteResponse, error)
 }
 
 // WriteTraced is Write under a caller-supplied trace ID (the cluster
-// TCP front-end passes the client's wire ID; 0 routes untraced).
+// TCP front passes the client's wire ID or one it minted).
 func (r *Router) WriteTraced(trace uint64, addr uint64, line ecc.Line) (server.WriteResponse, error) {
-	began := r.hopClock()
+	began := time.Now()
 	r.markDirty(addr)
 	var set [2 * maxReplicas]*nodeState
 	n := r.routeSet(addr, true, set[:])
@@ -337,11 +323,7 @@ func (r *Router) WriteTraced(trace uint64, addr uint64, line ecc.Line) (server.W
 		var out server.WriteResponse
 		err := r.doNodeCtx(st, trace, server.OpWrite, addr, func(c *server.TCPClient) error {
 			var err error
-			if trace != 0 && r.tracedCap(st) {
-				out, err = c.WriteTraced(trace, addr, line)
-			} else {
-				out, err = c.Write(addr, line)
-			}
+			out, err = c.WriteTraced(trace, addr, line)
 			return err
 		})
 		if err != nil {
@@ -369,7 +351,7 @@ func (r *Router) WriteTraced(trace uint64, addr uint64, line ecc.Line) (server.W
 		if lastErr == nil {
 			lastErr = ErrNoReplica
 		}
-		r.hop(telemetry.HopRoute, trace, server.OpWrite, "", addr, 0, hopStatus(lastErr), began)
+		r.hop(telemetry.HopRoute, trace, server.OpWrite, "", addr, 0, server.StatusOf(lastErr), began)
 		return server.WriteResponse{}, fmt.Errorf("%w (addr=%d): %v", ErrNoReplica, addr, lastErr)
 	}
 	resp.Trace = trace
@@ -401,15 +383,14 @@ func (r *Router) Read(addr uint64) (server.ReadResponse, error) {
 	return r.ReadTraced(r.NewTraceID(), addr)
 }
 
-// ReadTraced is Read under a caller-supplied trace ID (0 routes
-// untraced).
+// ReadTraced is Read under a caller-supplied trace ID (see WriteTraced).
 func (r *Router) ReadTraced(trace uint64, addr uint64) (server.ReadResponse, error) {
-	began := r.hopClock()
+	began := time.Now()
 	resp, err := r.readRouted(trace, addr)
 	if err == nil {
 		resp.Trace = trace
 	}
-	r.hop(telemetry.HopRoute, trace, server.OpRead, "", addr, 0, hopStatus(err), began)
+	r.hop(telemetry.HopRoute, trace, server.OpRead, "", addr, 0, server.StatusOf(err), began)
 	return resp, err
 }
 
@@ -456,11 +437,7 @@ func (r *Router) readNode(st *nodeState, trace uint64, addr uint64) (server.Read
 	var out server.ReadResponse
 	err := r.doNodeCtx(st, trace, server.OpRead, addr, func(c *server.TCPClient) error {
 		var err error
-		if trace != 0 && r.tracedCap(st) {
-			out, err = c.ReadTraced(trace, addr)
-		} else {
-			out, err = c.Read(addr)
-		}
+		out, err = c.ReadTraced(trace, addr)
 		return err
 	})
 	if err == nil {
@@ -557,14 +534,9 @@ func (r *Router) readRepair(trace uint64, addr uint64, set []*nodeState) (server
 			}
 			r.repairs.Add(1)
 			r.logf("cluster: read repair addr=%d (trace=%d): rewriting %s from %s", addr, trace, g.st.node.Name, auth.st.node.Name)
-			began := r.hopClock()
+			began := time.Now()
 			_ = r.doNodeCtx(g.st, trace, server.OpWrite, addr, func(c *server.TCPClient) error {
-				var err error
-				if trace != 0 && r.tracedCap(g.st) {
-					_, err = c.WriteTraced(trace, addr, line)
-				} else {
-					_, err = c.Write(addr, line)
-				}
+				_, err := c.WriteTraced(trace, addr, line)
 				return err
 			})
 			r.hop(telemetry.HopReadRepair, trace, server.OpWrite, g.st.node.Name, addr, 0, 0, began)

@@ -1,13 +1,9 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -28,20 +24,18 @@ type ServeConfig struct {
 	HTTPAddr string
 }
 
-// Server fronts a Router with the same binary TCP protocol esdserve
-// speaks, so esdload (and any protocol client) talks to a cluster
-// exactly as it talks to one node, plus an HTTP introspection surface
-// whose /statusz carries the ring section.
+// Server fronts a Router with the binary TCP protocol esdserve speaks —
+// served by the same frame codec (server.FrameServer), so esdload and any
+// protocol client talk to a cluster exactly as they talk to one node —
+// plus an HTTP introspection surface whose /statusz carries the ring
+// section.
 type Server struct {
 	r *Router
 
-	tcpLn  net.Listener
+	tcp    *server.FrameServer
 	httpLn net.Listener
 	httpSr *http.Server
 
-	inflight sync.WaitGroup
-	connMu   sync.Mutex
-	conns    map[net.Conn]struct{}
 	draining chan struct{}
 	drainMu  sync.Once
 	start    time.Time
@@ -53,20 +47,19 @@ type Server struct {
 func NewServer(r *Router, cfg ServeConfig) (*Server, error) {
 	s := &Server{
 		r:        r,
-		conns:    make(map[net.Conn]struct{}),
 		draining: make(chan struct{}),
 		start:    time.Now(),
 	}
-	ln, err := net.Listen("tcp", cfg.TCPAddr)
+	tcp, err := server.ListenFrames(cfg.TCPAddr, front{r}, s.draining)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen tcp %s: %w", cfg.TCPAddr, err)
 	}
-	s.tcpLn = ln
-	go s.acceptTCP()
+	s.tcp = tcp
 	if cfg.HTTPAddr != "" {
 		hln, err := net.Listen("tcp", cfg.HTTPAddr)
 		if err != nil {
-			_ = ln.Close()
+			s.drainMu.Do(func() { close(s.draining) })
+			_ = tcp.Shutdown(context.Background())
 			return nil, fmt.Errorf("cluster: listen http %s: %w", cfg.HTTPAddr, err)
 		}
 		s.httpLn = hln
@@ -77,7 +70,7 @@ func NewServer(r *Router, cfg ServeConfig) (*Server, error) {
 }
 
 // TCPAddr returns the bound data-path address.
-func (s *Server) TCPAddr() string { return s.tcpLn.Addr().String() }
+func (s *Server) TCPAddr() string { return s.tcp.Addr() }
 
 // HTTPAddr returns the bound introspection address ("" when disabled).
 func (s *Server) HTTPAddr() string {
@@ -102,348 +95,64 @@ func (s *Server) Ready() bool {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainMu.Do(func() { close(s.draining) })
 	var firstErr error
-	_ = s.tcpLn.Close()
 	if s.httpSr != nil {
 		if err := s.httpSr.Shutdown(ctx); err != nil {
 			firstErr = err
 			_ = s.httpSr.Close()
 		}
 	}
-	done := make(chan struct{})
-	go func() { s.inflight.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.connMu.Lock()
-		for c := range s.conns {
-			_ = c.Close()
-		}
-		s.connMu.Unlock()
-		<-done
-		if firstErr == nil {
-			firstErr = ctx.Err()
-		}
+	if err := s.tcp.Shutdown(ctx); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	return firstErr
 }
 
-func (s *Server) acceptTCP() {
-	for {
-		conn, err := s.tcpLn.Accept()
-		if err != nil {
-			return
-		}
-		select {
-		case <-s.draining:
-			_ = conn.Close()
-			continue
-		default:
-		}
-		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.inflight.Add(1)
-		go s.handleConn(conn)
+// front executes protocol frames through the router, which fans each op
+// out to the owning nodes. The router is the cluster's trace originator:
+// a frame with trace 0 gets a freshly minted fleet ID, a nonzero one is
+// adopted, and either way the response echoes it.
+type front struct{ r *Router }
+
+func (f front) mint(trace uint64) uint64 {
+	if trace == 0 {
+		return f.r.NewTraceID()
 	}
+	return trace
 }
 
-func (s *Server) handleConn(conn net.Conn) {
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-		_ = conn.Close()
-		s.inflight.Done()
-	}()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var op [1]byte
-	for {
-		_ = conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-		if err := readFull(br, op[:]); err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				select {
-				case <-s.draining:
-					return
-				default:
-					continue
-				}
-			}
-			return
-		}
-		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if !s.serveFrame(br, bw, op[0]) {
-			return
-		}
-		if bw.Flush() != nil {
-			return
-		}
+func (f front) Write(trace, addr uint64, line ecc.Line) (server.BatchWriteResult, uint64) {
+	trace = f.mint(trace)
+	out, err := f.r.WriteTraced(trace, addr, line)
+	if err != nil {
+		return server.BatchWriteResult{Err: err}, trace
 	}
+	return server.BatchWriteResult{Dedup: out.Dedup, PhysAddr: out.PhysAddr, LatencyNs: out.LatencyNs}, trace
 }
 
-// serveFrame proxies one protocol frame through the router. The wire
-// format is identical to internal/server's (proto.go); only the
-// execution differs — the router fans the op out to the owning nodes.
-// The router is the cluster's trace originator: version-0 frames get a
-// freshly minted fleet ID (invisible to the client but present in every
-// log and recorder the request touches), version-1 traced frames adopt
-// the client's ID and echo it back.
-func (s *Server) serveFrame(br *bufio.Reader, bw *bufio.Writer, op byte) bool {
-	traced := false
-	var trace uint64
-	switch op {
-	case server.OpHello, server.OpWriteTr, server.OpReadTr, server.OpWriteBatchTr, server.OpReadBatchTr:
-		if op == server.OpHello {
-			var ver [1]byte
-			if readFull(br, ver[:]) != nil {
-				return false
-			}
-			var resp [2]byte
-			resp[0] = server.StatusOK
-			resp[1] = server.ProtoVersion
-			_, werr := bw.Write(resp[:])
-			return werr == nil
-		}
-		// Peek+Discard keeps the preamble read allocation-free (the bytes
-		// come straight out of bufio's buffer).
-		tb, err := br.Peek(8)
-		if err != nil {
-			return false
-		}
-		trace = binary.LittleEndian.Uint64(tb)
-		if _, err := br.Discard(8); err != nil {
-			return false
-		}
-		traced = true
+func (f front) Read(trace, addr uint64) (server.BatchReadResult, uint64) {
+	trace = f.mint(trace)
+	out, err := f.r.ReadTraced(trace, addr)
+	if err != nil {
+		return server.BatchReadResult{Err: err}, trace
 	}
-
-	switch op {
-	case server.OpWrite, server.OpWriteTr:
-		var req [8 + ecc.LineSize]byte
-		if readFull(br, req[:]) != nil {
-			return false
-		}
-		var line ecc.Line
-		copy(line[:], req[8:])
-		addr := binary.LittleEndian.Uint64(req[:8])
-		if !traced {
-			trace = s.r.NewTraceID()
-		}
-		out, err := s.r.WriteTraced(trace, addr, line)
-		if err != nil {
-			return writeStatus(bw, errStatus(err))
-		}
-		var resp [1 + 1 + 8 + 8 + 8]byte
-		resp[0] = server.StatusOK
-		if out.Dedup {
-			resp[1] = 1
-		}
-		binary.LittleEndian.PutUint64(resp[2:], out.PhysAddr)
-		binary.LittleEndian.PutUint64(resp[10:], uint64(out.LatencyNs))
-		n := 1 + 1 + 8 + 8
-		if traced {
-			binary.LittleEndian.PutUint64(resp[n:], trace)
-			n += 8
-		}
-		_, werr := bw.Write(resp[:n])
-		return werr == nil
-	case server.OpRead, server.OpReadTr:
-		var req [8]byte
-		if readFull(br, req[:]) != nil {
-			return false
-		}
-		addr := binary.LittleEndian.Uint64(req[:])
-		if !traced {
-			trace = s.r.NewTraceID()
-		}
-		res, err := s.r.ReadTraced(trace, addr)
-		if err != nil {
-			return writeStatus(bw, errStatus(err))
-		}
-		var resp [1 + 1 + ecc.LineSize + 8 + 8]byte
-		resp[0] = server.StatusOK
-		if res.Hit {
-			resp[1] = 1
-		}
-		copy(resp[2:], res.Data)
-		binary.LittleEndian.PutUint64(resp[2+ecc.LineSize:], uint64(res.LatencyNs))
-		n := 1 + 1 + ecc.LineSize + 8
-		if traced {
-			binary.LittleEndian.PutUint64(resp[n:], trace)
-			n += 8
-		}
-		_, werr := bw.Write(resp[:n])
-		return werr == nil
-	case server.OpWriteBatch, server.OpWriteBatchTr:
-		var cnt [2]byte
-		if readFull(br, cnt[:]) != nil {
-			return false
-		}
-		n := int(binary.LittleEndian.Uint16(cnt[:]))
-		if n > server.MaxBatchOps {
-			// Malformed: the body was never read, so the stream position
-			// is unknown. Flush the status, then drop the connection.
-			writeStatus(bw, server.StatusBadRequest)
-			_ = bw.Flush()
-			return false
-		}
-		if n == 0 {
-			return s.writeBatchHead(bw, 0, traced, trace)
-		}
-		ops := make([]server.BatchWriteOp, n)
-		var wreq [8 + ecc.LineSize]byte
-		for i := 0; i < n; i++ {
-			if readFull(br, wreq[:]) != nil {
-				return false
-			}
-			ops[i].Addr = binary.LittleEndian.Uint64(wreq[:8])
-			copy(ops[i].Line[:], wreq[8:])
-		}
-		if !traced {
-			trace = s.r.NewTraceID()
-		}
-		bres := make([]server.BatchWriteResult, n)
-		if err := s.r.WriteBatchTraced(trace, ops, bres); err != nil {
-			return writeStatus(bw, errStatus(err))
-		}
-		if !s.writeBatchHead(bw, n, traced, trace) {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			var rec [1 + 1 + 8 + 8]byte
-			if bres[i].Err != nil {
-				rec[0] = errStatus(bres[i].Err)
-			} else {
-				rec[0] = server.StatusOK
-				if bres[i].Dedup {
-					rec[1] = 1
-				}
-				binary.LittleEndian.PutUint64(rec[2:], bres[i].PhysAddr)
-				binary.LittleEndian.PutUint64(rec[10:], uint64(bres[i].LatencyNs))
-			}
-			if _, err := bw.Write(rec[:]); err != nil {
-				return false
-			}
-		}
-		return true
-	case server.OpReadBatch, server.OpReadBatchTr:
-		var cnt [2]byte
-		if readFull(br, cnt[:]) != nil {
-			return false
-		}
-		n := int(binary.LittleEndian.Uint16(cnt[:]))
-		if n > server.MaxBatchOps {
-			writeStatus(bw, server.StatusBadRequest)
-			_ = bw.Flush()
-			return false
-		}
-		if n == 0 {
-			return s.writeBatchHead(bw, 0, traced, trace)
-		}
-		addrs := make([]uint64, n)
-		var rreq [8]byte
-		for i := 0; i < n; i++ {
-			if readFull(br, rreq[:]) != nil {
-				return false
-			}
-			addrs[i] = binary.LittleEndian.Uint64(rreq[:])
-		}
-		if !traced {
-			trace = s.r.NewTraceID()
-		}
-		bres := make([]server.BatchReadResult, n)
-		if err := s.r.ReadBatchTraced(trace, addrs, bres); err != nil {
-			return writeStatus(bw, errStatus(err))
-		}
-		if !s.writeBatchHead(bw, n, traced, trace) {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			var rec [1 + 1 + ecc.LineSize + 8]byte
-			if bres[i].Err != nil {
-				rec[0] = errStatus(bres[i].Err)
-			} else {
-				rec[0] = server.StatusOK
-				if bres[i].Hit {
-					rec[1] = 1
-				}
-				copy(rec[2:], bres[i].Data[:])
-				binary.LittleEndian.PutUint64(rec[2+ecc.LineSize:], uint64(bres[i].LatencyNs))
-			}
-			if _, err := bw.Write(rec[:]); err != nil {
-				return false
-			}
-		}
-		return true
-	case server.OpFlush:
-		if err := s.r.Flush(); err != nil {
-			return writeStatus(bw, errStatus(err))
-		}
-		return writeStatus(bw, server.StatusOK)
-	case server.OpStats:
-		sum, err := s.r.Stats()
-		if err != nil {
-			return writeStatus(bw, errStatus(err))
-		}
-		payload, err := json.Marshal(sum)
-		if err != nil {
-			return writeStatus(bw, server.StatusBadRequest)
-		}
-		var head [5]byte
-		head[0] = server.StatusOK
-		binary.LittleEndian.PutUint32(head[1:], uint32(len(payload)))
-		if _, err := bw.Write(head[:]); err != nil {
-			return false
-		}
-		_, werr := bw.Write(payload)
-		return werr == nil
-	default:
-		return writeStatus(bw, server.StatusBadRequest)
-	}
+	res := server.BatchReadResult{Hit: out.Hit, LatencyNs: out.LatencyNs}
+	copy(res.Data[:], out.Data)
+	return res, trace
 }
 
-// writeBatchHead emits a batch response head: status, count, and — for
-// traced frames — the echoed trace ID.
-func (s *Server) writeBatchHead(bw *bufio.Writer, n int, traced bool, trace uint64) bool {
-	var head [3 + 8]byte
-	head[0] = server.StatusOK
-	binary.LittleEndian.PutUint16(head[1:], uint16(n))
-	k := 3
-	if traced {
-		binary.LittleEndian.PutUint64(head[k:], trace)
-		k += 8
-	}
-	_, err := bw.Write(head[:k])
-	return err == nil
+func (f front) WriteBatch(trace uint64, ops []server.BatchWriteOp, res []server.BatchWriteResult) (uint64, error) {
+	trace = f.mint(trace)
+	return trace, f.r.WriteBatchTraced(trace, ops, res)
 }
 
-// errStatus maps router errors onto protocol statuses. A replica-level
-// flow-control error that survived the retry budget keeps its own
-// status; total routing failure is StatusUnavailable.
-func errStatus(err error) byte {
-	switch {
-	case errors.Is(err, ErrNoReplica):
-		return server.StatusUnavailable
-	case errors.Is(err, server.ErrOverloaded):
-		return server.StatusOverloaded
-	case errors.Is(err, server.ErrTimeout):
-		return server.StatusTimeout
-	case errors.Is(err, server.ErrClosing):
-		return server.StatusClosing
-	default:
-		return server.StatusBadRequest
-	}
+func (f front) ReadBatch(trace uint64, addrs []uint64, res []server.BatchReadResult) (uint64, error) {
+	trace = f.mint(trace)
+	return trace, f.r.ReadBatchTraced(trace, addrs, res)
 }
 
-func writeStatus(bw *bufio.Writer, st byte) bool {
-	return bw.WriteByte(st) == nil
-}
+func (f front) Flush() error { return f.r.Flush() }
 
-func readFull(r io.Reader, b []byte) error {
-	_, err := io.ReadFull(r, b)
-	return err
-}
+func (f front) Stats() (server.StatsResponse, error) { return f.r.Stats() }
 
 // NodeStatus is one backend's row in the /statusz ring section.
 type NodeStatus struct {
@@ -458,9 +167,9 @@ type NodeStatus struct {
 }
 
 // Status is the router's /statusz document: the ring section plus the
-// routing budgets and counters, and — when tracing is on — the per-hop
-// latency section (route, attempt, checkout, retry, hedge, ...) mirroring
-// the per-stage section a node's /statusz carries.
+// routing budgets and counters, and the per-hop latency section (route,
+// attempt, checkout, retry, hedge, ...) mirroring the per-stage section a
+// node's /statusz carries.
 type Status struct {
 	Epoch         uint64                        `json:"epoch"`
 	VNodes        int                           `json:"vnodes"`
@@ -474,7 +183,6 @@ type Status struct {
 	Hedges        uint64                        `json:"hedges"`
 	ReadRepairs   uint64                        `json:"read_repairs"`
 	UptimeS       float64                       `json:"uptime_s"`
-	Tracing       bool                          `json:"tracing"`
 	FlightRecords int                           `json:"flight_records,omitempty"`
 	Hops          map[string]server.StageStatus `json:"hops,omitempty"`
 }
@@ -511,21 +219,19 @@ func (s *Server) Status() Status {
 		}
 		st.Nodes = append(st.Nodes, row)
 	}
-	st.Tracing = r.TracingEnabled()
-	if hists, ok := r.HopSnapshot(); ok {
-		st.FlightRecords = len(r.HopRecords())
-		st.Hops = make(map[string]server.StageStatus, len(hists))
-		for i := range hists {
-			h := &hists[i]
-			if h.Count() == 0 {
-				continue
-			}
-			st.Hops[telemetry.Hop(i).String()] = server.StageStatus{
-				Count:  h.Count(),
-				MeanNs: h.Mean().Nanoseconds(),
-				P50Ns:  h.Percentile(0.5).Nanoseconds(),
-				P99Ns:  h.Percentile(0.99).Nanoseconds(),
-			}
+	hists := r.HopSnapshot()
+	st.FlightRecords = len(r.HopRecords())
+	st.Hops = make(map[string]server.StageStatus, len(hists))
+	for i := range hists {
+		h := &hists[i]
+		if h.Count() == 0 {
+			continue
+		}
+		st.Hops[telemetry.Hop(i).String()] = server.StageStatus{
+			Count:  h.Count(),
+			MeanNs: h.Mean().Nanoseconds(),
+			P50Ns:  h.Percentile(0.5).Nanoseconds(),
+			P99Ns:  h.Percentile(0.99).Nanoseconds(),
 		}
 	}
 	return st

@@ -1,39 +1,15 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"github.com/esdsim/esd/internal/config"
 	"github.com/esdsim/esd/internal/server"
-	"github.com/esdsim/esd/internal/shard"
 	"github.com/esdsim/esd/internal/telemetry"
 )
-
-// lockedBuf is a goroutine-safe log sink (the prober and the test both
-// write through Router.logf).
-type lockedBuf struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *lockedBuf) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *lockedBuf) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
 
 // hopKinds collects the hop-kind names recorded under one trace ID.
 func hopKinds(recs []telemetry.HopRecord, trace uint64) map[string]int {
@@ -76,12 +52,9 @@ func waitForTrace(t *testing.T, b *testBackend, trace uint64) bool {
 // node's per-shard flight recorder.
 func TestRouterTracePropagation(t *testing.T) {
 	backends, r := startCluster(t, 2, Config{})
-	if !r.TracingEnabled() {
-		t.Fatal("tracing should default on")
-	}
 	trace := r.NewTraceID()
 	if trace == 0 {
-		t.Fatal("NewTraceID returned 0 with tracing on")
+		t.Fatal("NewTraceID returned 0")
 	}
 
 	const addr = 7
@@ -120,97 +93,6 @@ func TestRouterTracePropagation(t *testing.T) {
 	}
 }
 
-// NoTrace must zero the whole subsystem: no IDs minted, no recorders,
-// and the data path still works.
-func TestRouterTracingDisabled(t *testing.T) {
-	_, r := startCluster(t, 1, Config{NoTrace: true})
-	if r.TracingEnabled() {
-		t.Fatal("TracingEnabled with NoTrace set")
-	}
-	if id := r.NewTraceID(); id != 0 {
-		t.Fatalf("NewTraceID = %#x with tracing off, want 0", id)
-	}
-	if recs := r.HopRecords(); recs != nil {
-		t.Fatalf("HopRecords = %d records with tracing off, want nil", len(recs))
-	}
-	if _, ok := r.HopSnapshot(); ok {
-		t.Fatal("HopSnapshot ok with tracing off")
-	}
-	if _, err := r.Write(3, lineFor(3)); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := r.Read(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Trace != 0 {
-		t.Fatalf("untraced read echoed trace %#x", resp.Trace)
-	}
-}
-
-// A version-0 peer (esdserve -legacy-frames) must keep working behind a
-// tracing router: the hello probe detects it once, the router falls back
-// to untraced frames for that node, and traffic flows.
-func TestRouterLegacyNodeFallback(t *testing.T) {
-	cfg := config.Default()
-	cfg.PCM.CapacityBytes = 1 << 26
-	cfg.Meta.EFITCacheBytes = 16 << 10
-	cfg.Meta.AMTCacheBytes = 16 << 10
-	eng, err := shard.New(cfg, "esd", shard.Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(eng, server.Config{
-		Addr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0", DisableTracedFrames: true,
-	})
-	if err != nil {
-		_ = eng.Close()
-		t.Fatal(err)
-	}
-	b := &testBackend{
-		node: Node{Name: "legacy", TCPAddr: srv.TCPAddr(), HTTPAddr: srv.Addr()},
-		eng:  eng,
-		srv:  srv,
-	}
-	t.Cleanup(func() { b.kill(t) })
-
-	var logs lockedBuf
-	r, err := NewRouter(Config{Nodes: []Node{b.node}, ProbeInterval: time.Hour, Log: &logs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(r.Close)
-
-	trace := r.NewTraceID()
-	wout, err := r.WriteTraced(trace, 11, lineFor(11))
-	if err != nil {
-		t.Fatalf("traced write against legacy node: %v", err)
-	}
-	// The router still owns the fleet ID even when the peer can't echo it.
-	if wout.Trace != trace {
-		t.Fatalf("write response trace = %#x, want %#x", wout.Trace, trace)
-	}
-	rout, err := r.ReadTraced(trace, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rout.Hit || rout.Trace != trace {
-		t.Fatalf("read after legacy write: hit=%v trace=%#x", rout.Hit, rout.Trace)
-	}
-
-	st := r.state["legacy"]
-	if got := st.traced.Load(); got != capLegacy {
-		t.Fatalf("capability cache = %d, want capLegacy", got)
-	}
-	if !strings.Contains(logs.String(), "speaks protocol v0") {
-		t.Fatalf("router log missing legacy-detection line:\n%s", logs.String())
-	}
-	// The router-side hops still record the request.
-	if kinds := hopKinds(r.HopRecords(), trace); kinds["route"] == 0 || kinds["attempt"] == 0 {
-		t.Fatalf("hop records incomplete for legacy-node trace: %v", kinds)
-	}
-}
-
 // The router HTTP surface: /statusz carries the hops section, /debug/
 // flightrecorder dumps hop records, /statusz/cluster aggregates the
 // fleet (members, shards, merged device health).
@@ -238,9 +120,6 @@ func TestClusterServerTraceEndpoints(t *testing.T) {
 	base := "http://" + srv.HTTPAddr()
 	var st Status
 	getTestJSON(t, base+"/statusz", &st)
-	if !st.Tracing {
-		t.Fatal("/statusz tracing=false on a tracing router")
-	}
 	if st.Hops["route"].Count == 0 || st.Hops["attempt"].Count == 0 {
 		t.Fatalf("/statusz hops section incomplete: %+v", st.Hops)
 	}
@@ -398,5 +277,53 @@ func getTestJSON(t *testing.T, url string, into interface{}) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
 		t.Fatalf("GET %s: decode: %v", url, err)
+	}
+}
+
+// A client frame with trace 0 gets a router-minted fleet ID back, and the
+// same ID sits in the router's hop recorder and reaches the owning node; a
+// nonzero client ID is adopted and echoed instead.
+func TestClusterFrontMintsTrace(t *testing.T) {
+	backends, r, s := startClusterServer(t, 2, Config{})
+	c, err := server.DialTCP(s.TCPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	w, err := c.Write(5, lineFor(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Trace == 0 {
+		t.Fatal("trace-0 write through the front came back with trace 0")
+	}
+	if kinds := hopKinds(r.HopRecords(), w.Trace); kinds["route"] == 0 || kinds["attempt"] == 0 {
+		t.Fatalf("minted trace %#x missing from the hop recorder: %v", w.Trace, kinds)
+	}
+	found := false
+	for _, b := range backends {
+		found = found || backendHasTrace(b, w.Trace)
+	}
+	if !found {
+		t.Fatalf("minted trace %#x never reached a node", w.Trace)
+	}
+
+	const mine = 0xC0FFEE
+	rd, err := c.ReadTraced(mine, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rd.Hit || rd.Trace != mine {
+		t.Fatalf("traced read: hit=%v trace=%#x, want hit with %#x", rd.Hit, rd.Trace, mine)
+	}
+
+	res := make([]server.BatchWriteResult, 2)
+	echo, err := c.WriteBatchTraced(0, []server.BatchWriteOp{{Addr: 6, Line: lineFor(6)}, {Addr: 7, Line: lineFor(7)}}, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if echo == 0 || hopKinds(r.HopRecords(), echo)["route"] == 0 {
+		t.Fatalf("trace-0 batch echoed %#x, want a minted ID in the hop recorder", echo)
 	}
 }

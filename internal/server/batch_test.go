@@ -106,9 +106,9 @@ func TestTCPBatchOversizedCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	var frame [3]byte
+	var frame [1 + traceLen + 2]byte
 	frame[0] = OpWriteBatch
-	binary.LittleEndian.PutUint16(frame[1:], MaxBatchOps+1)
+	binary.LittleEndian.PutUint16(frame[1+traceLen:], MaxBatchOps+1)
 	st, err := c.roundTrip(frame[:])
 	if err != nil {
 		t.Fatal(err)

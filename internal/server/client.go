@@ -149,7 +149,7 @@ type TCPClient struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 
-	// batchBuf is the reusable frame scratch for WriteBatch/ReadBatch.
+	// batchBuf is the reusable request/response scratch (see grow).
 	batchBuf []byte
 }
 
@@ -185,61 +185,35 @@ func (c *TCPClient) roundTrip(frame []byte) (byte, error) {
 	if err := c.bw.Flush(); err != nil {
 		return 0, err
 	}
-	var st [1]byte
-	if err := readFull(c.br, st[:]); err != nil {
-		return 0, err
-	}
-	return st[0], nil
+	return c.br.ReadByte()
 }
 
+// Write is WriteTraced with trace 0: the server mints the request's trace
+// ID and the response carries it.
 func (c *TCPClient) Write(addr uint64, line ecc.Line) (WriteResponse, error) {
-	// Request frames are fixed-size; stack arrays keep the per-call client
-	// path allocation-free (roundTrip's bufio.Writer copies the bytes).
-	var frame [1 + writeReqLen]byte
-	frame[0] = OpWrite
-	putU64(frame[1:9], addr)
-	copy(frame[9:], line[:])
-	st, err := c.roundTrip(frame[:])
-	if err != nil {
-		return WriteResponse{}, err
-	}
-	if st != StatusOK {
-		return WriteResponse{}, statusErr(st)
-	}
-	var payload [1 + 8 + 8]byte
-	if err := readFull(c.br, payload[:]); err != nil {
-		return WriteResponse{}, err
-	}
-	return WriteResponse{
-		Dedup:     payload[0] == 1,
-		PhysAddr:  getU64(payload[1:9]),
-		LatencyNs: float64(getU64(payload[9:])),
-	}, nil
+	return c.WriteTraced(0, addr, line)
 }
 
+// Read is ReadTraced with trace 0.
 func (c *TCPClient) Read(addr uint64) (ReadResponse, error) {
-	var frame [1 + readReqLen]byte
-	frame[0] = OpRead
-	putU64(frame[1:], addr)
-	st, err := c.roundTrip(frame[:])
-	if err != nil {
-		return ReadResponse{}, err
-	}
-	if st != StatusOK {
-		return ReadResponse{}, statusErr(st)
-	}
-	var payload [1 + ecc.LineSize + 8]byte
-	if err := readFull(c.br, payload[:]); err != nil {
-		return ReadResponse{}, err
-	}
-	return ReadResponse{
-		Hit:       payload[0] == 1,
-		Data:      append([]byte(nil), payload[1:1+ecc.LineSize]...),
-		LatencyNs: float64(getU64(payload[1+ecc.LineSize:])),
-	}, nil
+	return c.ReadTraced(0, addr)
 }
 
-// grow returns c.batchBuf resized to n bytes.
+// WriteBatch is WriteBatchTraced with trace 0.
+func (c *TCPClient) WriteBatch(ops []BatchWriteOp, res []BatchWriteResult) error {
+	_, err := c.WriteBatchTraced(0, ops, res)
+	return err
+}
+
+// ReadBatch is ReadBatchTraced with trace 0.
+func (c *TCPClient) ReadBatch(addrs []uint64, res []BatchReadResult) error {
+	_, err := c.ReadBatchTraced(0, addrs, res)
+	return err
+}
+
+// grow returns c.batchBuf resized to n bytes. Every round trip builds its
+// request frame and reads its response payload here, so the client path
+// does not allocate per call.
 func (c *TCPClient) grow(n int) []byte {
 	if cap(c.batchBuf) < n {
 		c.batchBuf = make([]byte, n)
@@ -247,44 +221,115 @@ func (c *TCPClient) grow(n int) []byte {
 	return c.batchBuf[:n]
 }
 
-// WriteBatch sends every op in one 'B' frame — one round trip for the
-// whole batch — and decodes the per-op results into res, which must have
-// len(ops) entries. len(ops) must not exceed MaxBatchOps. The returned
-// error reports transport or framing failure; per-op flow control
-// (overloaded, timeout, closing) lands in res[i].Err.
-func (c *TCPClient) WriteBatch(ops []BatchWriteOp, res []BatchWriteResult) error {
-	if len(ops) > MaxBatchOps {
-		return fmt.Errorf("server: batch of %d ops exceeds MaxBatchOps=%d", len(ops), MaxBatchOps)
-	}
-	if len(res) != len(ops) {
-		return fmt.Errorf("server: results slice has %d entries for %d ops", len(res), len(ops))
-	}
-	frame := c.grow(1 + 2 + len(ops)*writeReqLen)[:3]
-	frame[0] = OpWriteBatch
-	binary.LittleEndian.PutUint16(frame[1:], uint16(len(ops)))
-	for i := range ops {
-		var rec [writeReqLen]byte
-		putU64(rec[:8], ops[i].Addr)
-		copy(rec[8:], ops[i].Line[:])
-		frame = append(frame, rec[:]...)
-	}
+// WriteTraced sends one 'W' frame under the caller's trace ID (0 asks the
+// server to mint one). The response's Trace is the ID the write ran under.
+func (c *TCPClient) WriteTraced(trace, addr uint64, line ecc.Line) (WriteResponse, error) {
+	frame := c.grow(1 + traceLen + writeReqLen)
+	frame[0] = OpWrite
+	putU64(frame[1:], trace)
+	putU64(frame[1+traceLen:], addr)
+	copy(frame[1+traceLen+8:], line[:])
 	st, err := c.roundTrip(frame)
 	if err != nil {
-		return err
+		return WriteResponse{}, err
 	}
 	if st != StatusOK {
-		return statusErr(st)
+		return WriteResponse{}, statusErr(st)
 	}
-	var cnt [2]byte
-	if err := readFull(c.br, cnt[:]); err != nil {
-		return err
+	payload := c.grow(writeBatchRecLen - 1 + traceLen)
+	if err := readFull(c.br, payload); err != nil {
+		return WriteResponse{}, err
 	}
-	if n := int(binary.LittleEndian.Uint16(cnt[:])); n != len(ops) {
-		return fmt.Errorf("server: batch response carries %d results for %d ops", n, len(ops))
+	return WriteResponse{
+		Dedup:     payload[0] == 1,
+		PhysAddr:  getU64(payload[1:9]),
+		LatencyNs: float64(getU64(payload[9:17])),
+		Trace:     getU64(payload[17:]),
+	}, nil
+}
+
+// ReadTraced is Read under the caller's trace ID (see WriteTraced).
+func (c *TCPClient) ReadTraced(trace, addr uint64) (ReadResponse, error) {
+	frame := c.grow(1 + traceLen + readReqLen)
+	frame[0] = OpRead
+	putU64(frame[1:], trace)
+	putU64(frame[1+traceLen:], addr)
+	st, err := c.roundTrip(frame)
+	if err != nil {
+		return ReadResponse{}, err
+	}
+	if st != StatusOK {
+		return ReadResponse{}, statusErr(st)
+	}
+	payload := c.grow(readBatchRecLen - 1 + traceLen)
+	if err := readFull(c.br, payload); err != nil {
+		return ReadResponse{}, err
+	}
+	return ReadResponse{
+		Hit:       payload[0] == 1,
+		Data:      append([]byte(nil), payload[1:1+ecc.LineSize]...),
+		LatencyNs: float64(getU64(payload[1+ecc.LineSize : 1+ecc.LineSize+8])),
+		Trace:     getU64(payload[1+ecc.LineSize+8:]),
+	}, nil
+}
+
+// checkBatch validates a batch call's slice lengths.
+func checkBatch(ops, res int) error {
+	if ops > MaxBatchOps {
+		return fmt.Errorf("server: batch of %d ops exceeds MaxBatchOps=%d", ops, MaxBatchOps)
+	}
+	if res != ops {
+		return fmt.Errorf("server: results slice has %d entries for %d ops", res, ops)
+	}
+	return nil
+}
+
+// batchHead sends a batch frame and reads its response head, returning the
+// echoed trace ID.
+func (c *TCPClient) batchHead(frame []byte, n int) (uint64, error) {
+	st, err := c.roundTrip(frame)
+	if err != nil {
+		return 0, err
+	}
+	if st != StatusOK {
+		return 0, statusErr(st)
+	}
+	head := c.grow(2 + traceLen)
+	if err := readFull(c.br, head); err != nil {
+		return 0, err
+	}
+	if got := int(binary.LittleEndian.Uint16(head)); got != n {
+		return 0, fmt.Errorf("server: batch response carries %d results for %d ops", got, n)
+	}
+	return getU64(head[2:]), nil
+}
+
+// WriteBatchTraced sends every op in one 'B' frame under the caller's
+// trace ID — one round trip for the whole batch — and decodes the per-op
+// results into res, which must have len(ops) entries. len(ops) must not
+// exceed MaxBatchOps. It returns the trace ID the batch ran under. The
+// error reports transport or framing failure; per-op flow control
+// (overloaded, timeout, closing) lands in res[i].Err.
+func (c *TCPClient) WriteBatchTraced(trace uint64, ops []BatchWriteOp, res []BatchWriteResult) (uint64, error) {
+	if err := checkBatch(len(ops), len(res)); err != nil {
+		return 0, err
+	}
+	frame := c.grow(1 + traceLen + 2 + len(ops)*writeReqLen)
+	frame[0] = OpWriteBatch
+	putU64(frame[1:], trace)
+	binary.LittleEndian.PutUint16(frame[1+traceLen:], uint16(len(ops)))
+	for i := range ops {
+		rec := frame[1+traceLen+2+i*writeReqLen:]
+		putU64(rec, ops[i].Addr)
+		copy(rec[8:], ops[i].Line[:])
+	}
+	echo, err := c.batchHead(frame, len(ops))
+	if err != nil {
+		return 0, err
 	}
 	payload := c.grow(len(ops) * writeBatchRecLen)
 	if err := readFull(c.br, payload); err != nil {
-		return err
+		return 0, err
 	}
 	for i := range res {
 		rec := payload[i*writeBatchRecLen:]
@@ -298,42 +343,30 @@ func (c *TCPClient) WriteBatch(ops []BatchWriteOp, res []BatchWriteResult) error
 			LatencyNs: float64(getU64(rec[10:18])),
 		}
 	}
-	return nil
+	return echo, nil
 }
 
-// ReadBatch sends every address in one 'b' frame and decodes the per-op
-// results into res (len(addrs) entries; see WriteBatch for the error
-// contract).
-func (c *TCPClient) ReadBatch(addrs []uint64, res []BatchReadResult) error {
-	if len(addrs) > MaxBatchOps {
-		return fmt.Errorf("server: batch of %d ops exceeds MaxBatchOps=%d", len(addrs), MaxBatchOps)
+// ReadBatchTraced sends every address in one 'b' frame and decodes the
+// per-op results into res (len(addrs) entries; see WriteBatchTraced for
+// the error contract).
+func (c *TCPClient) ReadBatchTraced(trace uint64, addrs []uint64, res []BatchReadResult) (uint64, error) {
+	if err := checkBatch(len(addrs), len(res)); err != nil {
+		return 0, err
 	}
-	if len(res) != len(addrs) {
-		return fmt.Errorf("server: results slice has %d entries for %d ops", len(res), len(addrs))
-	}
-	frame := c.grow(1 + 2 + len(addrs)*readReqLen)
+	frame := c.grow(1 + traceLen + 2 + len(addrs)*readReqLen)
 	frame[0] = OpReadBatch
-	binary.LittleEndian.PutUint16(frame[1:], uint16(len(addrs)))
+	putU64(frame[1:], trace)
+	binary.LittleEndian.PutUint16(frame[1+traceLen:], uint16(len(addrs)))
 	for i, a := range addrs {
-		putU64(frame[3+i*readReqLen:], a)
+		putU64(frame[1+traceLen+2+i*readReqLen:], a)
 	}
-	st, err := c.roundTrip(frame)
+	echo, err := c.batchHead(frame, len(addrs))
 	if err != nil {
-		return err
-	}
-	if st != StatusOK {
-		return statusErr(st)
-	}
-	var cnt [2]byte
-	if err := readFull(c.br, cnt[:]); err != nil {
-		return err
-	}
-	if n := int(binary.LittleEndian.Uint16(cnt[:])); n != len(addrs) {
-		return fmt.Errorf("server: batch response carries %d results for %d ops", n, len(addrs))
+		return 0, err
 	}
 	payload := c.grow(len(addrs) * readBatchRecLen)
 	if err := readFull(c.br, payload); err != nil {
-		return err
+		return 0, err
 	}
 	for i := range res {
 		rec := payload[i*readBatchRecLen:]
@@ -346,7 +379,7 @@ func (c *TCPClient) ReadBatch(addrs []uint64, res []BatchReadResult) error {
 		copy(res[i].Data[:], rec[2:2+ecc.LineSize])
 		res[i].LatencyNs = float64(getU64(rec[2+ecc.LineSize : 2+ecc.LineSize+8]))
 	}
-	return nil
+	return echo, nil
 }
 
 func (c *TCPClient) Flush() error {

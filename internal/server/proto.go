@@ -2,8 +2,13 @@
 // engine: an HTTP/JSON API and a raw-TCP binary protocol exposing
 // read/write/flush/stats, with per-request timeouts, backpressure
 // (bounded shard queues surfaced as 429-style shedding) and graceful
-// drain on shutdown. The package also provides the matching clients used
-// by cmd/esdload and the tests.
+// drain on shutdown.
+//
+// The binary protocol has one frame format (below) and one codec
+// (FrameServer, frame.go), which serves both a node and the cluster
+// router's front; each plugs its execution in as a Handler. The package
+// also provides the matching clients used by cmd/esdload, the router and
+// the tests.
 package server
 
 import (
@@ -19,31 +24,21 @@ import (
 //
 // Request frames:
 //
-//	write:       'W' addr:8 line:64
-//	read:        'R' addr:8
+//	write:       'W' trace:8 addr:8 line:64
+//	read:        'R' trace:8 addr:8
+//	writeBatch:  'B' trace:8 count:2 count×(addr:8 line:64)
+//	readBatch:   'b' trace:8 count:2 count×(addr:8)
 //	flush:       'F'
 //	stats:       'S'
-//	writeBatch:  'B' count:2 count×(addr:8 line:64)
-//	readBatch:   'b' count:2 count×(addr:8)
-//	hello:       'H' ver:1
-//	writeTr:     'w' trace:8 addr:8 line:64
-//	readTr:      'r' trace:8 addr:8
-//	writeBatchTr:'V' trace:8 count:2 count×(addr:8 line:64)
-//	readBatchTr: 'v' trace:8 count:2 count×(addr:8)
 //
 // Response frames:
 //
-//	write:       status:1 [dedup:1 phys:8 latNs:8]     (payload on StatusOK)
-//	read:        status:1 [hit:1 line:64 latNs:8]
+//	write:       status:1 [dedup:1 phys:8 latNs:8 trace:8]    (payload on StatusOK)
+//	read:        status:1 [hit:1 line:64 latNs:8 trace:8]
+//	writeBatch:  status:1 [count:2 trace:8 count×(status:1 dedup:1 phys:8 latNs:8)]
+//	readBatch:   status:1 [count:2 trace:8 count×(status:1 hit:1 line:64 latNs:8)]
 //	flush:       status:1
 //	stats:       status:1 [len:4 json:len]
-//	writeBatch:  status:1 [count:2 count×(status:1 dedup:1 phys:8 latNs:8)]
-//	readBatch:   status:1 [count:2 count×(status:1 hit:1 line:64 latNs:8)]
-//	hello:       status:1 [ver:1]
-//	writeTr:     status:1 [dedup:1 phys:8 latNs:8 trace:8]
-//	readTr:      status:1 [hit:1 line:64 latNs:8 trace:8]
-//	writeBatchTr:status:1 [count:2 trace:8 count×(status:1 dedup:1 phys:8 latNs:8)]
-//	readBatchTr: status:1 [count:2 trace:8 count×(status:1 hit:1 line:64 latNs:8)]
 //
 // All integers are little-endian. A non-OK status ends the frame after
 // the status byte. Batch frames carry up to MaxBatchOps operations and
@@ -52,21 +47,14 @@ import (
 // connection is then dropped), while per-op flow control (overloaded,
 // timeout, closing) is reported in the fixed-size per-op records, whose
 // payload fields are zero unless the op's status is StatusOK. A
-// zero-count batch is valid and returns an OK frame with count 0.
+// zero-count batch is valid and returns an OK frame with count 0 that
+// echoes the request's trace field unchanged.
 //
-// Protocol versioning and trace propagation: version 1 adds the traced
-// op variants ('w', 'r', 'V', 'v'), which prefix the version-0 body with
-// the originating trace ID and echo it at the tail of the response. A
-// traced server adopts the wire trace ID instead of minting one, so the
-// router's ID appears in the node's slow-request log, flight recorder
-// and response. Version-0 peers interoperate both ways: a v0 client
-// simply never sends traced frames, and a v1 client discovers a v0
-// server with one 'H' hello round trip per connection pool (a v0 server
-// answers any unknown op, including 'H', with StatusBadRequest and
-// leaves its read stream positioned after the op byte — the hello frame
-// body is a single version byte that decodes as another unknown op, so
-// probing is harmless; the prober discards the connection and falls back
-// to untraced frames for that node).
+// Trace propagation: every data frame carries the originating trace ID
+// in the 8 bytes after the op. A trace of 0 asks the receiver to mint an
+// ID; a nonzero trace is adopted, so the cluster router's ID appears in
+// the node's slow-request log, flight recorder and response. Every data
+// response echoes the ID the request actually ran under.
 const (
 	OpWrite      byte = 'W'
 	OpRead       byte = 'R'
@@ -74,18 +62,7 @@ const (
 	OpStats      byte = 'S'
 	OpWriteBatch byte = 'B'
 	OpReadBatch  byte = 'b'
-
-	// Version-1 ops: trace-propagating variants plus the hello probe.
-	OpHello        byte = 'H'
-	OpWriteTr      byte = 'w'
-	OpReadTr       byte = 'r'
-	OpWriteBatchTr byte = 'V'
-	OpReadBatchTr  byte = 'v'
 )
-
-// ProtoVersion is the protocol version this package speaks. Version 1
-// added trace propagation; version 0 is the PR 8 frame set.
-const ProtoVersion = 1
 
 // MaxBatchOps caps the operations one batch frame may carry; it bounds
 // the per-connection buffering a frame can demand on either side.
@@ -130,8 +107,8 @@ func statusText(s byte) string {
 	}
 }
 
-// writeReq/readReq sizes after the op byte; traced variants prefix the
-// body with traceLen bytes of trace ID.
+// Per-op request body sizes; every data frame prefixes its body with
+// traceLen bytes of trace ID.
 const (
 	writeReqLen = 8 + ecc.LineSize
 	readReqLen  = 8

@@ -39,12 +39,6 @@ type Config struct {
 	// SlowLog receives slow-request lines and error-path flight-recorder
 	// dumps (default os.Stderr).
 	SlowLog io.Writer
-	// DisableTracedFrames makes the TCP endpoint behave like a protocol
-	// version-0 binary: the traced ops and the 'H' hello are answered with
-	// StatusBadRequest, exactly as a pre-tracing build would answer any
-	// unknown op. Exists for backward-compat testing (cluster_smoke.sh runs
-	// a new router against a node in this mode) and as an escape hatch.
-	DisableTracedFrames bool
 }
 
 func (c Config) withDefaults() Config {
@@ -71,11 +65,8 @@ type Server struct {
 
 	httpLn net.Listener
 	httpSr *http.Server
-	tcpLn  net.Listener
+	tcp    *FrameServer // nil without Config.TCPAddr
 
-	inflight sync.WaitGroup // TCP connection handlers
-	connMu   sync.Mutex
-	conns    map[net.Conn]struct{}
 	draining chan struct{}
 	closedMu sync.Once
 
@@ -98,7 +89,6 @@ func New(eng *shard.Engine, cfg Config) (*Server, error) {
 	s := &Server{
 		eng:        eng,
 		cfg:        cfg,
-		conns:      make(map[net.Conn]struct{}),
 		draining:   make(chan struct{}),
 		start:      time.Now(),
 		rateWrites: telemetry.NewRolling(rateWindow, rateSlots),
@@ -116,13 +106,12 @@ func New(eng *shard.Engine, cfg Config) (*Server, error) {
 	}
 	go func() { _ = s.httpSr.Serve(ln) }()
 	if cfg.TCPAddr != "" {
-		tln, err := net.Listen("tcp", cfg.TCPAddr)
+		tcp, err := ListenFrames(cfg.TCPAddr, nodeHandler{s}, s.draining)
 		if err != nil {
 			_ = s.httpSr.Close()
 			return nil, fmt.Errorf("server: listen tcp %s: %w", cfg.TCPAddr, err)
 		}
-		s.tcpLn = tln
-		go s.acceptTCP()
+		s.tcp = tcp
 	}
 	return s, nil
 }
@@ -135,10 +124,10 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 
 // TCPAddr returns the bound binary-protocol address ("" when disabled).
 func (s *Server) TCPAddr() string {
-	if s.tcpLn == nil {
+	if s.tcp == nil {
 		return ""
 	}
-	return s.tcpLn.Addr().String()
+	return s.tcp.Addr()
 }
 
 // Shutdown gracefully drains the server: stop accepting, finish in-flight
@@ -146,30 +135,15 @@ func (s *Server) TCPAddr() string {
 // write reached the device model. On ctx expiry remaining connections are
 // forcibly closed and ctx.Err() is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.closedMu.Do(func() { close(s.draining) })
+	s.BeginDrain()
 	var firstErr error
-	if s.tcpLn != nil {
-		_ = s.tcpLn.Close()
-	}
 	if err := s.httpSr.Shutdown(ctx); err != nil {
 		firstErr = err
 		_ = s.httpSr.Close()
 	}
-	// Wait for TCP handlers; on ctx expiry cut the connections and wait
-	// again (handlers exit on read error).
-	done := make(chan struct{})
-	go func() { s.inflight.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.connMu.Lock()
-		for c := range s.conns {
-			_ = c.Close()
-		}
-		s.connMu.Unlock()
-		<-done
-		if firstErr == nil {
-			firstErr = ctx.Err()
+	if s.tcp != nil {
+		if err := s.tcp.Shutdown(ctx); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if err := s.eng.Flush(); err != nil && firstErr == nil && !errors.Is(err, shard.ErrClosed) {

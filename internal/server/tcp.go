@@ -1,102 +1,37 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
-	"encoding/json"
-	"errors"
-	"net"
 	"sync"
 	"time"
 
 	"github.com/esdsim/esd/internal/ecc"
+	"github.com/esdsim/esd/internal/memctrl"
 	"github.com/esdsim/esd/internal/shard"
 	"github.com/esdsim/esd/internal/telemetry"
 )
 
-// Batch-frame scratch pools: one full-size buffer per in-flight batch
-// frame, so the steady-state batch path does not allocate per frame. A
-// buffer is recycled as soon as serveFrame returns — safe even when the
-// engine call was abandoned on timeout, because the shard engine copies
-// lines into its own sub-batch buffers at submit time.
-var (
-	batchOpsPool = sync.Pool{New: func() any {
-		s := make([]shard.WriteBatchOp, MaxBatchOps)
-		return &s
-	}}
-	batchAddrsPool = sync.Pool{New: func() any {
-		s := make([]uint64, MaxBatchOps)
-		return &s
-	}}
-)
+// nodeHandler executes binary-protocol frames on the node's engine: every
+// data op runs under its own RequestTimeout deadline and the slow-request
+// policy, exactly like the HTTP handlers.
+type nodeHandler struct{ s *Server }
 
-// acceptTCP runs the binary-protocol accept loop until the listener is
-// closed by Shutdown.
-func (s *Server) acceptTCP() {
-	for {
-		conn, err := s.tcpLn.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		select {
-		case <-s.draining:
-			_ = conn.Close()
-			continue
-		default:
-		}
-		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.inflight.Add(1)
-		go s.handleConn(conn)
-	}
-}
+// batchOpsPool recycles the engine-side op buffer of one batch write, so
+// the steady-state batch path does not allocate per frame. A buffer is
+// recycled as soon as the call returns — safe even when the engine call
+// was abandoned on timeout, because the shard engine copies lines into
+// its own sub-batch buffers at submit time.
+var batchOpsPool = sync.Pool{New: func() any {
+	s := make([]shard.WriteBatchOp, MaxBatchOps)
+	return &s
+}}
 
-func (s *Server) handleConn(conn net.Conn) {
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-		_ = conn.Close()
-		s.inflight.Done()
-	}()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var op [1]byte
-	for {
-		// Between frames the connection idles; poll the read with a short
-		// deadline so draining connections notice Shutdown promptly.
-		_ = conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
-		if err := readFull(br, op[:]); err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				select {
-				case <-s.draining:
-					return
-				default:
-					continue
-				}
-			}
-			return // EOF or broken connection
-		}
-		// A frame has begun: finish it even while draining.
-		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if !s.serveFrame(br, bw, op[0]) {
-			return
-		}
-		if bw.Flush() != nil {
-			return
-		}
-	}
-}
-
-// frameTrace builds the request's trace context: a traced frame adopts
-// the wire-propagated ID (the cluster router minted it at the fleet
-// edge), an untraced one mints a fresh node-local ID.
-func (s *Server) frameTrace(traced bool, trace uint64) telemetry.TraceCtx {
+// frameTrace builds a request's trace context: a nonzero wire ID (the
+// cluster router minted it at the fleet edge) is adopted, 0 mints a fresh
+// node-local ID.
+func (s *Server) frameTrace(trace uint64) telemetry.TraceCtx {
 	var tc telemetry.TraceCtx
-	if traced {
+	if trace != 0 {
 		tc = s.eng.AdoptTrace(trace)
 	} else {
 		tc = s.eng.NewTrace()
@@ -105,267 +40,89 @@ func (s *Server) frameTrace(traced bool, trace uint64) telemetry.TraceCtx {
 	return tc
 }
 
-// serveFrame reads the rest of one request frame and writes the response
-// frame to bw. It returns false when the connection should be dropped
-// (malformed frame).
-func (s *Server) serveFrame(br *bufio.Reader, bw *bufio.Writer, op byte) bool {
+func writeResult(out memctrl.WriteOutcome, err error) BatchWriteResult {
+	if err != nil {
+		return BatchWriteResult{Err: err}
+	}
+	return BatchWriteResult{
+		Dedup:     out.Deduplicated,
+		PhysAddr:  out.PhysAddr,
+		LatencyNs: out.Breakdown.Total().Nanoseconds(),
+	}
+}
+
+func readResult(res shard.ReadResult, err error) BatchReadResult {
+	if err != nil {
+		return BatchReadResult{Err: err}
+	}
+	return BatchReadResult{Hit: res.Hit, Data: res.Data, LatencyNs: res.Lat.Nanoseconds()}
+}
+
+func (h nodeHandler) Write(trace, addr uint64, line ecc.Line) (BatchWriteResult, uint64) {
+	s := h.s
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
 	defer cancel()
-
-	// Version-1 preamble: traced data frames carry the trace ID before
-	// the version-0 body; 'H' negotiates the version. A server emulating
-	// a version-0 binary (DisableTracedFrames) treats all of them as
-	// unknown ops, exactly as the old code did.
-	traced := false
-	var trace uint64
-	switch op {
-	case OpHello, OpWriteTr, OpReadTr, OpWriteBatchTr, OpReadBatchTr:
-		if s.cfg.DisableTracedFrames {
-			return writeStatus(bw, StatusBadRequest)
-		}
-		if op == OpHello {
-			var ver [1]byte
-			if readFull(br, ver[:]) != nil {
-				return false
-			}
-			var resp [2]byte
-			resp[0] = StatusOK
-			resp[1] = ProtoVersion
-			_, werr := bw.Write(resp[:])
-			return werr == nil
-		}
-		// Peek+Discard reads the preamble out of bufio's own buffer: no
-		// escaping scratch array, so tracing adds zero allocations here.
-		tb, err := br.Peek(traceLen)
-		if err != nil {
-			return false
-		}
-		trace = getU64(tb)
-		if _, err := br.Discard(traceLen); err != nil {
-			return false
-		}
-		traced = true
-	}
-
-	switch op {
-	case OpWrite, OpWriteTr:
-		var req [writeReqLen]byte
-		if readFull(br, req[:]) != nil {
-			return false
-		}
-		var line ecc.Line
-		copy(line[:], req[8:])
-		addr := getU64(req[:8])
-		tc := s.frameTrace(traced, trace)
-		out, err := s.eng.TryWriteTraced(ctx, addr, line, tc)
-		s.noteRequest("tcp", "write", tc, addr, time.Since(time.Unix(0, tc.StartNs)), err)
-		if err != nil {
-			return writeStatus(bw, errStatus(err))
-		}
-		// Response frames are fixed-size: build them in stack arrays so the
-		// per-frame path allocates nothing (bufio.Writer.Write copies).
-		var resp [1 + 1 + 8 + 8 + traceLen]byte
-		resp[0] = StatusOK
-		if out.Deduplicated {
-			resp[1] = 1
-		}
-		putU64(resp[2:], out.PhysAddr)
-		putU64(resp[10:], uint64(out.Breakdown.Total().Nanoseconds()))
-		n := 1 + 1 + 8 + 8
-		if traced {
-			putU64(resp[n:], tc.TraceID)
-			n += traceLen
-		}
-		_, werr := bw.Write(resp[:n])
-		return werr == nil
-	case OpRead, OpReadTr:
-		var req [readReqLen]byte
-		if readFull(br, req[:]) != nil {
-			return false
-		}
-		addr := getU64(req[:])
-		tc := s.frameTrace(traced, trace)
-		res, err := s.eng.TryReadTraced(ctx, addr, tc)
-		s.noteRequest("tcp", "read", tc, addr, time.Since(time.Unix(0, tc.StartNs)), err)
-		if err != nil {
-			return writeStatus(bw, errStatus(err))
-		}
-		var resp [1 + 1 + ecc.LineSize + 8 + traceLen]byte
-		resp[0] = StatusOK
-		if res.Hit {
-			resp[1] = 1
-		}
-		copy(resp[2:], res.Data[:])
-		putU64(resp[2+ecc.LineSize:], uint64(res.Lat.Nanoseconds()))
-		n := 1 + 1 + ecc.LineSize + 8
-		if traced {
-			putU64(resp[n:], tc.TraceID)
-			n += traceLen
-		}
-		_, werr := bw.Write(resp[:n])
-		return werr == nil
-	case OpWriteBatch, OpWriteBatchTr:
-		var cnt [2]byte
-		if readFull(br, cnt[:]) != nil {
-			return false
-		}
-		n := int(binary.LittleEndian.Uint16(cnt[:]))
-		if n > MaxBatchOps {
-			// Oversized counts are malformed, not flow control: reject the
-			// frame and drop the connection (the body was never read, so
-			// the stream position is unknown). Flush so the client sees the
-			// status before the close.
-			writeStatus(bw, StatusBadRequest)
-			_ = bw.Flush()
-			return false
-		}
-		if n == 0 {
-			return writeBatchHead(bw, 0, traced, trace)
-		}
-		opsp := batchOpsPool.Get().(*[]shard.WriteBatchOp)
-		defer batchOpsPool.Put(opsp)
-		ops := (*opsp)[:n]
-		var req [writeReqLen]byte
-		for i := 0; i < n; i++ {
-			if readFull(br, req[:]) != nil {
-				return false
-			}
-			ops[i].Addr = getU64(req[:8])
-			copy(ops[i].Line[:], req[8:])
-		}
-		tc := s.frameTrace(traced, trace)
-		err := s.eng.TryWriteBatchTraced(ctx, ops, tc)
-		s.noteBatch("tcp", "write-batch", tc, ops, nil, time.Since(time.Unix(0, tc.StartNs)), err)
-		if !writeBatchHead(bw, n, traced, tc.TraceID) {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			var rec [writeBatchRecLen]byte
-			if ops[i].Err != nil {
-				rec[0] = errStatus(ops[i].Err)
-			} else {
-				rec[0] = StatusOK
-				if ops[i].Out.Deduplicated {
-					rec[1] = 1
-				}
-				putU64(rec[2:], ops[i].Out.PhysAddr)
-				putU64(rec[10:], uint64(ops[i].Out.Breakdown.Total().Nanoseconds()))
-			}
-			if _, err := bw.Write(rec[:]); err != nil {
-				return false
-			}
-		}
-		return true
-	case OpReadBatch, OpReadBatchTr:
-		var cnt [2]byte
-		if readFull(br, cnt[:]) != nil {
-			return false
-		}
-		n := int(binary.LittleEndian.Uint16(cnt[:]))
-		if n > MaxBatchOps {
-			writeStatus(bw, StatusBadRequest)
-			_ = bw.Flush()
-			return false
-		}
-		if n == 0 {
-			return writeBatchHead(bw, 0, traced, trace)
-		}
-		addrsp := batchAddrsPool.Get().(*[]uint64)
-		defer batchAddrsPool.Put(addrsp)
-		addrs := (*addrsp)[:n]
-		var req [readReqLen]byte
-		for i := 0; i < n; i++ {
-			if readFull(br, req[:]) != nil {
-				return false
-			}
-			addrs[i] = getU64(req[:])
-		}
-		tc := s.frameTrace(traced, trace)
-		if !writeBatchHead(bw, n, traced, tc.TraceID) {
-			return false
-		}
-		var firstErr error
-		for i := 0; i < n; i++ {
-			var rec [readBatchRecLen]byte
-			res, err := s.eng.TryReadTraced(ctx, addrs[i], tc)
-			if err != nil {
-				rec[0] = errStatus(err)
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				rec[0] = StatusOK
-				if res.Hit {
-					rec[1] = 1
-				}
-				copy(rec[2:], res.Data[:])
-				putU64(rec[2+ecc.LineSize:], uint64(res.Lat.Nanoseconds()))
-			}
-			if _, err := bw.Write(rec[:]); err != nil {
-				return false
-			}
-		}
-		s.noteBatch("tcp", "read-batch", tc, nil, addrs, time.Since(time.Unix(0, tc.StartNs)), firstErr)
-		return true
-	case OpFlush:
-		if err := s.eng.Flush(); err != nil {
-			return writeStatus(bw, errStatus(err))
-		}
-		return writeStatus(bw, StatusOK)
-	case OpStats:
-		sum, err := s.eng.Summary()
-		if err != nil {
-			return writeStatus(bw, errStatus(err))
-		}
-		payload, err := json.Marshal(statsFrom(s.eng, sum))
-		if err != nil {
-			return writeStatus(bw, StatusBadRequest)
-		}
-		var head [5]byte
-		head[0] = StatusOK
-		head[1] = byte(len(payload))
-		head[2] = byte(len(payload) >> 8)
-		head[3] = byte(len(payload) >> 16)
-		head[4] = byte(len(payload) >> 24)
-		if _, err := bw.Write(head[:]); err != nil {
-			return false
-		}
-		_, werr := bw.Write(payload)
-		return werr == nil
-	default:
-		return writeStatus(bw, StatusBadRequest)
-	}
+	tc := s.frameTrace(trace)
+	out, err := s.eng.TryWriteTraced(ctx, addr, line, tc)
+	s.noteRequest("tcp", "write", tc, addr, time.Since(time.Unix(0, tc.StartNs)), err)
+	return writeResult(out, err), tc.TraceID
 }
 
-// writeBatchHead emits a batch response head: status, count, and — for
-// traced frames — the echoed trace ID.
-func writeBatchHead(bw *bufio.Writer, n int, traced bool, trace uint64) bool {
-	var head [3 + traceLen]byte
-	head[0] = StatusOK
-	binary.LittleEndian.PutUint16(head[1:], uint16(n))
-	k := 3
-	if traced {
-		putU64(head[k:], trace)
-		k += traceLen
-	}
-	_, err := bw.Write(head[:k])
-	return err == nil
+func (h nodeHandler) Read(trace, addr uint64) (BatchReadResult, uint64) {
+	s := h.s
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
+	defer cancel()
+	tc := s.frameTrace(trace)
+	res, err := s.eng.TryReadTraced(ctx, addr, tc)
+	s.noteRequest("tcp", "read", tc, addr, time.Since(time.Unix(0, tc.StartNs)), err)
+	return readResult(res, err), tc.TraceID
 }
 
-func writeStatus(bw *bufio.Writer, st byte) bool {
-	return bw.WriteByte(st) == nil
+// WriteBatch submits the whole frame as one engine batch; per-op flow
+// control lands in the records and the frame itself always succeeds.
+func (h nodeHandler) WriteBatch(trace uint64, ops []BatchWriteOp, res []BatchWriteResult) (uint64, error) {
+	s := h.s
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
+	defer cancel()
+	opsp := batchOpsPool.Get().(*[]shard.WriteBatchOp)
+	defer batchOpsPool.Put(opsp)
+	sops := (*opsp)[:len(ops)]
+	for i := range ops {
+		sops[i] = shard.WriteBatchOp{Addr: ops[i].Addr, Line: ops[i].Line}
+	}
+	tc := s.frameTrace(trace)
+	err := s.eng.TryWriteBatchTraced(ctx, sops, tc)
+	s.noteBatch("tcp", "write-batch", tc, sops, nil, time.Since(time.Unix(0, tc.StartNs)), err)
+	for i := range sops {
+		res[i] = writeResult(sops[i].Out, sops[i].Err)
+	}
+	return tc.TraceID, nil
 }
 
-// errStatus maps engine errors to protocol statuses (mirror of mapErr).
-func errStatus(err error) byte {
-	switch {
-	case errors.Is(err, shard.ErrOverloaded):
-		return StatusOverloaded
-	case errors.Is(err, context.DeadlineExceeded):
-		return StatusTimeout
-	case errors.Is(err, shard.ErrClosed):
-		return StatusClosing
-	default:
-		return StatusBadRequest
+// ReadBatch reads the frame's addresses one by one under one deadline.
+func (h nodeHandler) ReadBatch(trace uint64, addrs []uint64, res []BatchReadResult) (uint64, error) {
+	s := h.s
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
+	defer cancel()
+	tc := s.frameTrace(trace)
+	var firstErr error
+	for i, a := range addrs {
+		r, err := s.eng.TryReadTraced(ctx, a, tc)
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		res[i] = readResult(r, err)
 	}
+	s.noteBatch("tcp", "read-batch", tc, nil, addrs, time.Since(time.Unix(0, tc.StartNs)), firstErr)
+	return tc.TraceID, nil
+}
+
+func (h nodeHandler) Flush() error { return h.s.eng.Flush() }
+
+func (h nodeHandler) Stats() (StatsResponse, error) {
+	sum, err := h.s.eng.Summary()
+	if err != nil {
+		return StatsResponse{}, err
+	}
+	return statsFrom(h.s.eng, sum), nil
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -18,18 +17,6 @@ func dialTest(t *testing.T, s *Server) *TCPClient {
 	}
 	t.Cleanup(func() { _ = c.Close() })
 	return c
-}
-
-func TestTCPHello(t *testing.T) {
-	_, s := testServer(t, shard.Options{Shards: 2}, Config{TCPAddr: "x"})
-	c := dialTest(t, s)
-	ver, err := c.Hello()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ver != ProtoVersion {
-		t.Fatalf("hello version = %d, want %d", ver, ProtoVersion)
-	}
 }
 
 // A traced frame must adopt the wire trace ID: the response echoes it and
@@ -60,25 +47,51 @@ func TestTCPTracedRoundTrip(t *testing.T) {
 
 	// The adopted ID must land in the shard flight recorder, not a fresh
 	// node-local one.
-	found := false
-	for _, rec := range e.FlightRecords() {
-		if rec.Trace == trace {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !flightHas(e, trace) {
 		t.Fatalf("trace %#x not found in flight recorder", trace)
 	}
 
-	// Untraced frames on the same connection still mint local IDs.
-	w2, err := c.Write(200, line(9))
+}
+
+// A trace-0 frame asks the node to mint an ID: the response carries the
+// minted ID and the shard flight recorder holds the same one.
+func TestTCPMintsTrace(t *testing.T) {
+	e, s := testServer(t, shard.Options{Shards: 2}, Config{TCPAddr: "x"})
+	c := dialTest(t, s)
+
+	w, err := c.Write(200, line(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w2.Trace != 0 {
-		t.Fatalf("untraced write response carries trace %#x", w2.Trace)
+	r, err := c.Read(200)
+	if err != nil {
+		t.Fatal(err)
 	}
+	res := make([]BatchReadResult, 1)
+	echo, err := c.ReadBatchTraced(0, []uint64{200}, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint64{w.Trace, r.Trace, echo} {
+		if id == 0 {
+			t.Fatalf("trace-0 frames echoed IDs %#x/%#x/%#x, want all minted", w.Trace, r.Trace, echo)
+		}
+		if !flightHas(e, id) {
+			t.Fatalf("minted trace %#x not found in flight recorder", id)
+		}
+	}
+	if w.Trace == r.Trace || r.Trace == echo {
+		t.Fatalf("minted IDs repeat: %#x %#x %#x", w.Trace, r.Trace, echo)
+	}
+}
+
+func flightHas(e *shard.Engine, trace uint64) bool {
+	for _, rec := range e.FlightRecords() {
+		if rec.Trace == trace {
+			return true
+		}
+	}
+	return false
 }
 
 func TestTCPTracedBatch(t *testing.T) {
@@ -119,45 +132,8 @@ func TestTCPTracedBatch(t *testing.T) {
 	if !rres[0].Hit || rres[0].Data != line(1) {
 		t.Fatalf("batched traced read returned %+v", rres[0])
 	}
-	found := false
-	for _, rec := range e.FlightRecords() {
-		if rec.Trace == trace {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !flightHas(e, trace) {
 		t.Fatalf("batch trace %#x not found in flight recorder", trace)
-	}
-}
-
-// DisableTracedFrames must reproduce version-0 behavior bit-for-bit: the
-// hello probe comes back StatusBadRequest (surfaced as ErrLegacyProto) and
-// version-0 frames keep working on a fresh connection.
-func TestTCPLegacyFramesMode(t *testing.T) {
-	_, s := testServer(t, shard.Options{Shards: 2}, Config{TCPAddr: "x", DisableTracedFrames: true})
-
-	c := dialTest(t, s)
-	if _, err := c.Hello(); !errors.Is(err, ErrLegacyProto) {
-		t.Fatalf("hello against legacy server = %v, want ErrLegacyProto", err)
-	}
-	// The probed connection has a junk status byte queued (the server
-	// answered the hello body byte as a second unknown op) — per the
-	// protocol contract the prober discards it and dials fresh.
-	c2 := dialTest(t, s)
-	w, err := c2.Write(100, line(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Dedup {
-		t.Fatal("first write reported dedup")
-	}
-	r, err := c2.Read(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Hit {
-		t.Fatal("read miss after write on legacy-mode server")
 	}
 }
 

@@ -1,11 +1,6 @@
 package telemetry
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"github.com/esdsim/esd/internal/sim"
-)
+import "github.com/esdsim/esd/internal/sim"
 
 // FlightRecorder is a fixed-size ring that always holds the last N
 // completed requests with their per-stage latency vectors — a black box
@@ -13,29 +8,14 @@ import (
 // /debug/flightrecorder endpoint) to explain what the pipeline was doing
 // when something went slow or wrong.
 //
-// Recording is allocation-free and never blocks: a writer claims the next
-// sequence number with one atomic add, then publishes the slot under a
-// per-slot try-lock. Only a concurrent Snapshot can hold a slot's lock,
-// and then the writer drops that one record instead of stalling the
-// pipeline — the dump path pays for the hot path, never the reverse. The
-// per-slot mutex (rather than per-field atomics) keeps the record cost at
-// three atomic operations regardless of how many fields a record carries.
-//
-// The intended topology is one recorder per shard worker (single writer);
-// multiple concurrent writers remain safe as long as the ring is large
-// enough that a writer is not lapped mid-record.
+// Recording is allocation-free and never blocks (see ring). The intended
+// topology is one recorder per shard worker (single writer).
 type FlightRecorder struct {
-	mask  uint64
-	seq   atomic.Uint64
-	slots []flightSlot
+	ring ring[flightRec]
 }
 
-// flightSlot is one ring entry. All fields are plain and guarded by mu;
-// seq names the record the slot currently holds (0 = never written), so a
-// reader can tell a live record from one overwritten during its scan.
-type flightSlot struct {
-	mu     sync.Mutex
-	seq    uint64
+// flightRec is one raw ring entry.
+type flightRec struct {
 	trace  uint64
 	addr   uint64
 	phys   uint64
@@ -58,14 +38,7 @@ const DefaultFlightSlots = 256
 // NewFlightRecorder builds a recorder holding the last `slots` records,
 // rounded up to a power of two (<=0 selects DefaultFlightSlots).
 func NewFlightRecorder(slots int) *FlightRecorder {
-	if slots <= 0 {
-		slots = DefaultFlightSlots
-	}
-	n := 1
-	for n < slots {
-		n <<= 1
-	}
-	return &FlightRecorder{mask: uint64(n - 1), slots: make([]flightSlot, n)}
+	return &FlightRecorder{ring: newRing[flightRec](slots, DefaultFlightSlots)}
 }
 
 // Cap returns the ring capacity (0 for nil).
@@ -73,7 +46,7 @@ func (f *FlightRecorder) Cap() int {
 	if f == nil {
 		return 0
 	}
-	return len(f.slots)
+	return f.ring.capacity()
 }
 
 // Len returns how many records are currently held (0 for nil).
@@ -81,51 +54,29 @@ func (f *FlightRecorder) Len() int {
 	if f == nil {
 		return 0
 	}
-	n := f.seq.Load()
-	if n > uint64(len(f.slots)) {
-		return len(f.slots)
-	}
-	return int(n)
+	return f.ring.held()
 }
 
 // RecordWrite appends one completed write. phys is the backing physical
 // line the write landed on (it locates the serving bank, which the logical
 // address does not after remapping). Nil-safe and allocation-free.
 func (f *FlightRecorder) RecordWrite(shard int, tc TraceCtx, addr, phys uint64, dedup bool, at, lat sim.Time, st *StageTimes) {
-	f.record(flightKindWrite, shard, tc, addr, phys, dedup, at, lat, st)
+	if f == nil {
+		return
+	}
+	rec := flightRec{trace: tc.TraceID, addr: addr, phys: phys, kind: flightKindWrite, shard: int32(shard), flag: dedup, at: at, lat: lat}
+	if st != nil {
+		rec.stages = *st
+	}
+	f.ring.put(rec)
 }
 
 // RecordRead appends one completed read. Nil-safe and allocation-free.
 func (f *FlightRecorder) RecordRead(shard int, tc TraceCtx, addr uint64, hit bool, at, lat sim.Time) {
-	f.record(flightKindRead, shard, tc, addr, 0, hit, at, lat, nil)
-}
-
-func (f *FlightRecorder) record(kind byte, shard int, tc TraceCtx, addr, phys uint64, flag bool, at, lat sim.Time, st *StageTimes) {
 	if f == nil {
 		return
 	}
-	n := f.seq.Add(1)
-	s := &f.slots[n&f.mask]
-	if !s.mu.TryLock() {
-		// A dump holds this slot right now. Drop the record (the sequence
-		// number shows up as a gap) rather than stall the write path.
-		return
-	}
-	s.seq = n
-	s.trace = tc.TraceID
-	s.addr = addr
-	s.phys = phys
-	s.kind = kind
-	s.shard = int32(shard)
-	s.flag = flag
-	s.at = at
-	s.lat = lat
-	if st != nil {
-		s.stages = *st
-	} else {
-		s.stages = StageTimes{}
-	}
-	s.mu.Unlock()
+	f.ring.put(flightRec{trace: tc.TraceID, addr: addr, kind: flightKindRead, shard: int32(shard), flag: hit, at: at, lat: lat})
 }
 
 // FlightRecord is one decoded flight-recorder entry, shaped for JSON
@@ -154,45 +105,30 @@ type FlightRecord struct {
 }
 
 // Snapshot decodes the ring's current contents, oldest first. It allocates
-// (it is the cold dump path) and may be called concurrently with writers:
-// a slot overwritten between the sequence read and the slot lock is
-// skipped rather than returned torn or duplicated.
+// (it is the cold dump path) and may be called concurrently with writers
+// (see ring.snapshot).
 func (f *FlightRecorder) Snapshot() []FlightRecord {
 	if f == nil {
 		return nil
 	}
-	end := f.seq.Load()
-	n := uint64(len(f.slots))
-	start := uint64(1)
-	if end > n {
-		start = end - n + 1
-	}
-	out := make([]FlightRecord, 0, end-start+1)
-	for i := start; i <= end; i++ {
-		s := &f.slots[i&f.mask]
-		s.mu.Lock()
-		if s.seq != i {
-			s.mu.Unlock()
-			continue // overwritten by a newer record, or never completed
-		}
+	out := make([]FlightRecord, 0, f.ring.held())
+	f.ring.snapshot(func(seq uint64, s *flightRec) {
 		rec := FlightRecord{
-			Seq:   i,
+			Seq:   seq,
 			Trace: s.trace,
 			Shard: int(s.shard),
 			Addr:  s.addr,
 			AtNs:  s.at.Nanoseconds(),
 			LatNs: s.lat.Nanoseconds(),
 		}
-		kind, flag, st, phys := s.kind, s.flag, s.stages, s.phys
-		s.mu.Unlock()
-		if kind == flightKindRead {
+		if s.kind == flightKindRead {
 			rec.Kind = "read"
-			rec.Hit = flag
+			rec.Hit = s.flag
 		} else {
 			rec.Kind = "write"
-			rec.Dedup = flag
-			rec.Phys = phys
-			for j, d := range st {
+			rec.Dedup = s.flag
+			rec.Phys = s.phys
+			for j, d := range s.stages {
 				if d > 0 {
 					if rec.StagesNs == nil {
 						rec.StagesNs = make(map[string]float64, NumStages)
@@ -202,6 +138,6 @@ func (f *FlightRecorder) Snapshot() []FlightRecord {
 			}
 		}
 		out = append(out, rec)
-	}
+	})
 	return out
 }

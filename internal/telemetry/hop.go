@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/esdsim/esd/internal/sim"
@@ -83,9 +81,8 @@ func wallToSim(d time.Duration) sim.Time {
 
 // HopHistograms is a per-hop-kind latency histogram set — the router-side
 // sibling of StageHistograms. The zero value is ready to use; Observe and
-// Snapshot may run concurrently. All methods are nil-safe no-ops so an
-// untraced router carries no instrumentation cost or branches at call
-// sites.
+// Snapshot may run concurrently. All methods are nil-safe no-ops, matching
+// the other telemetry primitives.
 type HopHistograms [NumHops]TimeHistogram
 
 // Observe records one hop latency. Nil-safe and allocation-free.
@@ -114,22 +111,15 @@ func (h *HopHistograms) Snapshot() [NumHops]stats.Histogram {
 // subcommand joins against each member node's per-shard flight recorder
 // to reconstruct one request's full path.
 //
-// The recording discipline matches FlightRecorder: one atomic add claims
-// the next sequence number, the slot publishes under a per-slot try-lock,
-// and a writer racing a concurrent Snapshot drops its record rather than
-// stall the data path. Recording never allocates (the node name is a
-// string header copy, not a new string).
+// The recording discipline is FlightRecorder's (see ring): recording
+// never blocks and never allocates (the node name is a string header
+// copy, not a new string).
 type HopRecorder struct {
-	mask  uint64
-	seq   atomic.Uint64
-	slots []hopSlot
+	ring ring[hopRec]
 }
 
-// hopSlot is one ring entry; all fields are guarded by mu. seq names the
-// record the slot holds (0 = never written).
-type hopSlot struct {
-	mu      sync.Mutex
-	seq     uint64
+// hopRec is one raw ring entry.
+type hopRec struct {
 	trace   uint64
 	addr    uint64
 	atNs    int64
@@ -141,22 +131,15 @@ type hopSlot struct {
 	status  byte
 }
 
-// DefaultHopSlots is the ring size used when none is given. Routed
+// DefaultHopEvents is the ring size used when none is given. Routed
 // requests emit several events each (route + per-node attempts), so the
 // router ring defaults larger than the per-shard recorder.
-const DefaultHopSlots = 1024
+const DefaultHopEvents = 1024
 
 // NewHopRecorder builds a recorder holding the last `slots` events,
-// rounded up to a power of two (<=0 selects DefaultHopSlots).
+// rounded up to a power of two (<=0 selects DefaultHopEvents).
 func NewHopRecorder(slots int) *HopRecorder {
-	if slots <= 0 {
-		slots = DefaultHopSlots
-	}
-	n := 1
-	for n < slots {
-		n <<= 1
-	}
-	return &HopRecorder{mask: uint64(n - 1), slots: make([]hopSlot, n)}
+	return &HopRecorder{ring: newRing[hopRec](slots, DefaultHopEvents)}
 }
 
 // Cap returns the ring capacity (0 for nil).
@@ -164,7 +147,7 @@ func (r *HopRecorder) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.slots)
+	return r.ring.capacity()
 }
 
 // Len returns how many events are currently held (0 for nil).
@@ -172,11 +155,7 @@ func (r *HopRecorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	n := r.seq.Load()
-	if n > uint64(len(r.slots)) {
-		return len(r.slots)
-	}
-	return int(n)
+	return r.ring.held()
 }
 
 // Record appends one hop event. op is the protocol op byte ('W', 'R',
@@ -188,22 +167,10 @@ func (r *HopRecorder) Record(hop Hop, trace uint64, op byte, node string, addr u
 	if r == nil {
 		return
 	}
-	n := r.seq.Add(1)
-	s := &r.slots[n&r.mask]
-	if !s.mu.TryLock() {
-		return // a dump holds this slot; drop rather than stall routing
-	}
-	s.seq = n
-	s.trace = trace
-	s.addr = addr
-	s.atNs = atNs
-	s.latNs = lat.Nanoseconds()
-	s.node = node
-	s.hop = hop
-	s.op = op
-	s.attempt = int32(attempt)
-	s.status = status
-	s.mu.Unlock()
+	r.ring.put(hopRec{
+		trace: trace, addr: addr, atNs: atNs, latNs: lat.Nanoseconds(),
+		node: node, hop: hop, op: op, attempt: int32(attempt), status: status,
+	})
 }
 
 // HopRecord is one decoded router flight-recorder event, shaped for JSON
@@ -253,28 +220,15 @@ func opName(op byte) string {
 
 // Snapshot decodes the ring's current contents, oldest first. It
 // allocates (it is the cold dump path) and may run concurrently with
-// writers: a slot overwritten between the sequence read and the slot lock
-// is skipped rather than returned torn.
+// writers (see ring.snapshot).
 func (r *HopRecorder) Snapshot() []HopRecord {
 	if r == nil {
 		return nil
 	}
-	end := r.seq.Load()
-	n := uint64(len(r.slots))
-	start := uint64(1)
-	if end > n {
-		start = end - n + 1
-	}
-	out := make([]HopRecord, 0, end-start+1)
-	for i := start; i <= end; i++ {
-		s := &r.slots[i&r.mask]
-		s.mu.Lock()
-		if s.seq != i {
-			s.mu.Unlock()
-			continue
-		}
-		rec := HopRecord{
-			Seq:      i,
+	out := make([]HopRecord, 0, r.ring.held())
+	r.ring.snapshot(func(seq uint64, s *hopRec) {
+		out = append(out, HopRecord{
+			Seq:      seq,
 			Trace:    s.trace,
 			Hop:      s.hop.String(),
 			Op:       opName(s.op),
@@ -285,9 +239,7 @@ func (r *HopRecorder) Snapshot() []HopRecord {
 			OK:       s.status == 0,
 			AtUnixNs: s.atNs,
 			LatNs:    float64(s.latNs),
-		}
-		s.mu.Unlock()
-		out = append(out, rec)
-	}
+		})
+	})
 	return out
 }

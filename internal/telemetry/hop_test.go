@@ -8,8 +8,7 @@ import (
 
 // Nil-receiver no-op audit: every HopRecorder and HopHistograms method
 // must be a safe no-op on a nil receiver, matching the Sink /
-// FlightRecorder / StageHistograms convention — an untraced router passes
-// nil and pays nothing.
+// FlightRecorder / StageHistograms convention.
 func TestHopNilReceivers(t *testing.T) {
 	var r *HopRecorder
 	r.Record(HopAttempt, 1, 'W', "node0", 42, 0, 0, time.Now().UnixNano(), time.Millisecond)

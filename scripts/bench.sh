@@ -31,10 +31,9 @@ go test -run '^$' -bench '.' -benchmem -benchtime "$BENCHTIME" -count "$BENCHCOU
 go test -run '^$' -bench 'BenchmarkSystemWrite|BenchmarkShardedThroughput|BenchmarkStageTracingOverhead' \
   -benchmem -benchtime "$BENCHTIME" -count "$BENCHCOUNT" . | tee -a "$TMP"
 
-# Cluster-level: a routed write through a real TCP backend with
-# distributed tracing off vs on — the "on" rows must hold the same
-# allocs/op as "off" (hop recording is allocation-free by design).
-go test -run '^$' -bench 'BenchmarkRouterTracingOverhead' \
+# Cluster-level: a routed write through a real TCP backend, hop recording
+# and trace propagation included (both are always on).
+go test -run '^$' -bench 'BenchmarkRoutedWrite' \
   -benchmem -benchtime "$BENCHTIME" -count "$BENCHCOUNT" ./internal/cluster | tee -a "$TMP"
 
 go run ./cmd/benchjson -label "$LABEL" -o "$OUT" "$TMP"

@@ -19,21 +19,14 @@ go build -o "$BIN/esdrouter" ./cmd/esdrouter
 go build -o "$BIN/esdload" ./cmd/esdload
 go build -o "$BIN/esdtop" ./cmd/esdtop
 
-# Three backend nodes: TCP data path + HTTP for /readyz probing. node2
-# runs with -legacy-frames (a protocol-version-0 binary): the router must
-# detect it via the hello probe and fall back to untraced frames for it
-# while still tracing the rest of the fleet.
+# Three backend nodes: TCP data path + HTTP for /readyz probing.
 NODES=""
 i=0
 while [ "$i" -lt 3 ]; do
   HTTP=$((BASE_PORT + i * 2))
   TCP=$((BASE_PORT + i * 2 + 1))
-  LEGACY=""
-  if [ "$i" -eq 2 ]; then
-    LEGACY="-legacy-frames"
-  fi
   "$BIN/esdserve" -addr "127.0.0.1:$HTTP" -tcp-addr "127.0.0.1:$TCP" \
-    -scheme esd -shards 2 $LEGACY >"$BIN/node$i.log" 2>&1 &
+    -scheme esd -shards 2 >"$BIN/node$i.log" 2>&1 &
   eval "NODE${i}_PID=$!"
   PIDS="$PIDS $!"
   NODES="${NODES}${NODES:+,}127.0.0.1:$TCP@127.0.0.1:$HTTP=node$i"
@@ -62,15 +55,6 @@ done
 echo "cluster-smoke: routed load, full fleet"
 "$BIN/esdload" -addr "127.0.0.1:$ROUTER_TCP" -proto tcp -n 2000 -workers 4 \
   -writes 0.6 -dup 0.4 -space 4096
-
-# Protocol backward-compat: a new (tracing) router in front of an old-
-# frame node must detect the v0 peer exactly once and keep serving it.
-if ! grep -q "node2 speaks protocol v0" "$BIN/router.log"; then
-  echo "cluster-smoke: router never detected the legacy-frame node:" >&2
-  cat "$BIN/router.log" >&2
-  exit 1
-fi
-echo "cluster-smoke: legacy-frame node detected, traffic flowing"
 
 # The fleet-aggregated status view and the fleet dashboard.
 if command -v curl >/dev/null 2>&1 && command -v python3 >/dev/null 2>&1; then
