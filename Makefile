@@ -80,10 +80,11 @@ cluster-smoke:
 
 # Differential checker: every scheme (the canonical four plus esd+caram),
 # single + sharded {1,8}, against the map oracle with invariant audits.
+# Half the write runs and half the read runs go through the batched APIs.
 # Any violation prints a replay command (esdcheck -seed N -upto M) that
 # reproduces it exactly.
 check:
-	$(GO) run ./cmd/esdcheck -ops 200000 -seed 1 -shards 1,8
+	$(GO) run ./cmd/esdcheck -ops 200000 -seed 1 -shards 1,8 -batch 0.5
 
 # Same matrix under the migration-heavy generator: a phase-shifting hot
 # set that churns the hybrid tier's promotion/demotion/writeback paths
@@ -93,9 +94,10 @@ check-migrate:
 
 # Routed differential checker: oracle vs the consistent-hash router over
 # 3 real TCP nodes, with a reshard cutover at 40% and a node kill at 70%
-# of the stream. Replay violations with esdcheck -cluster -seed N -upto M.
+# of the stream, with half the write and read runs sent as batch frames.
+# Replay violations with esdcheck -cluster -seed N -upto M.
 check-cluster:
-	$(GO) run ./cmd/esdcheck -cluster -ops 200000 -seed 1
+	$(GO) run ./cmd/esdcheck -cluster -ops 200000 -seed 1 -batch 0.5
 
 # 30 seconds per fuzz target — catches crashes, hangs and corpus
 # regressions, not deep state-space coverage. FUZZTIME=5s for quick runs.

@@ -5,6 +5,7 @@ import (
 
 	"github.com/esdsim/esd/internal/crypto"
 	"github.com/esdsim/esd/internal/ecc"
+	"github.com/esdsim/esd/internal/shard"
 )
 
 // Steady-state allocation gates. The write path is the simulator's inner
@@ -104,6 +105,51 @@ func TestSteadyStateBatchWriteAllocs(t *testing.T) {
 			}
 			if avg := testing.AllocsPerRun(500, batchWrite); avg != 0 {
 				t.Errorf("%s steady-state batched write: %v allocs/op, want 0", scheme, avg)
+			}
+		})
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestSteadyStateShardReadBatchAllocs pins the engine's batched read path:
+// the plan, the per-shard sub-batches and the response channels all come
+// from pools, so once warm a steady stream of 64-op ReadBatch calls over
+// four shards must allocate nothing.
+func TestSteadyStateShardReadBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random; this gate runs without -race")
+	}
+	for _, scheme := range []string{SchemeBaseline, SchemeSHA1, SchemeDeWrite, SchemeESD} {
+		t.Run(scheme, func(t *testing.T) {
+			sys, err := NewShardedSystem(DefaultConfig(), scheme, WithShards(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			const addrs = 512
+			for a := uint64(0); a < addrs; a++ {
+				if _, err := sys.Write(a, Line{byte(a), byte(a >> 8), 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ops := make([]shard.ReadBatchOp, 64)
+			n := 0
+			batchRead := func() {
+				for j := range ops {
+					ops[j].Addr = uint64(n % addrs)
+					n++
+				}
+				if err := sys.eng.ReadBatch(ops); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < addrs; i++ {
+				batchRead()
+			}
+			if avg := testing.AllocsPerRun(500, batchRead); avg != 0 {
+				t.Errorf("%s steady-state engine ReadBatch: %v allocs/op, want 0", scheme, avg)
 			}
 		})
 	}

@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shards     = fs.String("shards", "1,2,8", "comma-separated shard counts for the sharded variants ('' disables)")
 		coalesce   = fs.String("coalesce", "both", "coalescing for sharded variants: off, on or both")
 		concurrent = fs.Bool("concurrent", false, "also run the adversarial concurrent schedules")
-		batchFrac  = fs.Float64("batch", 0, "fraction of consecutive-write runs issued through the batch APIs (0 disables, 1 = all)")
+		batchFrac  = fs.Float64("batch", 0, "fraction of consecutive-write and consecutive-read runs issued through the batch APIs (0 disables, 1 = all)")
 		verbose    = fs.Bool("v", false, "progress output")
 
 		// Cluster mode: differential-check a consistent-hash router over
@@ -133,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "seed %d: FAIL — %d violation(s):\n", s, len(res.Violations))
 			for _, v := range res.Violations {
 				fmt.Fprintf(stdout, "  %v\n", v)
-				fmt.Fprintf(stdout, "    replay: esdcheck -seed %d -upto %d\n", s, v.Op+1)
+				fmt.Fprintf(stdout, "    replay: esdcheck -seed %d -upto %d%s\n", s, v.Op+1, batchArg(*batchFrac))
 			}
 		}
 		if *concurrent {
@@ -167,6 +167,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// batchArg is the -batch flag a replay command needs: the batching coin
+// shapes which ops reach the engines through which API.
+func batchArg(frac float64) string {
+	if frac == 0 {
+		return ""
+	}
+	return fmt.Sprintf(" -batch %g", frac)
 }
 
 type clusterArgs struct {
@@ -215,7 +224,7 @@ func runCluster(stdout, stderr io.Writer, a clusterArgs) int {
 		fmt.Fprintf(stdout, "cluster seed %d: FAIL — %d violation(s):\n", s, len(res.Violations))
 		for _, v := range res.Violations {
 			fmt.Fprintf(stdout, "  %v\n", v)
-			fmt.Fprintf(stdout, "    replay: esdcheck -cluster -seed %d -upto %d\n", s, v.Op+1)
+			fmt.Fprintf(stdout, "    replay: esdcheck -cluster -seed %d -upto %d%s\n", s, v.Op+1, batchArg(a.batchFrac))
 		}
 	}
 	if failed {

@@ -132,9 +132,10 @@ func TestRunMigrateGen(t *testing.T) {
 	}
 }
 
-// TestRunBatchFraction routes most write runs through the batched APIs
-// on every variant — single engines via memctrl.WriteBatch, sharded via
-// Engine.WriteBatch — and must stay divergence-free against the oracle.
+// TestRunBatchFraction routes most write and read runs through the
+// batched APIs on every variant — single engines via memctrl.WriteBatch,
+// sharded via Engine.WriteBatch and Engine.ReadBatch — and must stay
+// divergence-free against the oracle.
 func TestRunBatchFraction(t *testing.T) {
 	gen := DefaultGen()
 	gen.Ops = 4000
@@ -205,6 +206,45 @@ func TestBatchInjectedBugCaught(t *testing.T) {
 	}
 	if res.Ok() {
 		t.Fatal("injected batch corruption went undetected by the differential checker")
+	}
+}
+
+// TestBatchReadSwapCaught is the read-side twin of
+// TestBatchInjectedBugCaught: swap two differing results of every batched
+// read run before they are compared, and the oracle comparison must flag
+// it. If batched reads were never compared, or compared against the wrong
+// op, this is the test that would not fail.
+func TestBatchReadSwapCaught(t *testing.T) {
+	gen := DefaultGen()
+	gen.Ops = 3000
+	swapped := 0
+	cfg := Config{
+		Gen: gen, Seed: 21, Shards: []int{2}, Coalesce: []bool{false},
+		AuditEvery: -1, BatchFraction: 1.0,
+		mutateReads: func(got []readGot) {
+			for i := 1; i < len(got); i++ {
+				if got[i] != got[0] {
+					got[0], got[i] = got[i], got[0]
+					swapped++
+					return
+				}
+			}
+		},
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if swapped == 0 {
+		t.Fatal("mutation hook never swapped — no batched read run with differing results formed")
+	}
+	if res.Ok() {
+		t.Fatal("swapped batch read results went undetected by the differential checker")
+	}
+	for _, v := range res.Violations {
+		if !strings.Contains(v.Msg, "read addr=") {
+			t.Fatalf("caught something, but not a read divergence: %v", v)
+		}
 	}
 }
 

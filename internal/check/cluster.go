@@ -3,7 +3,6 @@ package check
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/esdsim/esd/internal/cluster"
@@ -43,10 +42,11 @@ type ClusterConfig struct {
 	// MaxViolations stops the run early (default 10).
 	MaxViolations int
 	// BatchFraction, in (0,1], routes that fraction of consecutive-write
-	// runs through the router's batched frames (Router.WriteBatch — one
-	// wire round trip per touched node) instead of scalar writes, drawn
-	// from a seed-derived RNG so runs replay exactly. Batches buffered
-	// across the reshard/kill injection points exercise batched frames
+	// and consecutive-read runs through the router's batched frames
+	// (Router.WriteBatch and Router.ReadBatch — one wire round trip per
+	// touched replica set) instead of scalar ops, drawn from a
+	// seed-derived RNG so runs replay exactly. Batches buffered across the
+	// reshard/kill injection points exercise batched frames
 	// mid-migration. 0 disables (the default).
 	BatchFraction float64
 	// Progress, when non-nil, is called every few thousand ops.
@@ -177,43 +177,62 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 		limit = rc.Upto
 	}
 
-	// Batched-frame buffering, mirroring Run: consecutive writes
-	// accumulate and flush at the next read boundary (or when full), as
-	// one Router.WriteBatch or a scalar run by a seed-derived coin. The
-	// buffer deliberately survives the fault-injection points so batches
-	// land mid-reshard and mid-kill.
-	batchRng := rand.New(rand.NewSource(int64(rc.Seed)*2654435761 + 97))
-	var pending []batchItem
-	const maxPendingBatch = 16
+	// Batched-frame buffering, mirroring Run. The buffer deliberately
+	// survives the fault-injection points so batches land mid-reshard and
+	// mid-kill.
+	b := newBatcher(rc.BatchFraction, rc.Seed)
 	var batchOps []server.BatchWriteOp
 	var batchRes []server.BatchWriteResult
-	flushPending := func() {
-		if len(pending) == 0 {
-			return
-		}
-		if len(pending) > 1 && batchRng.Float64() < rc.BatchFraction {
-			batchOps = batchOps[:0]
-			for _, it := range pending {
-				batchOps = append(batchOps, server.BatchWriteOp{Addr: it.addr, Line: it.line})
-			}
-			batchRes = append(batchRes[:0], make([]server.BatchWriteResult, len(batchOps))...)
-			if err := router.WriteBatch(batchOps, batchRes); err != nil {
-				fail(pending[0].op, fmt.Sprintf("batch write: %v", err))
-			} else {
-				for j, it := range pending {
-					if batchRes[j].Err != nil {
-						fail(it.op, fmt.Sprintf("batch write addr=%d: %v", it.addr, batchRes[j].Err))
-					}
-				}
-			}
-		} else {
-			for _, it := range pending {
+	b.flushWrites = func(items []batchItem, batched bool) {
+		if !batched {
+			for _, it := range items {
 				if _, err := router.Write(it.addr, it.line); err != nil {
 					fail(it.op, fmt.Sprintf("write addr=%d: %v", it.addr, err))
 				}
 			}
+			return
 		}
-		pending = pending[:0]
+		batchOps = batchOps[:0]
+		for _, it := range items {
+			batchOps = append(batchOps, server.BatchWriteOp{Addr: it.addr, Line: it.line})
+		}
+		batchRes = append(batchRes[:0], make([]server.BatchWriteResult, len(batchOps))...)
+		if err := router.WriteBatch(batchOps, batchRes); err != nil {
+			fail(items[0].op, fmt.Sprintf("batch write: %v", err))
+			return
+		}
+		for j, it := range items {
+			if batchRes[j].Err != nil {
+				fail(it.op, fmt.Sprintf("batch write addr=%d: %v", it.addr, batchRes[j].Err))
+			}
+		}
+	}
+	var readAddrs []uint64
+	var readRes []server.BatchReadResult
+	b.flushReads = func(items []readItem, batched bool) {
+		if !batched {
+			for _, it := range items {
+				if msg := it.check(routerRead(router, it.addr)); msg != "" {
+					fail(it.op, msg)
+				}
+			}
+			return
+		}
+		readAddrs = readAddrs[:0]
+		for _, it := range items {
+			readAddrs = append(readAddrs, it.addr)
+		}
+		readRes = append(readRes[:0], make([]server.BatchReadResult, len(readAddrs))...)
+		if err := router.ReadBatch(readAddrs, readRes); err != nil {
+			fail(items[0].op, fmt.Sprintf("batch read: %v", err))
+			return
+		}
+		for j, it := range items {
+			got := readGot{line: readRes[j].Data, hit: readRes[j].Hit, err: readRes[j].Err}
+			if msg := it.check(got); msg != "" {
+				fail(it.op, msg)
+			}
+		}
 	}
 
 	for i := 0; i < limit; i++ {
@@ -247,29 +266,11 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 		case OpWrite:
 			res.Writes++
 			oracle.Write(op.Addr, op.Line)
-			if rc.BatchFraction > 0 {
-				pending = append(pending, batchItem{op: i, addr: op.Addr, line: op.Line})
-				if len(pending) >= maxPendingBatch {
-					flushPending()
-				}
-				break
-			}
-			if _, err := router.Write(op.Addr, op.Line); err != nil {
-				fail(i, fmt.Sprintf("write addr=%d: %v", op.Addr, err))
-			}
+			b.write(batchItem{op: i, addr: op.Addr, line: op.Line})
 		case OpRead:
-			flushPending()
 			res.Reads++
 			want, wantHit := oracle.Read(op.Addr)
-			resp, err := router.Read(op.Addr)
-			switch {
-			case err != nil:
-				fail(i, fmt.Sprintf("read addr=%d: %v", op.Addr, err))
-			case resp.Hit != wantHit:
-				fail(i, fmt.Sprintf("read addr=%d: hit=%v, oracle says %v", op.Addr, resp.Hit, wantHit))
-			case resp.Hit && string(resp.Data) != string(want[:]):
-				fail(i, fmt.Sprintf("read addr=%d: data diverges from oracle", op.Addr))
-			}
+			b.read(readItem{op: i, addr: op.Addr, want: want, wantHit: wantHit})
 		case OpCrash:
 			res.Crashes++ // no cluster surface; skipped
 		}
@@ -283,7 +284,7 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 
 	// Final sweep: every address the oracle holds must read back through
 	// the post-fault ring.
-	flushPending()
+	b.flush()
 	lastOp := res.Ops - 1
 	for addr := uint64(0); addr < rc.Gen.Addrs; addr++ {
 		want, wantHit := oracle.Read(addr)
@@ -304,4 +305,12 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// routerRead is one scalar routed read as a readGot.
+func routerRead(router *cluster.Router, addr uint64) readGot {
+	resp, err := router.Read(addr)
+	got := readGot{hit: resp.Hit, err: err}
+	copy(got.line[:], resp.Data)
+	return got
 }

@@ -22,20 +22,15 @@ type engine interface {
 	// write for each item in order; violations carry the item's op index.
 	writeBatch(items []batchItem) []opMsg
 	read(addr uint64) (ecc.Line, bool, error)
+	// readBatch reads a run of addresses through the variant's batched
+	// read path into got (len(items) long). It must be observably
+	// identical to calling read for each item in order.
+	readBatch(items []readItem, got []readGot)
 	// crash simulates a power failure; it reports false when the variant
 	// has no crash surface (sharded engines).
 	crash() bool
 	audit() []string
 	close() error
-}
-
-// batchItem is one buffered write op awaiting a batched flush. op is its
-// index in the generated stream, kept so violations pin to the precise
-// op for replay.
-type batchItem struct {
-	op   int
-	addr uint64
-	line ecc.Line
 }
 
 // opMsg is a violation message pinned to an op index.
@@ -191,6 +186,14 @@ func (e *singleEngine) read(addr uint64) (ecc.Line, bool, error) {
 	return out.Data, out.Hit, nil
 }
 
+// readBatch reads op by op: a single engine has no batched read path, and
+// the run's self-clocking is exactly the scalar one.
+func (e *singleEngine) readBatch(items []readItem, got []readGot) {
+	for i, it := range items {
+		got[i].line, got[i].hit, got[i].err = e.read(it.addr)
+	}
+}
+
 func (e *singleEngine) crash() bool {
 	c, ok := e.sch.(memctrl.Crasher)
 	if !ok {
@@ -245,6 +248,7 @@ func (e *singleEngine) close() error { return nil }
 type shardEngine struct {
 	name string
 	eng  *shard.Engine
+	rops []shard.ReadBatchOp
 }
 
 func newShardEngine(cfg config.Config, scheme string, shards int, coalesce bool) (*shardEngine, error) {
@@ -293,6 +297,20 @@ func (e *shardEngine) read(addr uint64) (ecc.Line, bool, error) {
 		return ecc.Line{}, false, err
 	}
 	return res.Data, res.Hit, nil
+}
+
+// readBatch submits a run of reads through the sharded engine's batched
+// path (one grouped channel round trip per touched shard).
+func (e *shardEngine) readBatch(items []readItem, got []readGot) {
+	ops := e.rops[:0]
+	for _, it := range items {
+		ops = append(ops, shard.ReadBatchOp{Addr: it.addr})
+	}
+	e.rops = ops
+	_ = e.eng.ReadBatch(ops) // errors are reported per op
+	for i := range ops {
+		got[i] = readGot{line: ops[i].Res.Data, hit: ops[i].Res.Hit, err: ops[i].Err}
+	}
 }
 
 func (e *shardEngine) crash() bool { return false }

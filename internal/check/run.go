@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/esdsim/esd/internal/config"
 )
@@ -34,14 +33,19 @@ type Config struct {
 	MaxViolations int
 	// BatchFraction, in (0,1], routes that fraction of consecutive-write
 	// runs through the engines' batched write APIs (memctrl.WriteBatch on
-	// the single engines, Engine.WriteBatch on the sharded ones) instead
-	// of scalar writes. The choice is drawn from a seed-derived RNG so
-	// runs replay exactly. 0 disables batching (the default).
+	// the single engines, Engine.WriteBatch on the sharded ones), and that
+	// fraction of consecutive-read runs through Engine.ReadBatch on the
+	// sharded ones, instead of scalar ops. The choice is drawn from a
+	// seed-derived RNG so runs replay exactly. 0 disables batching (the
+	// default).
 	BatchFraction float64
-	// mutateBatch, when non-nil, rewrites each batched run before the
-	// engines see it while the oracle keeps the originals — a test-only
-	// hook proving batch/scalar divergence is caught.
+	// mutateBatch, when non-nil, rewrites each batched write run before
+	// the engines see it while the oracle keeps the originals — a
+	// test-only hook proving batch/scalar divergence is caught.
 	mutateBatch func(items []batchItem) []batchItem
+	// mutateReads, when non-nil, rewrites each engine's results of a
+	// batched read run before they are compared — the read-side hook.
+	mutateReads func(got []readGot)
 	// SysCfg overrides the system configuration (zero = checkConfig()).
 	SysCfg *config.Config
 	// Progress, when non-nil, is called every few thousand ops.
@@ -160,39 +164,47 @@ func Run(cfg Config) (*Result, error) {
 		res.Violations = append(res.Violations, Violation{Engine: eng, Op: op, Msg: msg})
 	}
 
-	// Batched-write buffering: with BatchFraction set, consecutive writes
-	// accumulate and flush — as one batched call or a scalar run, chosen
-	// by a seed-derived coin — at the next read/crash/audit boundary.
-	// Buffering only ever delays engine writes past other writes in the
-	// same run, so the op order every engine observes stays exactly the
-	// order the oracle applied.
-	batchRng := rand.New(rand.NewSource(int64(rc.Seed)*2654435761 + 97))
-	var pending []batchItem
-	const maxPendingBatch = 16
-	flushPending := func() {
-		if len(pending) == 0 {
-			return
-		}
-		items := pending
-		if rc.mutateBatch != nil {
-			items = rc.mutateBatch(items)
-		}
-		if len(items) > 1 && batchRng.Float64() < rc.BatchFraction {
+	b := newBatcher(rc.BatchFraction, rc.Seed)
+	b.flushWrites = func(items []batchItem, batched bool) {
+		if batched {
+			if rc.mutateBatch != nil {
+				items = rc.mutateBatch(items)
+			}
 			for _, e := range engines {
 				for _, m := range e.writeBatch(items) {
 					fail(e.label(), m.op, m.msg)
 				}
 			}
-		} else {
-			for _, it := range items {
-				for _, e := range engines {
-					for _, msg := range e.write(it.addr, it.line) {
-						fail(e.label(), it.op, msg)
-					}
+			return
+		}
+		for _, it := range items {
+			for _, e := range engines {
+				for _, msg := range e.write(it.addr, it.line) {
+					fail(e.label(), it.op, msg)
 				}
 			}
 		}
-		pending = pending[:0]
+	}
+	gotBuf := make([]readGot, maxPendingBatch)
+	b.flushReads = func(items []readItem, batched bool) {
+		got := gotBuf[:len(items)]
+		for _, e := range engines {
+			if batched {
+				e.readBatch(items, got)
+				if rc.mutateReads != nil {
+					rc.mutateReads(got)
+				}
+			} else {
+				for i, it := range items {
+					got[i].line, got[i].hit, got[i].err = e.read(it.addr)
+				}
+			}
+			for i, it := range items {
+				if msg := it.check(got[i]); msg != "" {
+					fail(e.label(), it.op, msg)
+				}
+			}
+		}
 	}
 
 	for i := 0; i < limit; i++ {
@@ -205,42 +217,20 @@ func Run(cfg Config) (*Result, error) {
 		case OpWrite:
 			res.Writes++
 			oracle.Write(op.Addr, op.Line)
-			if rc.BatchFraction > 0 {
-				pending = append(pending, batchItem{op: i, addr: op.Addr, line: op.Line})
-				if len(pending) >= maxPendingBatch {
-					flushPending()
-				}
-				break
-			}
-			for _, e := range engines {
-				for _, msg := range e.write(op.Addr, op.Line) {
-					fail(e.label(), i, msg)
-				}
-			}
+			b.write(batchItem{op: i, addr: op.Addr, line: op.Line})
 		case OpRead:
-			flushPending()
 			res.Reads++
 			want, wantHit := oracle.Read(op.Addr)
-			for _, e := range engines {
-				got, hit, err := e.read(op.Addr)
-				switch {
-				case err != nil:
-					fail(e.label(), i, fmt.Sprintf("read addr=%d: %v", op.Addr, err))
-				case hit != wantHit:
-					fail(e.label(), i, fmt.Sprintf("read addr=%d: hit=%v, oracle says %v", op.Addr, hit, wantHit))
-				case hit && got != want:
-					fail(e.label(), i, fmt.Sprintf("read addr=%d: data diverges from oracle (got word0=%#x want %#x)", op.Addr, got.Word(0), want.Word(0)))
-				}
-			}
+			b.read(readItem{op: i, addr: op.Addr, want: want, wantHit: wantHit})
 		case OpCrash:
-			flushPending()
+			b.flush()
 			res.Crashes++
 			for _, e := range engines {
 				e.crash()
 			}
 		}
 		if rc.AuditEvery > 0 && (i+1)%rc.AuditEvery == 0 {
-			flushPending()
+			b.flush()
 			for _, e := range engines {
 				for _, msg := range e.audit() {
 					fail(e.label(), i, msg)
@@ -257,7 +247,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// Final sweep: every address the oracle ever saw must read back
 	// identically on every engine, then one last audit.
-	flushPending()
+	b.flush()
 	lastOp := res.Ops - 1
 	for addr := uint64(0); addr < rc.Gen.Addrs; addr++ {
 		want, wantHit := oracle.Read(addr)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/esdsim/esd/internal/server"
@@ -29,29 +30,73 @@ type batchGroup struct {
 	idxs []int
 }
 
+// setKey identifies a replica set by its primary-first node names; unused
+// slots stay empty. As a comparable array it keys a map without a
+// per-insert allocation.
+type setKey [2 * maxReplicas]string
+
+// batchScratch is the per-call working memory of WriteBatchTraced and
+// ReadBatchTraced, recycled through batchScratchPool so a steady stream of
+// batches does not allocate in the router.
+type batchScratch struct {
+	done   []bool
+	index  map[setKey]int
+	groups []batchGroup // groups[:n] are live; the rest keep their buffers
+
+	subAddrs []uint64
+	subOps   []server.BatchWriteOp
+	subWRes  []server.BatchWriteResult
+	subRRes  []server.BatchReadResult
+}
+
+var batchScratchPool = sync.Pool{New: func() any {
+	return &batchScratch{index: make(map[setKey]int)}
+}}
+
+func getBatchScratch(n int) *batchScratch {
+	sc := batchScratchPool.Get().(*batchScratch)
+	sc.done = append(sc.done[:0], make([]bool, n)...)
+	return sc
+}
+
+// release drops the node references the scratch holds and pools it.
+func (sc *batchScratch) release() {
+	for i := range sc.groups {
+		clear(sc.groups[i].set)
+	}
+	clear(sc.index)
+	batchScratchPool.Put(sc)
+}
+
 // groupByReplicaSet buckets ops [0,n) by their (deduplicated,
-// primary-first) replica set. addrOf maps an op index to its address.
-func (r *Router) groupByReplicaSet(addrOf func(i int) uint64, n int, forWrite bool) []*batchGroup {
-	groups := make(map[string]*batchGroup)
-	var order []*batchGroup
+// primary-first) replica set, in first-touch order. addrOf maps an op
+// index to its address.
+func (r *Router) groupByReplicaSet(sc *batchScratch, addrOf func(i int) uint64, n int, forWrite bool) []batchGroup {
+	groups := sc.groups[:0]
 	var buf [2 * maxReplicas]*nodeState
-	var key []byte
 	for i := 0; i < n; i++ {
 		k := r.routeSet(addrOf(i), forWrite, buf[:])
-		key = key[:0]
+		var key setKey
 		for j := 0; j < k; j++ {
-			key = append(key, buf[j].node.Name...)
-			key = append(key, 0)
+			key[j] = buf[j].node.Name
 		}
-		g := groups[string(key)]
-		if g == nil {
-			g = &batchGroup{set: append([]*nodeState(nil), buf[:k]...)}
-			groups[string(key)] = g
-			order = append(order, g)
+		gi, ok := sc.index[key]
+		if !ok {
+			gi = len(groups)
+			sc.index[key] = gi
+			if gi < cap(groups) {
+				groups = groups[:gi+1]
+			} else {
+				groups = append(groups, batchGroup{})
+			}
+			g := &groups[gi]
+			g.set = append(g.set[:0], buf[:k]...)
+			g.idxs = g.idxs[:0]
 		}
-		g.idxs = append(g.idxs, i)
+		groups[gi].idxs = append(groups[gi].idxs, i)
 	}
-	return order
+	sc.groups = groups
+	return groups
 }
 
 // WriteBatch routes a batch of writes. While a reshard migration is in
@@ -91,12 +136,13 @@ func (r *Router) WriteBatchTraced(trace uint64, ops []server.BatchWriteOp, res [
 		return nil
 	}
 
-	done := make([]bool, len(ops))
-	groups := r.groupByReplicaSet(func(i int) uint64 { return ops[i].Addr }, len(ops), true)
-	subOps := make([]server.BatchWriteOp, 0, len(ops))
-	subRes := make([]server.BatchWriteResult, 0, len(ops))
-	for _, g := range groups {
-		subOps = subOps[:0]
+	sc := getBatchScratch(len(ops))
+	defer sc.release()
+	done := sc.done
+	groups := r.groupByReplicaSet(sc, func(i int) uint64 { return ops[i].Addr }, len(ops), true)
+	for gi := range groups {
+		g := &groups[gi]
+		subOps := sc.subOps[:0]
 		for _, i := range g.idxs {
 			// A reshard may begin while this batch is in flight; marking
 			// dirty (a no-op outside migrations) keeps the replay from
@@ -104,8 +150,9 @@ func (r *Router) WriteBatchTraced(trace uint64, ops []server.BatchWriteOp, res [
 			r.markDirty(ops[i].Addr)
 			subOps = append(subOps, ops[i])
 		}
-		subRes = subRes[:0]
-		subRes = append(subRes, make([]server.BatchWriteResult, len(subOps))...)
+		sc.subOps = subOps
+		subRes := append(sc.subWRes[:0], make([]server.BatchWriteResult, len(subOps))...)
+		sc.subWRes = subRes
 		for ri, st := range g.set {
 			if !st.up.Load() {
 				continue
@@ -175,17 +222,19 @@ func (r *Router) ReadBatchTraced(trace uint64, addrs []uint64, res []server.Batc
 		return nil
 	}
 	began := time.Now()
-	done := make([]bool, len(addrs))
-	groups := r.groupByReplicaSet(func(i int) uint64 { return addrs[i] }, len(addrs), false)
-	subAddrs := make([]uint64, 0, len(addrs))
-	subRes := make([]server.BatchReadResult, 0, len(addrs))
-	for _, g := range groups {
-		subAddrs = subAddrs[:0]
+	sc := getBatchScratch(len(addrs))
+	defer sc.release()
+	done := sc.done
+	groups := r.groupByReplicaSet(sc, func(i int) uint64 { return addrs[i] }, len(addrs), false)
+	for gi := range groups {
+		g := &groups[gi]
+		subAddrs := sc.subAddrs[:0]
 		for _, i := range g.idxs {
 			subAddrs = append(subAddrs, addrs[i])
 		}
-		subRes = subRes[:0]
-		subRes = append(subRes, make([]server.BatchReadResult, len(subAddrs))...)
+		sc.subAddrs = subAddrs
+		subRes := append(sc.subRRes[:0], make([]server.BatchReadResult, len(subAddrs))...)
+		sc.subRRes = subRes
 		remaining := len(g.idxs)
 		for ri, st := range g.set {
 			if remaining == 0 {

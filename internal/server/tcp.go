@@ -16,15 +16,21 @@ import (
 // policy, exactly like the HTTP handlers.
 type nodeHandler struct{ s *Server }
 
-// batchOpsPool recycles the engine-side op buffer of one batch write, so
-// the steady-state batch path does not allocate per frame. A buffer is
-// recycled as soon as the call returns — safe even when the engine call
-// was abandoned on timeout, because the shard engine copies lines into
-// its own sub-batch buffers at submit time.
-var batchOpsPool = sync.Pool{New: func() any {
-	s := make([]shard.WriteBatchOp, MaxBatchOps)
-	return &s
-}}
+// batchOpsPool and readOpsPool recycle the engine-side op buffer of one
+// batch frame, so the steady-state batch path does not allocate per
+// frame. A buffer is recycled as soon as the call returns — safe even
+// when the engine call was abandoned on timeout, because the shard engine
+// keeps its own sub-batch buffers and never writes into the caller's.
+var (
+	batchOpsPool = sync.Pool{New: func() any {
+		s := make([]shard.WriteBatchOp, MaxBatchOps)
+		return &s
+	}}
+	readOpsPool = sync.Pool{New: func() any {
+		s := make([]shard.ReadBatchOp, MaxBatchOps)
+		return &s
+	}}
+)
 
 // frameTrace builds a request's trace context: a nonzero wire ID (the
 // cluster router minted it at the fleet edge) is adopted, 0 mints a fresh
@@ -99,21 +105,23 @@ func (h nodeHandler) WriteBatch(trace uint64, ops []BatchWriteOp, res []BatchWri
 	return tc.TraceID, nil
 }
 
-// ReadBatch reads the frame's addresses one by one under one deadline.
+// ReadBatch submits the whole frame as one engine batch, like WriteBatch.
 func (h nodeHandler) ReadBatch(trace uint64, addrs []uint64, res []BatchReadResult) (uint64, error) {
 	s := h.s
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
 	defer cancel()
-	tc := s.frameTrace(trace)
-	var firstErr error
+	opsp := readOpsPool.Get().(*[]shard.ReadBatchOp)
+	defer readOpsPool.Put(opsp)
+	sops := (*opsp)[:len(addrs)]
 	for i, a := range addrs {
-		r, err := s.eng.TryReadTraced(ctx, a, tc)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		res[i] = readResult(r, err)
+		sops[i].Addr = a
 	}
-	s.noteBatch("tcp", "read-batch", tc, nil, addrs, time.Since(time.Unix(0, tc.StartNs)), firstErr)
+	tc := s.frameTrace(trace)
+	err := s.eng.TryReadBatchTraced(ctx, sops, tc)
+	s.noteBatch("tcp", "read-batch", tc, nil, addrs, time.Since(time.Unix(0, tc.StartNs)), err)
+	for i := range sops {
+		res[i] = readResult(sops[i].Res, sops[i].Err)
+	}
 	return tc.TraceID, nil
 }
 

@@ -20,6 +20,7 @@ const (
 	kFlush      // drain the shard's device write queue
 	kSnap       // snapshot the shard's counters
 	kWriteBatch // a pre-grouped sub-batch of writes (Engine.WriteBatch)
+	kReadBatch  // a pre-grouped sub-batch of reads (Engine.ReadBatch)
 )
 
 // request is one unit of work on a shard queue. done (buffered, capacity
@@ -32,8 +33,9 @@ type request struct {
 	tc   telemetry.TraceCtx // request-scoped trace context (zero = untraced)
 	done chan response
 
-	// batch carries a kWriteBatch sub-batch; the worker writes outcomes
-	// into it in place (the done send publishes them to the caller).
+	// batch carries a kWriteBatch or kReadBatch sub-batch; the worker
+	// writes outcomes into it in place (the done send publishes them to
+	// the caller).
 	batch *subBatch
 }
 
@@ -176,7 +178,7 @@ func (s *shard) markSuperseded(buf []request, superseded []bool, lastWrite map[u
 			lastWrite[buf[i].addr] = i
 		case kRead:
 			delete(lastWrite, buf[i].addr)
-		default: // kFlush, kSnap, kWriteBatch: barriers
+		default: // kFlush, kSnap, kWriteBatch, kReadBatch: barriers
 			clear(lastWrite)
 		}
 	}
@@ -235,17 +237,18 @@ func (s *shard) exec(r *request) response {
 		s.flight.RecordWrite(s.id, r.tc, r.addr, out.PhysAddr, out.Deduplicated, at, lat, &st)
 		return response{write: out, lat: lat}
 	case kRead:
-		at := s.tick()
-		s.env.Tel.BeginRequest(r.tc)
-		out := s.sch.Read(r.addr, at)
-		if out.Done > s.now {
-			s.now = out.Done
-		}
-		lat := out.Done - at
-		s.opReads.Add(1)
-		s.readHist.Record(lat)
-		s.flight.RecordRead(s.id, r.tc, r.addr, out.Hit, at, lat)
+		out, lat := s.read(r.addr, r.tc)
 		return response{read: out, lat: lat}
+	case kReadBatch:
+		// Unlike a write sub-batch, each read ticks its own arrival and
+		// runs alone: the clock sequence is that of the same reads queued
+		// one by one.
+		b := r.batch
+		for i, addr := range b.addrs {
+			out, lat := s.read(addr, r.tc)
+			b.reads[i] = ReadResult{Data: out.Data, Hit: out.Hit, Lat: lat}
+		}
+		return response{}
 	case kWriteBatch:
 		// A sub-batch is one arrival group: every op ticks an arrival
 		// before the scheme runs the batch, then the clock catches up to
@@ -283,6 +286,22 @@ func (s *shard) exec(r *request) response {
 	default: // kSnap
 		return response{snap: s.snapshot()}
 	}
+}
+
+// read runs one read on the shard's scheme: the body of both a scalar
+// kRead and every op of a kReadBatch.
+func (s *shard) read(addr uint64, tc telemetry.TraceCtx) (memctrl.ReadOutcome, sim.Time) {
+	at := s.tick()
+	s.env.Tel.BeginRequest(tc)
+	out := s.sch.Read(addr, at)
+	if out.Done > s.now {
+		s.now = out.Done
+	}
+	lat := out.Done - at
+	s.opReads.Add(1)
+	s.readHist.Record(lat)
+	s.flight.RecordRead(s.id, tc, addr, out.Hit, at, lat)
+	return out, lat
 }
 
 // execBatched executes a drained batch with runs of consecutive writes
