@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-smoke bench-compare bench-check bench-all figures examples serve-smoke cluster-smoke check check-migrate check-cluster fuzz-smoke clean
+.PHONY: all build test race vet bench bench-smoke bench-compare bench-ab bench-check bench-all figures examples serve-smoke cluster-smoke check check-migrate check-cluster fuzz-smoke clean
 
 all: build vet test
 
@@ -51,6 +51,16 @@ bench-compare:
 	BENCH_LABEL=compare BENCH_OUT=/tmp/bench_compare.json sh scripts/bench.sh
 	$(GO) run ./cmd/benchjson compare $(BENCH_BASE) /tmp/bench_compare.json
 
+# Interleaved A/B of the end-to-end benchmark: BASE (a git revision)
+# against the working tree on one workload, PAIRS pairs on seeds SEED...,
+# judged by `bench/run.sh compare` (scripts/bench_ab.sh). A pair takes
+# about a minute, so it is not a CI step.
+#   make bench-ab BASE=HEAD~1 WORKLOAD=namd-batch64
+PAIRS ?= 10
+SEED ?= 101
+bench-ab:
+	BASE=$(BASE) WORKLOAD=$(WORKLOAD) PAIRS=$(PAIRS) SEED=$(SEED) bash scripts/bench_ab.sh
+
 # Vet and test the end-to-end benchmark in bench/. It is a nested module,
 # so the root `go test ./...` never builds it, yet it compiles against the
 # server and cluster APIs.
@@ -95,9 +105,14 @@ check-migrate:
 # Routed differential checker: oracle vs the consistent-hash router over
 # 3 real TCP nodes, with a reshard cutover at 40% and a node kill at 70%
 # of the stream, with half the write and read runs sent as batch frames.
-# Replay violations with esdcheck -cluster -seed N -upto M.
+# The first pass runs at R=2; the second at R=3, where a write's wave
+# reaches all 3 nodes, and up to 4 while the reshard dual-writes — the
+# only run where a wave is wider than 2. A violation prints its replay
+# command (esdcheck -cluster -seed N -upto M, with the pass's node count
+# and replication).
 check-cluster:
 	$(GO) run ./cmd/esdcheck -cluster -ops 200000 -seed 1 -batch 0.5
+	$(GO) run ./cmd/esdcheck -cluster -ops 200000 -seed 1 -batch 0.5 -replication 3
 
 # 30 seconds per fuzz target — catches crashes, hangs and corpus
 # regressions, not deep state-space coverage. FUZZTIME=5s for quick runs.

@@ -224,7 +224,8 @@ func runCluster(stdout, stderr io.Writer, a clusterArgs) int {
 		fmt.Fprintf(stdout, "cluster seed %d: FAIL — %d violation(s):\n", s, len(res.Violations))
 		for _, v := range res.Violations {
 			fmt.Fprintf(stdout, "  %v\n", v)
-			fmt.Fprintf(stdout, "    replay: esdcheck -cluster -seed %d -upto %d%s\n", s, v.Op+1, batchArg(a.batchFrac))
+			fmt.Fprintf(stdout, "    replay: esdcheck -cluster -seed %d -upto %d -cluster-nodes %d -replication %d%s\n",
+				s, v.Op+1, a.nodes, a.replication, batchArg(a.batchFrac))
 		}
 	}
 	if failed {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -9,25 +10,39 @@ import (
 	"github.com/esdsim/esd/internal/telemetry"
 )
 
-// Batched routing: a client batch frame is split by replica set, so each
-// backend sees exactly one sub-batch frame per Router batch (one round
-// trip per touched node, not per op). Sub-batches preserve the client's
-// op order within each node; cross-node ordering is unordered, exactly
-// as concurrent scalar writes would be.
+// Batched routing: a client batch frame is split by replica set, and each
+// group's sub-batch goes to its replicas as one frame per node — every
+// frame of the batch is sent in one wave before any reply is read.
+// Sub-batches preserve the client's op order within each node;
+// cross-node ordering is unordered, exactly as concurrent scalar writes
+// would be.
 //
 // Replication semantics match the scalar paths: a write sub-batch fans
-// to every healthy replica of its set (primary-first) and the
-// primary-most per-op success wins; a read sub-batch walks the replicas
-// primary-first and stops at the first node that answered every
-// remaining op. Batched reads bypass hedging and read-repair sampling —
-// those are per-address latency/consistency machinery, and the batch
-// path exists for throughput. Ops that no replica accepted fall back to
-// the scalar path, which retains the full retry/failover budget.
+// to every healthy replica of its set and the primary-most per-op success
+// wins (replies are merged group by group, primary-first); a read
+// sub-batch goes to its set's first healthy replica, and ops it left
+// unanswered walk the followers one frame at a time. Batched reads bypass
+// hedging and read-repair sampling — those are per-address
+// latency/consistency machinery, and the batch path exists for
+// throughput. Ops that no replica accepted fall back to the scalar path,
+// which retains the full retry/failover budget.
 
-// batchGroup collects the op indices that share one replica set.
+// batchGroup collects the op indices that share one replica set, and the
+// group's sub-batch.
 type batchGroup struct {
-	set  []*nodeState
-	idxs []int
+	set   []*nodeState
+	idxs  []int
+	ops   []server.BatchWriteOp // write sub-batch
+	addrs []uint64              // read sub-batch
+}
+
+// batchFrame is one sub-batch frame of a wave: group gi's sub-batch bound
+// for replica ri of its set, with the frame's own result buffer.
+type batchFrame struct {
+	nodeFrame
+	gi, ri int
+	wres   []server.BatchWriteResult
+	rres   []server.BatchReadResult
 }
 
 // setKey identifies a replica set by its primary-first node names; unused
@@ -42,11 +57,15 @@ type batchScratch struct {
 	done   []bool
 	index  map[setKey]int
 	groups []batchGroup // groups[:n] are live; the rest keep their buffers
+	frames []batchFrame // likewise
 
-	subAddrs []uint64
-	subOps   []server.BatchWriteOp
-	subWRes  []server.BatchWriteResult
-	subRRes  []server.BatchReadResult
+	// Backing arrays the groups' sub-batches and the frames' result
+	// buffers are carved from, so a refilled scratch grows one array of
+	// each instead of one per group and per frame.
+	ops   []server.BatchWriteOp
+	addrs []uint64
+	wres  []server.BatchWriteResult
+	rres  []server.BatchReadResult
 }
 
 var batchScratchPool = sync.Pool{New: func() any {
@@ -56,6 +75,7 @@ var batchScratchPool = sync.Pool{New: func() any {
 func getBatchScratch(n int) *batchScratch {
 	sc := batchScratchPool.Get().(*batchScratch)
 	sc.done = append(sc.done[:0], make([]bool, n)...)
+	sc.frames = sc.frames[:0]
 	return sc
 }
 
@@ -64,8 +84,33 @@ func (sc *batchScratch) release() {
 	for i := range sc.groups {
 		clear(sc.groups[i].set)
 	}
+	for i := range sc.frames {
+		sc.frames[i].nodeFrame = nodeFrame{}
+	}
 	clear(sc.index)
 	batchScratchPool.Put(sc)
+}
+
+// carve takes the next n elements of *buf, which the caller has grown to
+// hold them.
+func carve[T any](buf *[]T, n int) []T {
+	lo := len(*buf)
+	*buf = (*buf)[:lo+n]
+	return (*buf)[lo : lo+n : lo+n]
+}
+
+// frame appends a wave frame for replica ri of group gi. The pointer is
+// valid until the next call.
+func (sc *batchScratch) frame(gi, ri int, st *nodeState) *batchFrame {
+	if n := len(sc.frames); n < cap(sc.frames) {
+		sc.frames = sc.frames[:n+1]
+	} else {
+		sc.frames = append(sc.frames, batchFrame{})
+	}
+	f := &sc.frames[len(sc.frames)-1]
+	f.nodeFrame = nodeFrame{st: st}
+	f.gi, f.ri = gi, ri
+	return f
 }
 
 // groupByReplicaSet buckets ops [0,n) by their (deduplicated,
@@ -104,7 +149,8 @@ func (r *Router) groupByReplicaSet(sc *batchScratch, addrOf func(i int) uint64, 
 // path carries the dual-write and dirty-address-tracking semantics the
 // replay correctness argument depends on, and migrations are rare and
 // short. Otherwise ops are grouped by replica set and each group fans
-// out as one sub-batch frame per healthy replica.
+// out as one sub-batch frame per healthy replica, every frame sent
+// before any reply is read.
 //
 // The error return is non-nil only for caller mistakes (mismatched
 // slice lengths); routing failures are reported per op in res[i].Err.
@@ -140,48 +186,62 @@ func (r *Router) WriteBatchTraced(trace uint64, ops []server.BatchWriteOp, res [
 	defer sc.release()
 	done := sc.done
 	groups := r.groupByReplicaSet(sc, func(i int) uint64 { return ops[i].Addr }, len(ops), true)
+	nres := 0
+	for gi := range groups {
+		nres += len(groups[gi].idxs) * len(groups[gi].set)
+	}
+	sc.ops = slices.Grow(sc.ops[:0], len(ops))
+	sc.wres = slices.Grow(sc.wres[:0], nres)
 	for gi := range groups {
 		g := &groups[gi]
-		subOps := sc.subOps[:0]
-		for _, i := range g.idxs {
+		g.ops = carve(&sc.ops, len(g.idxs))
+		for j, i := range g.idxs {
 			// A reshard may begin while this batch is in flight; marking
 			// dirty (a no-op outside migrations) keeps the replay from
 			// clobbering these addresses in that window.
 			r.markDirty(ops[i].Addr)
-			subOps = append(subOps, ops[i])
+			g.ops[j] = ops[i]
 		}
-		sc.subOps = subOps
-		subRes := append(sc.subWRes[:0], make([]server.BatchWriteResult, len(subOps))...)
-		sc.subWRes = subRes
 		for ri, st := range g.set {
 			if !st.up.Load() {
 				continue
 			}
-			err := r.doNodeCtx(st, trace, server.OpWriteBatch, ops[g.idxs[0]].Addr, func(c *server.TCPClient) error {
-				_, err := c.WriteBatchTraced(trace, subOps, subRes)
+			f := sc.frame(gi, ri, st)
+			f.wres = carve(&sc.wres, len(g.ops))
+			r.start(&f.nodeFrame, trace, server.OpWriteBatch, g.ops[0].Addr, func(c *server.TCPClient) error {
+				return c.SendWriteBatch(trace, g.ops)
+			})
+		}
+	}
+	for k := range sc.frames {
+		f := &sc.frames[k]
+		g := &groups[f.gi]
+		err := r.settle(&f.nodeFrame, trace, server.OpWriteBatch, g.ops[0].Addr,
+			func(c *server.TCPClient) error { return c.SendWriteBatch(trace, g.ops) },
+			func(c *server.TCPClient) error {
+				_, err := c.RecvWriteBatch(f.wres)
 				return err
 			})
-			if err != nil {
-				continue // doNodeCtx already counted the error and marked health
-			}
-			accepted := uint64(0)
-			for j, i := range g.idxs {
-				if subRes[j].Err != nil {
-					continue
-				}
-				accepted++
-				if done[i] {
-					continue
-				}
-				done[i] = true
-				res[i] = subRes[j]
-				if ri > 0 {
-					// The primary never accepted this op; a replica did.
-					r.failovers.Add(1)
-				}
-			}
-			st.writes.Add(accepted)
+		if err != nil {
+			continue // settle already counted the error and marked health
 		}
+		accepted := uint64(0)
+		for j, i := range g.idxs {
+			if f.wres[j].Err != nil {
+				continue
+			}
+			accepted++
+			if done[i] {
+				continue
+			}
+			done[i] = true
+			res[i] = f.wres[j]
+			if f.ri > 0 {
+				// The primary never accepted this op; a replica did.
+				r.failovers.Add(1)
+			}
+		}
+		f.st.writes.Add(accepted)
 	}
 
 	// Scalar fallback: any op no replica accepted retries through the
@@ -205,7 +265,7 @@ func (r *Router) WriteBatchTraced(trace uint64, ops []server.BatchWriteOp, res [
 
 // ReadBatch routes a batch of reads, one sub-batch frame per distinct
 // replica set, walking each set primary-first until every op in the
-// group has an answer. Ops no replica answered fall back to scalar
+// group has an answer; the groups' first frames go out together. Ops no replica answered fall back to scalar
 // Read. The error return is non-nil only for caller mistakes; routing
 // failures are reported per op in res[i].Err.
 func (r *Router) ReadBatch(addrs []uint64, res []server.BatchReadResult) error {
@@ -226,33 +286,52 @@ func (r *Router) ReadBatchTraced(trace uint64, addrs []uint64, res []server.Batc
 	defer sc.release()
 	done := sc.done
 	groups := r.groupByReplicaSet(sc, func(i int) uint64 { return addrs[i] }, len(addrs), false)
+	sc.addrs = slices.Grow(sc.addrs[:0], len(addrs))
+	sc.rres = slices.Grow(sc.rres[:0], len(addrs))
 	for gi := range groups {
 		g := &groups[gi]
-		subAddrs := sc.subAddrs[:0]
-		for _, i := range g.idxs {
-			subAddrs = append(subAddrs, addrs[i])
+		g.addrs = carve(&sc.addrs, len(g.idxs))
+		for j, i := range g.idxs {
+			g.addrs[j] = addrs[i]
 		}
-		sc.subAddrs = subAddrs
-		subRes := append(sc.subRRes[:0], make([]server.BatchReadResult, len(subAddrs))...)
-		sc.subRRes = subRes
-		remaining := len(g.idxs)
 		for ri, st := range g.set {
-			if remaining == 0 {
-				break
-			}
 			if !st.up.Load() {
 				continue
 			}
-			err := r.doNodeCtx(st, trace, server.OpReadBatch, addrs[g.idxs[0]], func(c *server.TCPClient) error {
-				_, err := c.ReadBatchTraced(trace, subAddrs, subRes)
-				return err
+			f := sc.frame(gi, ri, st)
+			f.rres = carve(&sc.rres, len(g.addrs))
+			r.start(&f.nodeFrame, trace, server.OpReadBatch, g.addrs[0], func(c *server.TCPClient) error {
+				return c.SendReadBatch(trace, g.addrs)
 			})
-			if err != nil {
+			break
+		}
+	}
+	for k := range sc.frames {
+		f := &sc.frames[k]
+		g := &groups[f.gi]
+		send := func(c *server.TCPClient) error { return c.SendReadBatch(trace, g.addrs) }
+		recv := func(c *server.TCPClient) error {
+			_, err := c.RecvReadBatch(f.rres)
+			return err
+		}
+		remaining := len(g.idxs)
+		for ri := f.ri; ri < len(g.set) && remaining > 0; ri++ {
+			st := g.set[ri]
+			if ri > f.ri {
+				// Ops the wave left unanswered walk the followers one
+				// frame at a time.
+				if !st.up.Load() {
+					continue
+				}
+				f.nodeFrame = nodeFrame{st: st}
+				r.start(&f.nodeFrame, trace, server.OpReadBatch, g.addrs[0], send)
+			}
+			if r.settle(&f.nodeFrame, trace, server.OpReadBatch, g.addrs[0], send, recv) != nil {
 				continue
 			}
 			answered := uint64(0)
 			for j, i := range g.idxs {
-				if subRes[j].Err != nil {
+				if f.rres[j].Err != nil {
 					continue
 				}
 				answered++
@@ -261,7 +340,7 @@ func (r *Router) ReadBatchTraced(trace uint64, addrs []uint64, res []server.Batc
 				}
 				done[i] = true
 				remaining--
-				res[i] = subRes[j]
+				res[i] = f.rres[j]
 				if ri > 0 {
 					r.failovers.Add(1)
 				}

@@ -39,7 +39,9 @@ type Config struct {
 	// one node gets before the router fails over to the next replica
 	// (default 1).
 	RetriesPerNode int
-	// RequestTimeout bounds each backend round trip (default 2s).
+	// RequestTimeout bounds each backend attempt's send, and then its
+	// wait for the reply from the moment the router reads it (default
+	// 2s).
 	RequestTimeout time.Duration
 	// HedgeAfter, when positive and Replication >= 2, fires a hedged read
 	// at the follower when the primary has not answered within this
@@ -289,10 +291,23 @@ func isStatusErr(err error) bool {
 // deadline; I/O failures discard the connection and retry on a fresh
 // dial. Exhausting the budget (or hitting a drain/connection error on
 // the last attempt) marks the node down and returns the last error.
-// Control traffic (flush, stats, probes) routes through here; data paths
-// use doNodeCtx (trace.go), which is this loop plus hop recording.
+// Control traffic (flush, stats, the reshard replay) routes through here;
+// data paths use doNodeCtx or a wave (trace.go), which run the same
+// attempt loop plus hop recording.
 func (r *Router) doNode(st *nodeState, f func(c *server.TCPClient) error) error {
 	return r.doNodeCtx(st, 0, 0, 0, f)
+}
+
+// startWave starts attempt 0 of one frame per healthy node of set, in
+// set order, before any reply is read; frames[i] stays empty for a node
+// that is down. The caller settles the started frames in the same order.
+func (r *Router) startWave(frames []nodeFrame, set []*nodeState, trace uint64, op byte, addr uint64, send func(c *server.TCPClient) error) {
+	for i, st := range set {
+		if st.up.Load() {
+			frames[i] = nodeFrame{st: st}
+			r.start(&frames[i], trace, op, addr, send)
+		}
+	}
 }
 
 // Write routes one write to every healthy replica of addr (including the
@@ -305,41 +320,45 @@ func (r *Router) Write(addr uint64, line ecc.Line) (server.WriteResponse, error)
 }
 
 // WriteTraced is Write under a caller-supplied trace ID (the cluster
-// TCP front passes the client's wire ID or one it minted).
+// TCP front passes the client's wire ID or one it minted). The write goes
+// out to every replica in one wave; replies are read primary-first.
 func (r *Router) WriteTraced(trace uint64, addr uint64, line ecc.Line) (server.WriteResponse, error) {
 	began := time.Now()
 	r.markDirty(addr)
 	var set [2 * maxReplicas]*nodeState
 	n := r.routeSet(addr, true, set[:])
+	send := func(c *server.TCPClient) error { return c.SendWrite(trace, addr, line) }
+	var frames [2 * maxReplicas]nodeFrame
+	r.startWave(frames[:n], set[:n], trace, server.OpWrite, addr, send)
 	var resp server.WriteResponse
 	var lastErr error
 	ok := false
 	primaryOK := false
 	for i := 0; i < n; i++ {
-		st := set[i]
-		if !st.up.Load() {
+		f := &frames[i]
+		if f.st == nil {
 			continue
 		}
 		var out server.WriteResponse
-		err := r.doNodeCtx(st, trace, server.OpWrite, addr, func(c *server.TCPClient) error {
+		err := r.settle(f, trace, server.OpWrite, addr, send, func(c *server.TCPClient) error {
 			var err error
-			out, err = c.WriteTraced(trace, addr, line)
+			out, err = c.RecvWrite()
 			return err
 		})
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		st.writes.Add(1)
+		f.st.writes.Add(1)
 		if i == 0 {
 			primaryOK = true
 		}
 		if !ok {
 			resp, ok = out, true
-			if ok && !primaryOK {
+			if !primaryOK {
 				// The primary never took this write; the first acceptor was a
 				// replica further down the set.
-				r.hopNow(telemetry.HopFailover, trace, server.OpWrite, st.node.Name, addr, i, 0)
+				r.hopNow(telemetry.HopFailover, trace, server.OpWrite, f.st.node.Name, addr, i, 0)
 			}
 		}
 	}
@@ -500,26 +519,36 @@ func (r *Router) readHedged(trace uint64, addr uint64, primary, follower *nodeSt
 	}
 }
 
-// readRepair reads every healthy replica and reconciles divergence: when
-// exactly one side holds the line the copy is propagated, and when both
-// hold different bytes the primary (write-order owner) wins. done=false
-// means no replica could serve the read and the caller should fall back
-// to the normal path.
+// readRepair reads every healthy replica, in one wave, and reconciles
+// divergence: when exactly one side holds the line the copy is
+// propagated, and when both hold different bytes the primary
+// (write-order owner) wins. done=false means no replica could serve the
+// read and the caller should fall back to the normal path.
 func (r *Router) readRepair(trace uint64, addr uint64, set []*nodeState) (server.ReadResponse, bool) {
 	type got struct {
 		st   *nodeState
 		resp server.ReadResponse
 	}
+	send := func(c *server.TCPClient) error { return c.SendRead(trace, addr) }
+	var frames [2 * maxReplicas]nodeFrame
+	r.startWave(frames[:len(set)], set, trace, server.OpRead, addr, send)
 	var oks []got
-	for _, st := range set {
-		if !st.up.Load() {
+	for i := range set {
+		f := &frames[i]
+		if f.st == nil {
 			continue
 		}
-		resp, err := r.readNode(st, trace, addr)
+		var resp server.ReadResponse
+		err := r.settle(f, trace, server.OpRead, addr, send, func(c *server.TCPClient) error {
+			var err error
+			resp, err = c.RecvRead()
+			return err
+		})
 		if err != nil {
 			continue
 		}
-		oks = append(oks, got{st, resp})
+		f.st.reads.Add(1)
+		oks = append(oks, got{f.st, resp})
 	}
 	if len(oks) == 0 {
 		return server.ReadResponse{}, false

@@ -53,51 +53,100 @@ func (r *Router) hopNow(h telemetry.Hop, trace uint64, op byte, node string, add
 	r.flight.Record(h, trace, op, node, addr, attempt, status, time.Now().UnixNano(), 0)
 }
 
-// doNodeCtx is doNode with trace context: it runs one operation against
-// one node under the per-node retry budget, recording checkout, attempt,
-// retry and markDown hops as it goes. op is the protocol op byte the
-// caller is routing ('W', 'R', 'B', 'b'; 0 for control traffic).
-func (r *Router) doNodeCtx(st *nodeState, trace uint64, op byte, addr uint64, f func(c *server.TCPClient) error) error {
-	attempts := 1 + r.cfg.RetriesPerNode
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			r.retries.Add(1)
-			r.hopNow(telemetry.HopRetry, trace, op, st.node.Name, addr, a, server.StatusOf(lastErr))
-		}
-		t0 := time.Now()
-		c, err := st.pool.Get()
-		if err != nil {
-			lastErr = err
-			st.errs.Add(1)
-			continue // dial failed; retry re-dials
-		}
-		r.hop(telemetry.HopCheckout, trace, op, st.node.Name, addr, a, 0, t0)
-		_ = c.SetDeadline(time.Now().Add(r.cfg.RequestTimeout))
-		t1 := time.Now()
-		err = f(c)
-		r.hop(telemetry.HopAttempt, trace, op, st.node.Name, addr, a, server.StatusOf(err), t1)
-		if err == nil {
-			st.pool.Put(c)
-			return nil
-		}
-		lastErr = err
-		st.errs.Add(1)
-		if isStatusErr(err) {
-			st.pool.Put(c) // frame completed; connection still clean
-		} else {
-			st.pool.Discard(c)
-		}
-		if errors.Is(err, server.ErrClosing) {
-			r.markDownTr(st, err, trace, op, addr)
-			return err
-		}
-		if !retryable(err) && isStatusErr(err) {
-			return err
-		}
+// nodeFrame is one frame bound for one node, with the state of its
+// current attempt. A wave (WriteTraced, the batch paths, read repair)
+// starts attempt 0 of every frame before it settles any; doNodeCtx starts
+// and settles each attempt in turn.
+type nodeFrame struct {
+	st   *nodeState
+	a    int               // current attempt, 0-based
+	c    *server.TCPClient // the attempt's connection; nil if checkout failed
+	sent time.Time         // when the attempt's send began
+	err  error             // the checkout's or the send's error, then the attempt's
+}
+
+// start begins attempt f.a: past the first attempt it counts and records
+// a retry; then it checks out a pooled connection (checkout hop), sets
+// the request deadline and sends the frame.
+func (r *Router) start(f *nodeFrame, trace uint64, op byte, addr uint64, send func(c *server.TCPClient) error) {
+	if f.a > 0 {
+		r.retries.Add(1)
+		r.hopNow(telemetry.HopRetry, trace, op, f.st.node.Name, addr, f.a, server.StatusOf(f.err))
 	}
-	r.markDownTr(st, lastErr, trace, op, addr)
-	return lastErr
+	t0 := time.Now()
+	c, err := f.st.pool.Get()
+	if err != nil {
+		f.c, f.err = nil, err
+		f.st.errs.Add(1)
+		return
+	}
+	r.hop(telemetry.HopCheckout, trace, op, f.st.node.Name, addr, f.a, 0, t0)
+	_ = c.SetDeadline(time.Now().Add(r.cfg.RequestTimeout))
+	f.c, f.sent = c, time.Now()
+	f.err = send(c)
+}
+
+// finish ends attempt f.a: unless the checkout or the send failed, it
+// receives the reply (recv nil means send did the whole round trip),
+// records the attempt hop and returns the connection to the pool, or
+// discards it when its framing is broken. It reports whether the node's
+// retry budget allows another attempt; when the budget is spent, or the
+// node is draining, the node is marked down.
+func (r *Router) finish(f *nodeFrame, trace uint64, op byte, addr uint64, recv func(c *server.TCPClient) error) (retry bool) {
+	if c := f.c; c != nil {
+		f.c = nil
+		if f.err == nil && recv != nil {
+			// The deadline was set at send. Re-arm it: a reply read late
+			// because earlier frames of the wave were settled first is not
+			// a wedged node.
+			_ = c.SetDeadline(time.Now().Add(r.cfg.RequestTimeout))
+			f.err = recv(c)
+		}
+		r.hop(telemetry.HopAttempt, trace, op, f.st.node.Name, addr, f.a, server.StatusOf(f.err), f.sent)
+		if f.err == nil {
+			f.st.pool.Put(c)
+			return false
+		}
+		f.st.errs.Add(1)
+		if isStatusErr(f.err) {
+			f.st.pool.Put(c) // frame completed; connection still clean
+		} else {
+			f.st.pool.Discard(c)
+		}
+		if errors.Is(f.err, server.ErrClosing) {
+			r.markDownTr(f.st, f.err, trace, op, addr)
+			return false
+		}
+		if !retryable(f.err) && isStatusErr(f.err) {
+			return false
+		}
+	} // else the checkout failed (already counted); a retry re-dials
+	if f.a < r.cfg.RetriesPerNode {
+		return true
+	}
+	r.markDownTr(f.st, f.err, trace, op, addr)
+	return false
+}
+
+// settle finishes f's attempt in flight, then spends the rest of the
+// node's retry budget one attempt at a time, and returns the last
+// attempt's error (nil on success).
+func (r *Router) settle(f *nodeFrame, trace uint64, op byte, addr uint64, send, recv func(c *server.TCPClient) error) error {
+	for r.finish(f, trace, op, addr, recv) {
+		f.a++
+		r.start(f, trace, op, addr, send)
+	}
+	return f.err
+}
+
+// doNodeCtx is doNode with trace context: it runs one round trip f
+// against one node under the per-node retry budget, recording checkout,
+// attempt, retry and markDown hops as it goes. op is the protocol op byte
+// the caller is routing ('W', 'R', 'B', 'b'; 0 for control traffic).
+func (r *Router) doNodeCtx(st *nodeState, trace uint64, op byte, addr uint64, f func(c *server.TCPClient) error) error {
+	nf := nodeFrame{st: st}
+	r.start(&nf, trace, op, addr, f)
+	return r.settle(&nf, trace, op, addr, f, nil)
 }
 
 // markDownTr is markDown carrying the trace context of the failure that

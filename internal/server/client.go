@@ -144,6 +144,13 @@ type BatchReadResult struct {
 // TCPClient speaks the binary protocol over one connection. NOT safe for
 // concurrent use (frames strictly alternate); esdload opens one per
 // worker.
+//
+// Each data frame has a send half and a receive half (SendWrite and
+// RecvWrite, and so on); the round-trip methods call the two back to
+// back. A caller holding several connections — the cluster router — can
+// send a frame on each before it reads any reply. Between the halves a
+// connection carries exactly one request in flight, and the receive half
+// must match the frame sent.
 type TCPClient struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -177,12 +184,30 @@ func statusErr(st byte) error {
 	}
 }
 
+// send writes one request frame and flushes it.
+func (c *TCPClient) send(frame []byte) error {
+	if _, err := c.bw.Write(frame); err != nil {
+		return err
+	}
+	return c.bw.Flush()
+}
+
+// recvStatus reads a response's status byte and maps a non-OK status to
+// its error.
+func (c *TCPClient) recvStatus() error {
+	st, err := c.br.ReadByte()
+	if err != nil {
+		return err
+	}
+	if st != StatusOK {
+		return statusErr(st)
+	}
+	return nil
+}
+
 // roundTrip sends one request frame and reads the status byte.
 func (c *TCPClient) roundTrip(frame []byte) (byte, error) {
-	if _, err := c.bw.Write(frame); err != nil {
-		return 0, err
-	}
-	if err := c.bw.Flush(); err != nil {
+	if err := c.send(frame); err != nil {
 		return 0, err
 	}
 	return c.br.ReadByte()
@@ -211,9 +236,10 @@ func (c *TCPClient) ReadBatch(addrs []uint64, res []BatchReadResult) error {
 	return err
 }
 
-// grow returns c.batchBuf resized to n bytes. Every round trip builds its
-// request frame and reads its response payload here, so the client path
-// does not allocate per call.
+// grow returns c.batchBuf resized to n bytes. Every send half builds its
+// request frame here and every receive half reads its response payload
+// here (the frame is flushed before the send half returns), so the client
+// path does not allocate per call.
 func (c *TCPClient) grow(n int) []byte {
 	if cap(c.batchBuf) < n {
 		c.batchBuf = make([]byte, n)
@@ -222,19 +248,29 @@ func (c *TCPClient) grow(n int) []byte {
 }
 
 // WriteTraced sends one 'W' frame under the caller's trace ID (0 asks the
-// server to mint one). The response's Trace is the ID the write ran under.
+// server to mint one) and reads its response. The response's Trace is the
+// ID the write ran under.
 func (c *TCPClient) WriteTraced(trace, addr uint64, line ecc.Line) (WriteResponse, error) {
+	if err := c.SendWrite(trace, addr, line); err != nil {
+		return WriteResponse{}, err
+	}
+	return c.RecvWrite()
+}
+
+// SendWrite is the send half of WriteTraced.
+func (c *TCPClient) SendWrite(trace, addr uint64, line ecc.Line) error {
 	frame := c.grow(1 + traceLen + writeReqLen)
 	frame[0] = OpWrite
 	putU64(frame[1:], trace)
 	putU64(frame[1+traceLen:], addr)
 	copy(frame[1+traceLen+8:], line[:])
-	st, err := c.roundTrip(frame)
-	if err != nil {
+	return c.send(frame)
+}
+
+// RecvWrite is the receive half of WriteTraced.
+func (c *TCPClient) RecvWrite() (WriteResponse, error) {
+	if err := c.recvStatus(); err != nil {
 		return WriteResponse{}, err
-	}
-	if st != StatusOK {
-		return WriteResponse{}, statusErr(st)
 	}
 	payload := c.grow(writeBatchRecLen - 1 + traceLen)
 	if err := readFull(c.br, payload); err != nil {
@@ -250,16 +286,25 @@ func (c *TCPClient) WriteTraced(trace, addr uint64, line ecc.Line) (WriteRespons
 
 // ReadTraced is Read under the caller's trace ID (see WriteTraced).
 func (c *TCPClient) ReadTraced(trace, addr uint64) (ReadResponse, error) {
+	if err := c.SendRead(trace, addr); err != nil {
+		return ReadResponse{}, err
+	}
+	return c.RecvRead()
+}
+
+// SendRead is the send half of ReadTraced.
+func (c *TCPClient) SendRead(trace, addr uint64) error {
 	frame := c.grow(1 + traceLen + readReqLen)
 	frame[0] = OpRead
 	putU64(frame[1:], trace)
 	putU64(frame[1+traceLen:], addr)
-	st, err := c.roundTrip(frame)
-	if err != nil {
+	return c.send(frame)
+}
+
+// RecvRead is the receive half of ReadTraced.
+func (c *TCPClient) RecvRead() (ReadResponse, error) {
+	if err := c.recvStatus(); err != nil {
 		return ReadResponse{}, err
-	}
-	if st != StatusOK {
-		return ReadResponse{}, statusErr(st)
 	}
 	payload := c.grow(readBatchRecLen - 1 + traceLen)
 	if err := readFull(c.br, payload); err != nil {
@@ -273,26 +318,27 @@ func (c *TCPClient) ReadTraced(trace, addr uint64) (ReadResponse, error) {
 	}, nil
 }
 
-// checkBatch validates a batch call's slice lengths.
-func checkBatch(ops, res int) error {
-	if ops > MaxBatchOps {
-		return fmt.Errorf("server: batch of %d ops exceeds MaxBatchOps=%d", ops, MaxBatchOps)
+// checkCount bounds a batch frame's op count.
+func checkCount(n int) error {
+	if n > MaxBatchOps {
+		return fmt.Errorf("server: batch of %d ops exceeds MaxBatchOps=%d", n, MaxBatchOps)
 	}
+	return nil
+}
+
+// checkResults validates a batch round trip's results slice length.
+func checkResults(ops, res int) error {
 	if res != ops {
 		return fmt.Errorf("server: results slice has %d entries for %d ops", res, ops)
 	}
 	return nil
 }
 
-// batchHead sends a batch frame and reads its response head, returning the
-// echoed trace ID.
-func (c *TCPClient) batchHead(frame []byte, n int) (uint64, error) {
-	st, err := c.roundTrip(frame)
-	if err != nil {
+// recvBatchHead reads a batch response head, checks that it carries n
+// results and returns the echoed trace ID.
+func (c *TCPClient) recvBatchHead(n int) (uint64, error) {
+	if err := c.recvStatus(); err != nil {
 		return 0, err
-	}
-	if st != StatusOK {
-		return 0, statusErr(st)
 	}
 	head := c.grow(2 + traceLen)
 	if err := readFull(c.br, head); err != nil {
@@ -311,8 +357,19 @@ func (c *TCPClient) batchHead(frame []byte, n int) (uint64, error) {
 // error reports transport or framing failure; per-op flow control
 // (overloaded, timeout, closing) lands in res[i].Err.
 func (c *TCPClient) WriteBatchTraced(trace uint64, ops []BatchWriteOp, res []BatchWriteResult) (uint64, error) {
-	if err := checkBatch(len(ops), len(res)); err != nil {
+	if err := checkResults(len(ops), len(res)); err != nil {
 		return 0, err
+	}
+	if err := c.SendWriteBatch(trace, ops); err != nil {
+		return 0, err
+	}
+	return c.RecvWriteBatch(res)
+}
+
+// SendWriteBatch is the send half of WriteBatchTraced.
+func (c *TCPClient) SendWriteBatch(trace uint64, ops []BatchWriteOp) error {
+	if err := checkCount(len(ops)); err != nil {
+		return err
 	}
 	frame := c.grow(1 + traceLen + 2 + len(ops)*writeReqLen)
 	frame[0] = OpWriteBatch
@@ -323,11 +380,17 @@ func (c *TCPClient) WriteBatchTraced(trace uint64, ops []BatchWriteOp, res []Bat
 		putU64(rec, ops[i].Addr)
 		copy(rec[8:], ops[i].Line[:])
 	}
-	echo, err := c.batchHead(frame, len(ops))
+	return c.send(frame)
+}
+
+// RecvWriteBatch is the receive half of WriteBatchTraced: res must have
+// one entry per op the frame carried.
+func (c *TCPClient) RecvWriteBatch(res []BatchWriteResult) (uint64, error) {
+	echo, err := c.recvBatchHead(len(res))
 	if err != nil {
 		return 0, err
 	}
-	payload := c.grow(len(ops) * writeBatchRecLen)
+	payload := c.grow(len(res) * writeBatchRecLen)
 	if err := readFull(c.br, payload); err != nil {
 		return 0, err
 	}
@@ -350,8 +413,19 @@ func (c *TCPClient) WriteBatchTraced(trace uint64, ops []BatchWriteOp, res []Bat
 // per-op results into res (len(addrs) entries; see WriteBatchTraced for
 // the error contract).
 func (c *TCPClient) ReadBatchTraced(trace uint64, addrs []uint64, res []BatchReadResult) (uint64, error) {
-	if err := checkBatch(len(addrs), len(res)); err != nil {
+	if err := checkResults(len(addrs), len(res)); err != nil {
 		return 0, err
+	}
+	if err := c.SendReadBatch(trace, addrs); err != nil {
+		return 0, err
+	}
+	return c.RecvReadBatch(res)
+}
+
+// SendReadBatch is the send half of ReadBatchTraced.
+func (c *TCPClient) SendReadBatch(trace uint64, addrs []uint64) error {
+	if err := checkCount(len(addrs)); err != nil {
+		return err
 	}
 	frame := c.grow(1 + traceLen + 2 + len(addrs)*readReqLen)
 	frame[0] = OpReadBatch
@@ -360,11 +434,17 @@ func (c *TCPClient) ReadBatchTraced(trace uint64, addrs []uint64, res []BatchRea
 	for i, a := range addrs {
 		putU64(frame[1+traceLen+2+i*readReqLen:], a)
 	}
-	echo, err := c.batchHead(frame, len(addrs))
+	return c.send(frame)
+}
+
+// RecvReadBatch is the receive half of ReadBatchTraced (see
+// RecvWriteBatch).
+func (c *TCPClient) RecvReadBatch(res []BatchReadResult) (uint64, error) {
+	echo, err := c.recvBatchHead(len(res))
 	if err != nil {
 		return 0, err
 	}
-	payload := c.grow(len(addrs) * readBatchRecLen)
+	payload := c.grow(len(res) * readBatchRecLen)
 	if err := readFull(c.br, payload); err != nil {
 		return 0, err
 	}
