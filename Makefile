@@ -17,9 +17,12 @@ test:
 
 # Same suite under the race detector — what CI runs. Telemetry is
 # scraped over HTTP concurrently with the simulation thread, so the
-# race detector is the gate for any Sink/Registry change.
+# race detector is the gate for any Sink/Registry change. A shard's
+# state is reached from its worker and from callers that run inline on
+# an idle shard, so the shard package runs ten times over.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/shard
 
 # Full test log, as recorded in test_output.txt.
 test-log:

@@ -1,6 +1,7 @@
 package esd
 
 import (
+	"context"
 	"testing"
 
 	"github.com/esdsim/esd/internal/crypto"
@@ -150,6 +151,68 @@ func TestSteadyStateShardReadBatchAllocs(t *testing.T) {
 			}
 			if avg := testing.AllocsPerRun(500, batchRead); avg != 0 {
 				t.Errorf("%s steady-state engine ReadBatch: %v allocs/op, want 0", scheme, avg)
+			}
+		})
+	}
+}
+
+// TestSteadyStateShardScalarAllocs pins the engine's scalar calls as a
+// node makes them, with metrics and stage tracing on: a call that finds
+// its shard idle runs inline through the shard's scratch request, so once
+// warm a steady stream of Write, Read and the traced Try variants the
+// server calls must allocate nothing.
+func TestSteadyStateShardScalarAllocs(t *testing.T) {
+	for _, scheme := range []string{SchemeBaseline, SchemeSHA1, SchemeDeWrite, SchemeESD} {
+		t.Run(scheme, func(t *testing.T) {
+			sys, err := NewShardedSystem(DefaultConfig(), scheme, WithShards(4), WithShardMetrics(), WithStageTracing())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			eng := sys.eng
+			ctx := context.Background()
+			const addrs = 512
+			var lines [8]Line
+			for i := range lines {
+				lines[i][0], lines[i][1] = byte(i), 1
+			}
+			n := 0
+			check := func(err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}
+			calls := []struct {
+				name string
+				call func()
+			}{
+				{"Write", func() {
+					_, err := eng.Write(uint64(n%addrs), lines[n%len(lines)])
+					check(err)
+				}},
+				{"Read", func() {
+					_, err := eng.Read(uint64(n % addrs))
+					check(err)
+				}},
+				{"TryWriteTraced", func() {
+					_, err := eng.TryWriteTraced(ctx, uint64(n%addrs), lines[n%len(lines)], eng.NewTrace())
+					check(err)
+				}},
+				{"TryReadTraced", func() {
+					_, err := eng.TryReadTraced(ctx, uint64(n%addrs), eng.NewTrace())
+					check(err)
+				}},
+			}
+			for _, c := range calls {
+				for i := 0; i < addrs*4; i++ {
+					c.call()
+				}
+			}
+			for _, c := range calls {
+				if avg := testing.AllocsPerRun(2000, c.call); avg != 0 {
+					t.Errorf("%s steady-state engine %s: %v allocs/op, want 0", scheme, c.name, avg)
+				}
 			}
 		})
 	}

@@ -688,7 +688,7 @@ func WithShardMetrics() ShardOption {
 // WithStageTracing enables per-stage latency histograms on every shard
 // (fingerprint, EFIT lookup, NVM read-verify, encrypt, media, AMT, queue
 // wait), summarized as p50/p99 by StageLatencies and the serving
-// front-end's /statusz. The histograms are worker-private and recorded
+// front-end's /statusz. The histograms are recorded by the shard's owner
 // without allocation, so the steady-state write path stays alloc-free.
 func WithStageTracing() ShardOption {
 	return func(o *shard.Options) { o.Tracing = true }
@@ -703,9 +703,10 @@ func WithShardFlightSlots(n int) ShardOption {
 // ShardedSystem is the goroutine-safe counterpart of System: it
 // partitions the line-address space across N independent shards (each its
 // own scheme instance, metadata caches and PCM bank group) driven by one
-// worker goroutine per shard behind bounded queues. Any number of
-// goroutines may call its methods concurrently; requests to the same
-// shard execute in submission order.
+// worker goroutine per shard behind bounded queues; a call that finds its
+// shard idle runs on the caller instead. Any number of goroutines may call
+// its methods concurrently; requests to the same shard execute in
+// submission order.
 //
 // Deduplication happens only within a shard — cross-shard duplicate
 // content occupies one physical line per shard. See DESIGN.md §7 for the
@@ -748,8 +749,8 @@ func (s *ShardedSystem) TryWrite(ctx context.Context, addr uint64, line Line) (W
 }
 
 // WriteBatch stores every op in one call: ops are grouped by owning
-// shard, each touched shard receives one queue request (one channel
-// round trip per shard instead of per op), and each sub-batch runs
+// shard, each touched shard receives one sub-batch (at most one channel
+// round trip per shard instead of one per op), and each sub-batch runs
 // through the scheme's batched write path. Per-op results land in ops;
 // see shard.Engine.WriteBatch for the error contract.
 func (s *ShardedSystem) WriteBatch(ops []WriteBatchOp) error {
@@ -779,7 +780,7 @@ func (s *ShardedSystem) TryRead(ctx context.Context, addr uint64) (ReadResult, e
 	return s.eng.TryRead(ctx, addr)
 }
 
-// Flush is a full barrier: every request enqueued before the call has
+// Flush is a full barrier: every request submitted before the call has
 // executed and every shard's device write queue has drained on return.
 func (s *ShardedSystem) Flush() error { return s.eng.Flush() }
 
@@ -818,8 +819,8 @@ func (s *ShardedSystem) WearSummaries() []WearSummary { return s.eng.WearSummari
 // is atomics-based and never blocks the workers.
 func (s *ShardedSystem) HybridStats() (HybridStats, bool) { return s.eng.HybridStats() }
 
-// LiveStats merges the scheme counter blocks the shard workers republish
-// after every drained batch. Unlike Summary it is barrier-free — the
+// LiveStats merges the scheme counter blocks the shards republish after
+// every drained batch and every inline request. Unlike Summary it is barrier-free — the
 // result trails the live state by at most one batch per shard.
 func (s *ShardedSystem) LiveStats() SchemeStats { return s.eng.LiveSchemeStats() }
 

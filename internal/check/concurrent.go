@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/esdsim/esd/internal/config"
@@ -56,7 +57,11 @@ const stripeCount = 64
 // address ops are serialized and every read must return exactly the model's
 // current value, while across addresses the engine sees genuinely
 // concurrent traffic (run it under -race). Async writes ride WriteAsync so
-// the coalescing path engages under contention.
+// the coalescing path engages under contention. Batch writes and reads
+// (WriteBatch, ReadBatch) hold every touched stripe, taken in stripe order
+// so that no two workers deadlock. An async write followed at once by a
+// read of the same address must read it back: the write is still queued
+// when the read arrives, so the read must not run ahead of it.
 //
 // It returns harness violations; an error reports engine construction
 // failure.
@@ -98,6 +103,20 @@ func runConcurrentOn(sys config.Config, cfg ConcurrentConfig) ([]Violation, erro
 		vioMu.Unlock()
 	}
 
+	// checkRead compares one engine read against the model entry of its
+	// address; the caller holds the address's stripe.
+	checkRead := func(opIdx int, addr uint64, res shard.ReadResult, err error) {
+		want, wantHit := stripes[addr&(stripeCount-1)].mem[addr]
+		switch {
+		case err != nil:
+			fail(opIdx, fmt.Sprintf("read addr=%d: %v", addr, err))
+		case res.Hit != wantHit:
+			fail(opIdx, fmt.Sprintf("read addr=%d: hit=%v, model says %v", addr, res.Hit, wantHit))
+		case res.Hit && res.Data != want:
+			fail(opIdx, fmt.Sprintf("read addr=%d: data diverges from model", addr))
+		}
+	}
+
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
@@ -105,12 +124,77 @@ func runConcurrentOn(sys config.Config, cfg ConcurrentConfig) ([]Violation, erro
 			defer wg.Done()
 			r := xrand.New(cfg.Seed + uint64(w)*0x9E37)
 			var line ecc.Line
+			wops := make([]shard.WriteBatchOp, 0, 8)
+			rops := make([]shard.ReadBatchOp, 0, 8)
+			// held collects a batch's stripes; lockAll takes them in
+			// ascending order and unlockAll releases them.
+			var held []uint64
+			lockAll := func() {
+				slices.Sort(held)
+				held = slices.Compact(held)
+				for _, i := range held {
+					stripes[i].mu.Lock()
+				}
+			}
+			unlockAll := func() {
+				for _, i := range held {
+					stripes[i].mu.Unlock()
+				}
+				held = held[:0]
+			}
 			for i := 0; i < cfg.OpsPerWorker; i++ {
 				addr := r.Uint64n(cfg.Addrs)
 				st := &stripes[addr&(stripeCount-1)]
 				opIdx := w*cfg.OpsPerWorker + i
-				switch {
-				case r.Bool(0.5): // write
+				switch k := r.Uint64n(10); {
+				case k == 7: // batch write
+					wops = wops[:2+r.Uint64n(7)]
+					for j := range wops {
+						wops[j].Addr = r.Uint64n(cfg.Addrs)
+						fillLine(&wops[j].Line, r)
+						held = append(held, wops[j].Addr&(stripeCount-1))
+					}
+					lockAll()
+					err := eng.WriteBatch(wops)
+					for j := range wops {
+						// Same-address ops land in slice order, so the
+						// last one is the model's value.
+						if wops[j].Err != nil {
+							fail(opIdx, fmt.Sprintf("batch write addr=%d: %v", wops[j].Addr, wops[j].Err))
+						} else {
+							stripes[wops[j].Addr&(stripeCount-1)].mem[wops[j].Addr] = wops[j].Line
+						}
+					}
+					if err != nil {
+						fail(opIdx, fmt.Sprintf("batch write: %v", err))
+					}
+					unlockAll()
+				case k == 8: // batch read
+					rops = rops[:2+r.Uint64n(7)]
+					for j := range rops {
+						rops[j] = shard.ReadBatchOp{Addr: r.Uint64n(cfg.Addrs)}
+						held = append(held, rops[j].Addr&(stripeCount-1))
+					}
+					lockAll()
+					if err := eng.ReadBatch(rops); err != nil {
+						fail(opIdx, fmt.Sprintf("batch read: %v", err))
+					}
+					for j := range rops {
+						checkRead(opIdx, rops[j].Addr, rops[j].Res, rops[j].Err)
+					}
+					unlockAll()
+				case k == 9: // async write, then read it back at once
+					fillLine(&line, r)
+					st.mu.Lock()
+					if err := eng.WriteAsync(addr, line); err != nil {
+						fail(opIdx, fmt.Sprintf("write addr=%d: %v", addr, err))
+					} else {
+						st.mem[addr] = line
+					}
+					res, err := eng.Read(addr)
+					checkRead(opIdx, addr, res, err)
+					st.mu.Unlock()
+				case k < 4: // write
 					fillLine(&line, r)
 					st.mu.Lock()
 					var err error
@@ -128,16 +212,8 @@ func runConcurrentOn(sys config.Config, cfg ConcurrentConfig) ([]Violation, erro
 				default: // read
 					st.mu.Lock()
 					res, err := eng.Read(addr)
-					want, wantHit := st.mem[addr]
+					checkRead(opIdx, addr, res, err)
 					st.mu.Unlock()
-					switch {
-					case err != nil:
-						fail(opIdx, fmt.Sprintf("read addr=%d: %v", addr, err))
-					case res.Hit != wantHit:
-						fail(opIdx, fmt.Sprintf("read addr=%d: hit=%v, model says %v", addr, res.Hit, wantHit))
-					case res.Hit && res.Data != want:
-						fail(opIdx, fmt.Sprintf("read addr=%d: data diverges from model", addr))
-					}
 				}
 			}
 		}(w)

@@ -6,22 +6,24 @@ import (
 	"time"
 )
 
+// probeTimeout bounds one node's health probe. It does not shrink with
+// ProbeInterval: a short interval asks for frequent probes, not for fast
+// answers, and a healthy node that answers more slowly than the interval
+// must stay in rotation.
+const probeTimeout = time.Second
+
 // ProbeOnce probes every tracked node's health right now and updates the
 // router's routing view: a node with an HTTP address is healthy iff
-// GET /readyz answers 200 (a draining server answers 503 and is pulled
-// from rotation before its listeners close — see server.BeginDrain);
-// nodes without one fall back to a TCP dial probe. The probe loop calls
-// this every ProbeInterval; tests call it directly to advance health
-// deterministically.
+// GET /readyz answers 200 within probeTimeout (a draining server answers
+// 503 and is pulled from rotation before its listeners close — see
+// server.BeginDrain); nodes without one fall back to a TCP dial probe. The
+// probe loop calls this every ProbeInterval; tests call it directly to
+// advance health deterministically.
 func (r *Router) ProbeOnce() {
 	states := r.allStates()
-	timeout := r.cfg.ProbeInterval
-	if timeout > time.Second {
-		timeout = time.Second
-	}
-	client := &http.Client{Timeout: timeout}
+	client := &http.Client{Timeout: probeTimeout}
 	for _, st := range states {
-		err := probeNode(client, st.node, timeout)
+		err := probeNode(client, st.node, probeTimeout)
 		up := err == nil
 		if !up {
 			st.probeErrs.Add(1)

@@ -55,7 +55,8 @@ type Config struct {
 	ReadRepairEvery int
 	// ProbeInterval is the health-probe period (default 1s; the prober
 	// GETs each node's /readyz, falling back to TCP dial probes for nodes
-	// without an HTTP address).
+	// without an HTTP address, and waits up to 1s for each answer
+	// whatever the period).
 	ProbeInterval time.Duration
 	// PoolMaxIdle caps each node's idle-connection pool (default 8).
 	PoolMaxIdle int

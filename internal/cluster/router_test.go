@@ -3,6 +3,9 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -190,6 +193,30 @@ func TestProberStopsRoutingToDrainingNode(t *testing.T) {
 	}
 	if w := r.state[backends[0].node.Name].writes.Load(); w != 0 {
 		t.Fatalf("draining node received %d writes after being pulled", w)
+	}
+}
+
+// TestProberToleratesSlowReadyz probes a node whose /readyz answers after
+// 50 ms at the cluster tests' 20 ms probe interval: answering more slowly
+// than the interval is not being down.
+func TestProberToleratesSlowReadyz(t *testing.T) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		time.Sleep(50 * time.Millisecond)
+		w.WriteHeader(http.StatusOK)
+	}))
+	t.Cleanup(slow.Close)
+	addr := strings.TrimPrefix(slow.URL, "http://")
+	r, err := NewRouter(Config{
+		Nodes:         []Node{{Name: "slow", TCPAddr: addr, HTTPAddr: addr}},
+		ProbeInterval: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	r.ProbeOnce()
+	if !r.Healthy("slow") {
+		t.Fatal("a node whose /readyz answers 200 after 50 ms was marked down")
 	}
 }
 

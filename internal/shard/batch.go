@@ -1,5 +1,6 @@
-// Batched submission: one queue round trip per touched shard instead of
-// one per op. Write sub-batches execute through the scheme's batched
+// Batched submission: one sub-batch per touched shard instead of one
+// request per op, run inline on an idle shard and queued (one round trip)
+// on a busy one. Write sub-batches execute through the scheme's batched
 // write path (memctrl.WriteBatch) so unique stores share one batched AES
 // pass; read sub-batches run each op through the scalar read body, so the
 // simulated clock advances exactly as for the same reads issued one by
@@ -117,22 +118,18 @@ func (p *batchPlan) sub(sh int) *subBatch {
 	return sb
 }
 
-// dispatch submits every sub-batch as one request of kind k, then waits
-// for them in submission order. A nil ctx blocks on full queues and waits
-// for every sub-batch; otherwise a full queue fails that sub-batch alone
-// with ErrOverloaded, and ctx expiring abandons the waits still pending.
-// It returns the first ErrClosed or context error.
+// dispatch starts every sub-batch as one request of kind k — inline on
+// an idle shard, one after another, queued on a busy one — then waits for
+// the queued ones in submission order. A nil ctx blocks on full queues
+// and waits for every sub-batch; otherwise a full queue fails that
+// sub-batch alone with ErrOverloaded, and ctx expiring abandons the waits
+// still pending. It returns the first ErrClosed or context error.
 func (e *Engine) dispatch(ctx context.Context, p *batchPlan, k kind, tc telemetry.TraceCtx) error {
 	var firstErr error
 	for _, sh := range p.used {
-		ch := getRespChan()
-		err := e.submit(sh, request{kind: k, tc: tc, batch: p.subs[sh], done: ch}, ctx == nil)
-		if err != nil {
-			putRespChan(ch)
-			ch = nil
-			if err == ErrClosed && firstErr == nil {
-				firstErr = err
-			}
+		_, ch, err := e.start(sh, request{kind: k, tc: tc, batch: p.subs[sh]}, ctx == nil)
+		if err == ErrClosed && firstErr == nil {
+			firstErr = err
 		}
 		p.chans = append(p.chans, ch)
 		p.errs = append(p.errs, err)
@@ -189,8 +186,8 @@ func (p *batchPlan) release() {
 }
 
 // WriteBatch stores every op in one call. Ops are grouped by owning
-// shard and each touched shard receives one queue request, so N ops cost
-// one channel round trip per touched shard instead of N; each sub-batch
+// shard and each touched shard receives one sub-batch, so N ops cost at
+// most one channel round trip per touched shard instead of N; each sub-batch
 // runs through the scheme's batched write path, amortizing the AES pad
 // generation across the batch. Ops land on their shard in slice order
 // (per-shard FIFO holds against surrounding scalar requests). Blocks
@@ -264,8 +261,8 @@ func (e *Engine) writeBatch(ctx context.Context, ops []WriteBatchOp, tc telemetr
 }
 
 // ReadBatch fetches every op's line in one call, grouped by owning shard
-// exactly like WriteBatch: one queue request per touched shard. Each read
-// runs through the same worker body as a scalar Read — one arrival tick,
+// exactly like WriteBatch: one sub-batch per touched shard. Each read
+// runs through the same body as a scalar Read — one arrival tick,
 // one scheme read — so a batch reads what, and costs in simulated time
 // what, the same reads issued one by one would. Reads observe every
 // earlier write to their shard (per-shard FIFO). Blocks like WriteBatch;

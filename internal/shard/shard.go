@@ -2,7 +2,9 @@
 // the physical line-address space across N independent single-threaded
 // scheme instances ("shards"), each owning its own EFIT, AMT, counter
 // cache and NVM bank group, and drives them through per-shard bounded
-// request queues served by one worker goroutine per shard.
+// request queues served by one worker goroutine per shard. A caller that
+// waits for its reply and finds its shard idle runs the request on its
+// own goroutine instead; a shard has one owner at a time either way.
 //
 // The design mirrors the hardware's inherent parallelism (independent PCM
 // bank groups and address regions) while keeping every shard exactly as
@@ -240,8 +242,9 @@ func (e *Engine) BatchKernelsEnabled() bool { return e.opts.BatchKernels }
 // QueueCap returns the per-shard queue bound.
 func (e *Engine) QueueCap() int { return e.opts.QueueDepth }
 
-// QueueLens returns each shard's current queue depth. Unlike Snapshots it
-// is not a barrier — it reads the live channel lengths, so it stays
+// QueueLens returns each shard's current queue depth: the requests that
+// found their shard busy, since a request run inline never enters the
+// queue. Unlike Snapshots it is not a barrier — it reads the live channel lengths, so it stays
 // responsive even when a shard is wedged (which is exactly when /statusz
 // matters most).
 func (e *Engine) QueueLens() []int {
@@ -313,16 +316,74 @@ func (e *Engine) submit(sh int, r request, block bool) error {
 	if e.closed {
 		return ErrClosed
 	}
+	return e.enqueue(e.shards[sh], r, block)
+}
+
+// enqueue sends r to s's queue; the caller holds e.mu for reading and has
+// checked closed. The pending count rises before the send, so a caller
+// that later finds it zero knows r has executed.
+func (e *Engine) enqueue(s *shard, r request, block bool) error {
+	s.pending.Add(1)
 	if block {
-		e.shards[sh].reqs <- r
+		s.reqs <- r
 		return nil
 	}
 	select {
-	case e.shards[sh].reqs <- r:
+	case s.reqs <- r:
 		return nil
 	default:
+		s.pending.Add(-1)
 		e.shed.Add(1)
 		return ErrOverloaded
+	}
+}
+
+// start runs r on shard sh for a caller that waits for the reply. When the
+// shard is idle — nothing submitted is still unexecuted, and no one owns
+// it — r runs inline on the calling goroutine, through the worker's exec
+// and publishStats, and start returns its response with a nil channel.
+// Otherwise r is queued like submit and start returns the pooled channel
+// its reply arrives on. e.mu is taken before the owner lock, the order a
+// submitter blocked on a full queue and Close rely on, and held through
+// an inline run, so Close waits for it.
+func (e *Engine) start(sh int, r request, block bool) (response, chan response, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.closed {
+		return response{}, nil, ErrClosed
+	}
+	s := e.shards[sh]
+	if s.pending.Load() == 0 && s.own.TryLock() {
+		s.inline = r
+		resp := s.exec(&s.inline)
+		s.publishStats()
+		s.own.Unlock()
+		return resp, nil, nil
+	}
+	r.done = getRespChan()
+	if err := e.enqueue(s, r, block); err != nil {
+		putRespChan(r.done)
+		return response{}, nil, err
+	}
+	return response{}, r.done, nil
+}
+
+// call runs r on shard sh and waits for its response. With block set a
+// full queue blocks; otherwise it fails with ErrOverloaded. ctx expiring
+// abandons only a queued wait: the shard still executes r.
+func (e *Engine) call(ctx context.Context, sh int, r request, block bool) (response, error) {
+	resp, done, err := e.start(sh, r, block)
+	if done == nil {
+		return resp, err
+	}
+	select {
+	case resp = <-done:
+		putRespChan(done)
+		return resp, nil
+	case <-ctx.Done():
+		// Abandoned: the shard still executes the request and sends
+		// into done, so the channel cannot be recycled.
+		return response{}, ctx.Err()
 	}
 }
 
@@ -330,15 +391,8 @@ func (e *Engine) submit(sh int, r request, block bool) error {
 // the owning shard's queue is full (backpressure) and until the shard has
 // processed it.
 func (e *Engine) Write(addr uint64, line ecc.Line) (memctrl.WriteOutcome, error) {
-	done := getRespChan()
-	sh := e.ShardOf(addr)
-	if err := e.submit(sh, request{kind: kWrite, addr: e.localAddr(addr), line: line, done: done}, true); err != nil {
-		putRespChan(done)
-		return memctrl.WriteOutcome{}, err
-	}
-	resp := <-done
-	putRespChan(done)
-	return resp.write, nil
+	resp, err := e.call(context.Background(), e.ShardOf(addr), request{kind: kWrite, addr: e.localAddr(addr), line: line}, true)
+	return resp.write, err
 }
 
 // WriteAsync enqueues a write without waiting for its outcome (blocking
@@ -354,31 +408,19 @@ func (e *Engine) WriteAsync(addr uint64, line ecc.Line) error {
 // TryWrite is Write with shedding and a deadline: a full shard queue
 // fails immediately with ErrOverloaded, and a ctx expiring while the
 // request waits in queue abandons the wait (the shard still executes the
-// write; only the caller stops waiting).
+// write; only the caller stops waiting). A write that runs inline on an
+// idle shard is neither shed nor abandoned.
 func (e *Engine) TryWrite(ctx context.Context, addr uint64, line ecc.Line) (memctrl.WriteOutcome, error) {
 	return e.TryWriteTraced(ctx, addr, line, telemetry.TraceCtx{})
 }
 
 // TryWriteTraced is TryWrite carrying a request trace context (from
-// NewTrace): the shard worker threads it into the scheme's telemetry hooks
+// NewTrace): the shard threads it into the scheme's telemetry hooks
 // and the flight recorder, so the write's stage events can be joined back
 // to the network request.
 func (e *Engine) TryWriteTraced(ctx context.Context, addr uint64, line ecc.Line, tc telemetry.TraceCtx) (memctrl.WriteOutcome, error) {
-	done := getRespChan()
-	sh := e.ShardOf(addr)
-	if err := e.submit(sh, request{kind: kWrite, addr: e.localAddr(addr), line: line, tc: tc, done: done}, false); err != nil {
-		putRespChan(done)
-		return memctrl.WriteOutcome{}, err
-	}
-	select {
-	case resp := <-done:
-		putRespChan(done)
-		return resp.write, nil
-	case <-ctx.Done():
-		// Abandoned: the shard still executes the write and sends into
-		// done, so the channel cannot be recycled.
-		return memctrl.WriteOutcome{}, ctx.Err()
-	}
+	resp, err := e.call(ctx, e.ShardOf(addr), request{kind: kWrite, addr: e.localAddr(addr), line: line, tc: tc}, false)
+	return resp.write, err
 }
 
 // ReadResult is a completed read: the plaintext line, whether the
@@ -391,15 +433,8 @@ type ReadResult struct {
 
 // Read fetches the plaintext line at a logical address (blocking).
 func (e *Engine) Read(addr uint64) (ReadResult, error) {
-	done := getRespChan()
-	sh := e.ShardOf(addr)
-	if err := e.submit(sh, request{kind: kRead, addr: e.localAddr(addr), done: done}, true); err != nil {
-		putRespChan(done)
-		return ReadResult{}, err
-	}
-	resp := <-done
-	putRespChan(done)
-	return ReadResult{Data: resp.read.Data, Hit: resp.read.Hit, Lat: resp.lat}, nil
+	resp, err := e.call(context.Background(), e.ShardOf(addr), request{kind: kRead, addr: e.localAddr(addr)}, true)
+	return resp.readResult(), err
 }
 
 // TryRead is Read with shedding and a deadline (see TryWrite).
@@ -410,23 +445,11 @@ func (e *Engine) TryRead(ctx context.Context, addr uint64) (ReadResult, error) {
 // TryReadTraced is TryRead carrying a request trace context (see
 // TryWriteTraced).
 func (e *Engine) TryReadTraced(ctx context.Context, addr uint64, tc telemetry.TraceCtx) (ReadResult, error) {
-	done := getRespChan()
-	sh := e.ShardOf(addr)
-	if err := e.submit(sh, request{kind: kRead, addr: e.localAddr(addr), tc: tc, done: done}, false); err != nil {
-		putRespChan(done)
-		return ReadResult{}, err
-	}
-	select {
-	case resp := <-done:
-		putRespChan(done)
-		return ReadResult{Data: resp.read.Data, Hit: resp.read.Hit, Lat: resp.lat}, nil
-	case <-ctx.Done():
-		// Abandoned: the worker still sends into done (see TryWrite).
-		return ReadResult{}, ctx.Err()
-	}
+	resp, err := e.call(ctx, e.ShardOf(addr), request{kind: kRead, addr: e.localAddr(addr), tc: tc}, false)
+	return resp.readResult(), err
 }
 
-// Flush is a full barrier: it waits until every request enqueued before
+// Flush is a full barrier: it waits until every request submitted before
 // the call has executed and every shard's device write queue has drained.
 func (e *Engine) Flush() error {
 	return e.fanout(kFlush, nil)
@@ -434,7 +457,7 @@ func (e *Engine) Flush() error {
 
 // Summary snapshots and merges every shard's counters. It is a barrier
 // like Flush: the snapshot is taken in queue order, so it covers every
-// request enqueued before the call.
+// request submitted before the call.
 func (e *Engine) Summary() (Summary, error) {
 	snaps := make([]Snapshot, len(e.shards))
 	if err := e.fanout(kSnap, snaps); err != nil {

@@ -46,14 +46,33 @@ type response struct {
 	snap  *Snapshot
 }
 
+// readResult is a read response as Engine.Read returns it.
+func (r *response) readResult() ReadResult {
+	return ReadResult{Data: r.read.Data, Hit: r.read.Hit, Lat: r.lat}
+}
+
 // shard is one independent partition: a scheme instance plus its private
-// environment (EFIT, AMT, counter cache, bank group), owned exclusively
-// by its worker goroutine. Fields below the queue are worker-private
-// except flight, stages and coalesced, which are concurrency-safe and
-// read live by the introspection endpoints (no barrier required).
+// environment (EFIT, AMT, counter cache, bank group), with one owner at a
+// time: the worker goroutine while it executes a drained batch, or a
+// caller running its request inline on an idle shard (Engine.start). Fields
+// below own are the owner's alone except flight, stages, coalesced, the
+// op counters and pubStats, which are concurrency-safe and read live by
+// the introspection endpoints (no barrier required).
 type shard struct {
 	id   int
 	reqs chan request
+	// pending counts requests submitted to reqs and not yet executed: it
+	// rises before the send and falls after the worker's batch. A caller
+	// may run inline only while it is zero, so no request overtakes one
+	// submitted before it.
+	pending atomic.Int64
+	// own is the owner lock. The worker holds it around each drained
+	// batch; an inline caller takes it with TryLock, after Engine.mu.
+	own sync.Mutex
+	// inline is the owner's scratch copy of an inline request: exec's
+	// request escapes into the scheme, so a caller-local one would be
+	// heap-allocated per call.
+	inline request
 
 	env      *memctrl.Env
 	sch      memctrl.Scheme
@@ -101,8 +120,8 @@ type shard struct {
 
 // run is the worker loop: it blocks for one request, then drains up to
 // batch-1 more without blocking, optionally coalesces writes, and
-// executes the batch in order. It exits when the queue is closed and
-// fully drained.
+// executes the batch in order under the owner lock. It exits when the
+// queue is closed and fully drained.
 func (s *shard) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	buf := make([]request, 0, s.batch)
@@ -128,6 +147,7 @@ func (s *shard) run(wg *sync.WaitGroup) {
 				break drain
 			}
 		}
+		s.own.Lock()
 		switch {
 		case s.coalesce && len(buf) > 1:
 			superseded = s.markSuperseded(buf, superseded, lastWrite)
@@ -147,9 +167,12 @@ func (s *shard) run(wg *sync.WaitGroup) {
 			}
 		}
 		s.publishStats()
+		s.own.Unlock()
+		s.pending.Add(-int64(len(buf)))
 		if !open {
 			// Queue closed mid-drain: finish anything still buffered in
-			// the channel, then exit.
+			// the channel, then exit. Close holds off inline callers.
+			s.own.Lock()
 			for r := range s.reqs {
 				resp := s.exec(&r)
 				if r.done != nil {
@@ -157,6 +180,7 @@ func (s *shard) run(wg *sync.WaitGroup) {
 				}
 			}
 			s.publishStats()
+			s.own.Unlock()
 			return
 		}
 	}
@@ -379,7 +403,7 @@ func (s *shard) execBatched(buf []request, superseded []bool) {
 
 // publishStats republishes the scheme's counter block for the barrier-free
 // readers (a struct copy under a short mutex; the scheme itself stays
-// worker-private).
+// the owner's).
 func (s *shard) publishStats() {
 	// Publish the device's staged health accounting at the same batch
 	// boundary, so the barrier-free health surface is at most one batch

@@ -9,7 +9,8 @@ import "github.com/esdsim/esd/internal/sim"
 // when something went slow or wrong.
 //
 // Recording is allocation-free and never blocks (see ring). The intended
-// topology is one recorder per shard worker (single writer).
+// topology is one recorder per shard, written only by the shard's owner
+// (single writer).
 type FlightRecorder struct {
 	ring ring[flightRec]
 }

@@ -124,7 +124,10 @@ func labeled(name, labels string) string {
 // emit sampled events. A nil *Sink is fully valid and makes every hook a
 // single-branch no-op — this is the only cost telemetry-off hot paths pay.
 //
-// Hook methods are called by the (single) simulation thread; the registry
+// Hook methods are called by one goroutine at a time: the single thread
+// driving a System, or whichever goroutine owns a shard — its worker, or
+// a caller running a request inline — under that shard's owner lock, so
+// the unsynchronized fields below never see two writers. The registry
 // they update is safe to scrape concurrently.
 type Sink struct {
 	reg    *Registry
@@ -283,7 +286,7 @@ func (s *Sink) Flight() *FlightRecorder {
 // BeginRequest installs the trace context of the request about to enter
 // the scheme; subsequent OnWrite/OnRead events and flight records carry
 // its trace ID. Called by the layer that drives the scheme (System, the
-// controller's replay loop, a shard worker) on the simulation thread.
+// controller's replay loop, a shard's owner) on the simulation thread.
 func (s *Sink) BeginRequest(tc TraceCtx) {
 	if s == nil {
 		return

@@ -115,7 +115,7 @@ func (h *StageHistograms) Snapshot() [NumStages]stats.Histogram {
 
 // TraceCtx is the request-scoped trace context threaded from the serving
 // front end (internal/server assigns the trace ID as the request enters,
-// HTTP or TCP) through the shard worker into the scheme's telemetry hooks,
+// HTTP or TCP) through the shard into the scheme's telemetry hooks,
 // so trace events and flight-recorder entries produced deep in the write
 // path can be joined back to the network request that caused them.
 //
