@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-smoke bench-compare bench-ab bench-check bench-all figures examples serve-smoke cluster-smoke check check-migrate check-cluster fuzz-smoke clean
+.PHONY: all build test race vet overhead-check bench bench-smoke bench-compare bench-ab bench-check bench-all figures examples serve-smoke cluster-smoke check check-migrate check-cluster fuzz-smoke clean
 
 all: build vet test
 
@@ -15,14 +15,25 @@ vet:
 test:
 	$(GO) test ./...
 
-# Same suite under the race detector — what CI runs. Telemetry is
-# scraped over HTTP concurrently with the simulation thread, so the
-# race detector is the gate for any Sink/Registry change. A shard's
-# state is reached from its worker and from callers that run inline on
-# an idle shard, so the shard package runs ten times over.
+# Same suite under the race detector — what CI runs. A scrape publishes
+# staged telemetry while the simulation runs — under the owner's lock
+# when the owner is idle, or by asking the owner to publish — so the race
+# detector is the gate for any Sink/Registry/publication change. A
+# shard's state is reached from its worker and from callers that run
+# inline on an idle shard, so the shard package runs ten times over.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/shard
+
+# Within-run telemetry overhead gate (TestTelemetryOverheadGate): three
+# Systems — telemetry off, metrics, metrics plus the flight recorder —
+# replay one write stream in paired blocks, and metrics+flight must cost
+# at most 1.10x off per write, as a median over rounds. A timing gate:
+# it builds only with the overhead tag, so `go test ./...` (where other
+# packages' tests share the cores) never runs it, and it runs as its own
+# CI step.
+overhead-check:
+	$(GO) test -tags overhead -run '^TestTelemetryOverheadGate$$' -count=1 -v .
 
 # Full test log, as recorded in test_output.txt.
 test-log:

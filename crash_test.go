@@ -165,7 +165,7 @@ func TestCrashAtStepPoints(t *testing.T) {
 						remaining--
 						if remaining == 0 {
 							fired = true
-							sys.Crash()
+							sys.crash() // inside Write, which holds the owner lock
 						}
 					}
 

@@ -27,6 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
+	"time"
 
 	"github.com/esdsim/esd/internal/config"
 	"github.com/esdsim/esd/internal/core"
@@ -183,6 +185,12 @@ func RunExperiment(name string, opts ExperimentOptions) (*stats.Table, error) {
 //
 // A System is not safe for concurrent use.
 type System struct {
+	// own is the owner lock, taken only with telemetry on: every call
+	// that drives the scheme holds it (lock, unlock), so a metrics render
+	// that takes it knows the System is idle and can publish the sink's
+	// staged values itself.
+	own sync.Mutex
+
 	cfg    Config
 	env    *memctrl.Env
 	scheme memctrl.Scheme
@@ -254,10 +262,10 @@ func WithTraceSampling(n int) SystemOption {
 
 // WithFlightRecorder enables the always-on flight recorder: a fixed ring
 // of the last slots requests (their trace ids, outcomes and per-stage
-// latencies), recorded wait-free on the hot path and retrievable at any
-// moment via FlightRecords — the black box to read after something went
-// wrong. slots is rounded up to a power of two; slots <= 0 picks the
-// default (256).
+// latencies), staged in plain memory on the hot path and published when
+// read, so FlightRecords returns every request completed before it — the
+// black box to read after something went wrong. slots is rounded up to a
+// power of two; slots <= 0 picks the default (256).
 func WithFlightRecorder(slots int) SystemOption {
 	return func(o *sysOptions) {
 		if slots <= 0 {
@@ -296,14 +304,26 @@ func NewSystem(cfg Config, scheme string, opts ...SystemOption) (*System, error)
 	if err != nil {
 		return nil, fmt.Errorf("esd: %w", err)
 	}
-	return &System{
+	s := &System{
 		cfg:      cfg,
 		env:      env,
 		scheme:   sch,
 		ctl:      memctrl.NewController(env, sch),
 		tel:      tel,
 		IssueGap: 10 * Nanosecond,
-	}, nil
+	}
+	if tel != nil {
+		tel.Registry().SetPublish(s.publish)
+	}
+	return s, nil
+}
+
+// publish brings the sink's published telemetry — the registry and the
+// flight recorder — up to date for a reader on any goroutine: under the
+// owner lock when the System is idle, or else by the call that holds it,
+// as it returns or, mid-Run, at the replay loop's next record.
+func (s *System) publish() {
+	s.tel.Await(&s.own, time.Now().Add(telemetry.PublishWait))
 }
 
 // Config returns the system configuration.
@@ -320,6 +340,24 @@ func (s *System) tick() Time {
 	return s.now
 }
 
+// lock takes the owner lock for a call that drives the scheme. Without
+// telemetry nothing renders concurrently, so there is nothing to guard.
+func (s *System) lock() {
+	if s.tel != nil {
+		s.own.Lock()
+	}
+}
+
+// unlock ends a call taken with lock. It is the publication point of a
+// System driven call by call: a render waiting on the owner lock is
+// served here, so it lags by at most the call in flight.
+func (s *System) unlock() {
+	if s.tel != nil {
+		s.tel.PublishIfAsked()
+		s.own.Unlock()
+	}
+}
+
 // Write stores a 64-byte line at a logical line address, advancing the
 // internal clock. It returns the scheme's outcome (latency, whether the
 // line was deduplicated, the backing physical line).
@@ -329,6 +367,8 @@ func (s *System) tick() Time {
 // pipeline. Concurrent callers must use NewShardedSystem, which partitions
 // the address space across independently locked shards.
 func (s *System) Write(addr uint64, line Line) WriteOutcome {
+	s.lock()
+	defer s.unlock()
 	at := s.tick()
 	s.reqSeq++
 	s.tel.BeginRequest(telemetry.TraceCtx{TraceID: s.reqSeq, Span: 1, StartNs: int64(at)})
@@ -359,6 +399,8 @@ func (s *System) WriteBatch(ops []WriteBatchOp) {
 	if len(ops) == 0 {
 		return
 	}
+	s.lock()
+	defer s.unlock()
 	if cap(s.batchOps) < len(ops) {
 		s.batchOps = make([]memctrl.BatchWrite, len(ops))
 	}
@@ -382,6 +424,8 @@ func (s *System) WriteBatch(ops []WriteBatchOp) {
 // WriteAt is Write with an explicit arrival time (must not precede the
 // internal clock, which it advances).
 func (s *System) WriteAt(addr uint64, line Line, at Time) WriteOutcome {
+	s.lock()
+	defer s.unlock()
 	if at > s.now {
 		s.now = at
 	}
@@ -401,6 +445,8 @@ func (s *System) WriteAt(addr uint64, line Line, at Time) WriteOutcome {
 // Like Write, Read is NOT safe for concurrent use — see NewShardedSystem
 // for a goroutine-safe front.
 func (s *System) Read(addr uint64) (Line, ReadOutcome) {
+	s.lock()
+	defer s.unlock()
 	at := s.tick()
 	s.reqSeq++
 	s.tel.BeginRequest(telemetry.TraceCtx{TraceID: s.reqSeq, Span: 1, StartNs: int64(at)})
@@ -415,6 +461,8 @@ func (s *System) Read(addr uint64) (Line, ReadOutcome) {
 // metrics. Run may be called once per System; build a fresh System per
 // replay for independent measurements.
 func (s *System) Run(stream Stream) (*RunResult, error) {
+	s.lock()
+	defer s.unlock()
 	return s.ctl.Run(stream)
 }
 
@@ -441,6 +489,14 @@ func (s *System) SetVerifyReads(v bool) { s.ctl.VerifyReads = v }
 // EFIT, predictors, hot-entry caches — is lost. Data written before the
 // crash remains fully readable; deduplication simply restarts cold.
 func (s *System) Crash() {
+	s.lock()
+	defer s.unlock()
+	s.crash()
+}
+
+// crash is Crash for a caller already inside a call that holds the owner
+// lock, such as a step hook firing inside a write.
+func (s *System) crash() {
 	if c, ok := s.scheme.(memctrl.Crasher); ok {
 		c.Crash(s.now)
 	}
@@ -501,8 +557,8 @@ func (s *System) ServeMetrics(addr string, enablePprof bool) (*MetricsServer, er
 		return nil, ErrTelemetryDisabled
 	}
 	opts := telemetry.ServerOptions{Addr: addr, Pprof: enablePprof}
-	if fl := s.tel.Flight(); fl != nil {
-		opts.Flight = fl.Snapshot
+	if s.tel.Flight() != nil {
+		opts.Flight = s.FlightRecords
 	}
 	// The wear/energy half of the document reads under the device's health
 	// lock (and may trail the sim thread by one staged batch); the dedup
@@ -534,11 +590,14 @@ type TraceCtx = telemetry.TraceCtx
 
 // FlightRecords snapshots the flight-recorder ring, oldest first. It
 // returns nil unless the System was built with WithFlightRecorder. Safe to
-// call from any goroutine (the ring is read with atomic snapshots).
+// call from any goroutine: like a metrics render, it first publishes the
+// records the System's calls staged, so it includes every call completed
+// before it.
 func (s *System) FlightRecords() []FlightRecord {
-	if s.tel == nil {
+	if s.tel.Flight() == nil {
 		return nil
 	}
+	s.publish()
 	return s.tel.Flight().Snapshot()
 }
 

@@ -220,7 +220,7 @@ func (s *Server) Status() Status {
 		st.Nodes = append(st.Nodes, row)
 	}
 	hists := r.HopSnapshot()
-	st.FlightRecords = len(r.HopRecords())
+	st.FlightRecords = r.HopRecordsLen()
 	st.Hops = make(map[string]server.StageStatus, len(hists))
 	for i := range hists {
 		h := &hists[i]

@@ -35,6 +35,10 @@ func (r *Router) HopSnapshot() [telemetry.NumHops]stats.Histogram {
 	return r.hops.Snapshot()
 }
 
+// HopRecordsLen returns how many records the router flight recorder
+// holds, without decoding or locking any ring slot.
+func (r *Router) HopRecordsLen() int { return r.flight.Len() }
+
 // HopRecords snapshots the router flight recorder, oldest first.
 func (r *Router) HopRecords() []telemetry.HopRecord {
 	return r.flight.Snapshot()

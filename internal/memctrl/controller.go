@@ -126,7 +126,11 @@ func NewController(env *Env, scheme Scheme) *Controller {
 var ErrReadCorruption = errors.New("memctrl: read returned wrong data")
 
 // Run replays the stream to exhaustion and returns the aggregated result.
+// It owns the Env's telemetry sink while it runs: it publishes the sink
+// after every record a reader has asked for one (Sink.Await) and when it
+// returns.
 func (c *Controller) Run(s trace.Stream) (*RunResult, error) {
+	defer c.env.Tel.Publish()
 	res := &RunResult{SchemeName: c.scheme.Name()}
 	interval := c.scheme.TickInterval()
 	var nextTick sim.Time
@@ -237,6 +241,7 @@ func (c *Controller) Run(s trace.Stream) (*RunResult, error) {
 		doneRing[ringIdx] = done
 		ringIdx = (ringIdx + 1) % maxOut
 		c.env.Tel.OnRunProgress(lag)
+		c.env.Tel.PublishIfAsked()
 		if !measuring {
 			warmLeft--
 			if warmLeft == 0 {

@@ -295,7 +295,7 @@ func (s *Server) Statusz() StatuszResponse {
 		Tracing:         s.eng.TracingEnabled(),
 		SlowThresholdMs: float64(s.cfg.SlowRequestThreshold) / float64(time.Millisecond),
 		SlowRequests:    s.slow.Load(),
-		FlightRecords:   len(s.eng.FlightRecords()),
+		FlightRecords:   s.eng.FlightLen(),
 	}
 	now := time.Now()
 	writes, reads, _ := s.eng.LiveOps()

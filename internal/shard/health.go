@@ -14,14 +14,13 @@ import (
 // views use Summary/Snapshots instead.
 
 // LiveOps returns the engine-wide totals of executed requests: writes,
-// reads, and writes eliminated by deduplication.
+// reads, and writes eliminated by deduplication. They come from the
+// counter blocks the shards republish after every batch and inline
+// request (see LiveSchemeStats), so they trail by at most one batch per
+// shard and cost the write path nothing.
 func (e *Engine) LiveOps() (writes, reads, dedup uint64) {
-	for _, s := range e.shards {
-		writes += s.opWrites.Load()
-		reads += s.opReads.Load()
-		dedup += s.opDedup.Load()
-	}
-	return writes, reads, dedup
+	st := e.LiveSchemeStats()
+	return st.Writes, st.Reads, st.DedupWrites
 }
 
 // LiveSchemeStats merges the per-shard scheme counter blocks that workers

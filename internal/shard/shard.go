@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/esdsim/esd/internal/config"
 	"github.com/esdsim/esd/internal/ecc"
@@ -154,6 +155,7 @@ func New(cfg config.Config, scheme string, opts Options) (*Engine, error) {
 	e := &Engine{cfg: cfg, opts: opts, scheme: scheme}
 	if opts.Metrics {
 		e.reg = telemetry.NewRegistry()
+		e.reg.SetPublish(e.publish)
 	}
 	for i := 0; i < opts.Shards; i++ {
 		env := memctrl.NewEnv(shardCfg)
@@ -178,8 +180,9 @@ func New(cfg config.Config, scheme string, opts Options) (*Engine, error) {
 			batchKernels: opts.BatchKernels,
 			interval:     sch.TickInterval(),
 			flight:       telemetry.NewFlightRecorder(opts.FlightSlots),
+			stages:       env.Tel.Stages(),
 		}
-		if opts.Tracing {
+		if opts.Tracing && s.stages == nil {
 			s.stages = new(telemetry.StageHistograms)
 		}
 		s.nextTick = s.interval
@@ -265,6 +268,16 @@ func (e *Engine) Coalesced() uint64 {
 	return n
 }
 
+// FlightLen returns how many records the shards' flight recorders hold,
+// without decoding or locking any ring slot.
+func (e *Engine) FlightLen() int {
+	n := 0
+	for _, s := range e.shards {
+		n += s.flight.Len()
+	}
+	return n
+}
+
 // FlightRecords snapshots every shard's flight recorder, ordered by shard
 // then by record age. It is safe to call at any time — including with
 // shards wedged mid-request — because recording is wait-free and the dump
@@ -278,14 +291,15 @@ func (e *Engine) FlightRecords() []telemetry.FlightRecord {
 }
 
 // StageSnapshot merges every shard's per-stage write-latency histograms;
-// ok is false when stage tracing is disabled. Like QueueLens it takes no
-// barrier: each histogram is snapshotted under its own mutex while the
-// workers keep running.
+// ok is false when stage tracing is disabled. It takes no barrier: it
+// publishes first (see publish), then snapshots each published histogram
+// under its own mutex while the shards keep running.
 func (e *Engine) StageSnapshot() ([telemetry.NumStages]stats.Histogram, bool) {
 	var out [telemetry.NumStages]stats.Histogram
 	if !e.opts.Tracing {
 		return out, false
 	}
+	e.publish()
 	for _, s := range e.shards {
 		snap := s.stages.Snapshot()
 		for i := range out {
@@ -293,6 +307,24 @@ func (e *Engine) StageSnapshot() ([telemetry.NumStages]stats.Histogram, bool) {
 		}
 	}
 	return out, true
+}
+
+// publish brings every shard's published telemetry up to date before a
+// render (the registry's publish hook, and StageSnapshot). An idle shard
+// is published on the caller's goroutine under its owner lock; a busy
+// one is asked to publish at its next publishStats, which comes at the
+// end of the batch or inline request it is running. All shards are asked
+// before any is waited for, and the wait ends after
+// telemetry.PublishWait, so a shard wedged mid-batch delays a render by
+// that much and then shows the values of its last publication.
+func (e *Engine) publish() {
+	deadline := time.Now().Add(telemetry.PublishWait)
+	for _, s := range e.shards {
+		s.pub.Ask()
+	}
+	for _, s := range e.shards {
+		s.pub.Await(&s.own, s.publishTelemetry, deadline)
+	}
 }
 
 // respChanPool recycles the buffered (capacity 1) response channels a

@@ -55,9 +55,11 @@ func (r *response) readResult() ReadResult {
 // environment (EFIT, AMT, counter cache, bank group), with one owner at a
 // time: the worker goroutine while it executes a drained batch, or a
 // caller running its request inline on an idle shard (Engine.start). Fields
-// below own are the owner's alone except flight, stages, coalesced, the
-// op counters and pubStats, which are concurrency-safe and read live by
-// the introspection endpoints (no barrier required).
+// below own are the owner's alone except flight, stages, coalesced and
+// pubStats, which are concurrency-safe and read live by the
+// introspection endpoints (no barrier required). The telemetry sink
+// (env.Tel) and stages stage their samples in owner memory; a reader gets
+// them published through pub (Engine.publish).
 type shard struct {
 	id   int
 	reqs chan request
@@ -73,6 +75,10 @@ type shard struct {
 	// request escapes into the scheme, so a caller-local one would be
 	// heap-allocated per call.
 	inline request
+	// pub is the publication handshake: a reader that cannot take own
+	// asks, and the owner publishes its telemetry at its next
+	// publishStats.
+	pub telemetry.Publisher
 
 	env      *memctrl.Env
 	sch      memctrl.Scheme
@@ -97,15 +103,10 @@ type shard struct {
 	readHist  stats.Histogram
 	coalesced atomic.Uint64
 
-	// Live op counters, bumped per executed request: the barrier-free
-	// throughput view behind /statusz rates (a wedged shard must not make
-	// the serving endpoints hang on a snapshot barrier).
-	opWrites atomic.Uint64
-	opReads  atomic.Uint64
-	opDedup  atomic.Uint64
 	// pubStats is a copy of the scheme's counter block, republished after
-	// every drained batch; /debug/device reads dedup effectiveness from it
-	// without a barrier.
+	// every drained batch and inline request: the barrier-free view behind
+	// the /statusz rates and /debug/device's dedup effectiveness (a wedged
+	// shard must not make the serving endpoints hang on a barrier).
 	statsMu  sync.Mutex
 	pubStats memctrl.SchemeStats
 
@@ -114,7 +115,9 @@ type shard struct {
 	// by dump endpoints at any time.
 	flight *telemetry.FlightRecorder
 	// stages holds the per-stage latency histograms behind /statusz's
-	// p50/p99 columns (nil unless Options.Tracing).
+	// p50/p99 columns and the sink's stage family: the sink's own set
+	// with Options.Metrics, which the sink records into, a private one
+	// with only Options.Tracing, and nil with neither.
 	stages *telemetry.StageHistograms
 }
 
@@ -247,19 +250,7 @@ func (s *shard) exec(r *request) response {
 		at := s.tick()
 		s.env.Tel.BeginRequest(r.tc)
 		out := s.sch.Write(r.addr, &r.line, at)
-		if out.Done > s.now {
-			s.now = out.Done
-		}
-		lat := out.Done - at
-		s.opWrites.Add(1)
-		if out.Deduplicated {
-			s.opDedup.Add(1)
-		}
-		s.writeHist.Record(lat)
-		st := telemetry.StagesFromBreakdown(&out.Breakdown)
-		s.stages.Observe(&st)
-		s.flight.RecordWrite(s.id, r.tc, r.addr, out.PhysAddr, out.Deduplicated, at, lat, &st)
-		return response{write: out, lat: lat}
+		return response{write: out, lat: s.recordWrite(r.tc, r.addr, &out, at)}
 	case kRead:
 		out, lat := s.read(r.addr, r.tc)
 		return response{read: out, lat: lat}
@@ -285,19 +276,7 @@ func (s *shard) exec(r *request) response {
 		memctrl.WriteBatch(s.sch, b.ops)
 		for i := range b.ops {
 			op := &b.ops[i]
-			if op.Out.Done > s.now {
-				s.now = op.Out.Done
-			}
-			lat := op.Out.Done - op.At
-			b.lats[i] = lat
-			s.opWrites.Add(1)
-			if op.Out.Deduplicated {
-				s.opDedup.Add(1)
-			}
-			s.writeHist.Record(lat)
-			st := telemetry.StagesFromBreakdown(&op.Out.Breakdown)
-			s.stages.Observe(&st)
-			s.flight.RecordWrite(s.id, r.tc, op.Logical, op.Out.PhysAddr, op.Out.Deduplicated, op.At, lat, &st)
+			b.lats[i] = s.recordWrite(r.tc, op.Logical, &op.Out, op.At)
 		}
 		// Outcomes travel in the sub-batch itself; the done send is the
 		// publication barrier.
@@ -312,6 +291,26 @@ func (s *shard) exec(r *request) response {
 	}
 }
 
+// recordWrite is the owner's bookkeeping for one completed write, shared
+// by every path that executes one: the clock catches up to the
+// completion, and the latency histogram, stage histograms and flight
+// recorder take the outcome. It returns the write's latency.
+func (s *shard) recordWrite(tc telemetry.TraceCtx, addr uint64, out *memctrl.WriteOutcome, at sim.Time) sim.Time {
+	if out.Done > s.now {
+		s.now = out.Done
+	}
+	lat := out.Done - at
+	s.writeHist.Record(lat)
+	st := telemetry.StagesFromBreakdown(&out.Breakdown)
+	if s.env.Tel == nil {
+		// With metrics on, the sink's OnWrite has recorded st into this
+		// same set.
+		s.stages.Observe(&st)
+	}
+	s.flight.RecordWrite(s.id, tc, addr, out.PhysAddr, out.Deduplicated, at, lat, &st)
+	return lat
+}
+
 // read runs one read on the shard's scheme: the body of both a scalar
 // kRead and every op of a kReadBatch.
 func (s *shard) read(addr uint64, tc telemetry.TraceCtx) (memctrl.ReadOutcome, sim.Time) {
@@ -322,7 +321,6 @@ func (s *shard) read(addr uint64, tc telemetry.TraceCtx) (memctrl.ReadOutcome, s
 		s.now = out.Done
 	}
 	lat := out.Done - at
-	s.opReads.Add(1)
 	s.readHist.Record(lat)
 	s.flight.RecordRead(s.id, tc, addr, out.Hit, at, lat)
 	return out, lat
@@ -350,19 +348,7 @@ func (s *shard) execBatched(buf []request, superseded []bool) {
 		memctrl.WriteBatch(s.sch, ops)
 		for k, i := range run {
 			op := &ops[k]
-			if op.Out.Done > s.now {
-				s.now = op.Out.Done
-			}
-			lat := op.Out.Done - op.At
-			s.opWrites.Add(1)
-			if op.Out.Deduplicated {
-				s.opDedup.Add(1)
-			}
-			s.writeHist.Record(lat)
-			st := telemetry.StagesFromBreakdown(&op.Out.Breakdown)
-			s.stages.Observe(&st)
-			s.flight.RecordWrite(s.id, buf[i].tc, buf[i].addr, op.Out.PhysAddr, op.Out.Deduplicated, op.At, lat, &st)
-			resp := response{write: op.Out, lat: lat}
+			resp := response{write: op.Out, lat: s.recordWrite(buf[i].tc, buf[i].addr, &op.Out, op.At)}
 			if waiters != nil {
 				for _, ch := range waiters[buf[i].addr] {
 					ch <- resp
@@ -403,7 +389,8 @@ func (s *shard) execBatched(buf []request, superseded []bool) {
 
 // publishStats republishes the scheme's counter block for the barrier-free
 // readers (a struct copy under a short mutex; the scheme itself stays
-// the owner's).
+// the owner's), and the staged telemetry when a reader has asked for it.
+// The owner calls it after every drained batch and inline request.
 func (s *shard) publishStats() {
 	// Publish the device's staged health accounting at the same batch
 	// boundary, so the barrier-free health surface is at most one batch
@@ -413,6 +400,17 @@ func (s *shard) publishStats() {
 	s.statsMu.Lock()
 	s.pubStats = st
 	s.statsMu.Unlock()
+	if s.pub.Asked() {
+		s.publishTelemetry()
+		s.pub.Served()
+	}
+}
+
+// publishTelemetry folds the sink's and the stage histograms' staged
+// samples into their published copies (owner only).
+func (s *shard) publishTelemetry() {
+	s.env.Tel.Publish()
+	s.stages.Publish()
 }
 
 func (s *shard) tick() sim.Time {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -25,6 +26,11 @@ const histDecades = 7
 
 const histBuckets = histBucketsPerDecade*histDecades + 2 // underflow+overflow
 
+// overflowBucket holds every sample at or above 10^7 ns, the top of the
+// range. It has no finite upper bound: percentiles that land in it report
+// the exact maximum, and exposition counts it only in the total.
+const overflowBucket = histBuckets - 1
+
 // Histogram is a log-bucketed latency histogram. The zero value is ready
 // to use.
 type Histogram struct {
@@ -35,19 +41,68 @@ type Histogram struct {
 	max    sim.Time
 }
 
-func bucketOf(t sim.Time) int {
+// bucketLog10 is the bucketing rule: bucket 0 takes everything below
+// 1 ns, bucket b >= 1 the samples whose log10(ns), scaled by the buckets
+// per decade, truncates to b-1, and the overflow bucket the rest.
+// bucketOf computes the same function from a threshold table.
+func bucketLog10(t sim.Time) int {
 	ns := t.Nanoseconds()
 	if ns < 1 {
 		return 0
 	}
 	b := 1 + int(math.Log10(ns)*histBucketsPerDecade)
 	if b >= histBuckets {
-		return histBuckets - 1
+		return overflowBucket
 	}
 	return b
 }
 
-// bucketUpper returns the upper latency bound of bucket b.
+// bucketFloor[b] is the smallest time that bucketLog10 puts in bucket b
+// or above (b >= 1); bucketFloor[0] is unused.
+//
+// bucketStart[k] is the bucket of 2^(k-1) ps, the smallest time whose
+// bit length is k: every time with bit length k falls in bucketStart[k]
+// or one of the next few buckets (a power of two spans under 10).
+var bucketFloor, bucketStart = bucketTables()
+
+func bucketTables() (floor [histBuckets]sim.Time, start [65]uint8) {
+	for b := 1; b < histBuckets; b++ {
+		// The smallest t with bucketLog10(t) >= b, by binary search over
+		// the monotone rule; TestBucketOfMatchesLog10 checks the result
+		// against the rule itself.
+		lo, hi := floor[b-1], sim.Time(math.MaxInt64)
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if bucketLog10(mid) >= b {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		floor[b] = lo
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] = uint8(bucketLog10(sim.Time(uint64(1) << (k - 1))))
+	}
+	return floor, start
+}
+
+// bucketOf returns the bucket t lands in: the bucket of the smallest time
+// with t's bit length, then a short forward scan over the floor table.
+// It equals bucketLog10 for every t, for a fraction of the cost.
+func bucketOf(t sim.Time) int {
+	if t < bucketFloor[1] {
+		return 0
+	}
+	b := int(bucketStart[bits.Len64(uint64(t))])
+	for b < overflowBucket && t >= bucketFloor[b+1] {
+		b++
+	}
+	return b
+}
+
+// bucketUpper returns the upper latency bound of bucket b (the overflow
+// bucket's is nominal: see Histogram.upper).
 func bucketUpper(b int) sim.Time {
 	if b <= 0 {
 		return 1 * sim.Nanosecond
@@ -56,20 +111,39 @@ func bucketUpper(b int) sim.Time {
 	return sim.Time(ns * float64(sim.Nanosecond))
 }
 
+// upper is the latency a percentile or CDF point in bucket b reports: the
+// bucket's upper bound clamped to the observed extremes, or the exact
+// maximum for the overflow bucket, whose nominal bound (10.75 ms) would
+// understate every sample in it.
+func (h *Histogram) upper(b int) sim.Time {
+	if b == overflowBucket {
+		return h.max
+	}
+	return min(max(bucketUpper(b), h.min), h.max)
+}
+
 // Record adds one latency observation.
-func (h *Histogram) Record(t sim.Time) {
+func (h *Histogram) Record(t sim.Time) { h.RecordN(t, 1) }
+
+// RecordN adds n observations of the same latency t: the histogram n
+// calls of Record would build, since every latency is a whole number of
+// picoseconds and float64 sums them exactly below 2^53 ps.
+func (h *Histogram) RecordN(t sim.Time, n uint64) {
+	if n == 0 {
+		return
+	}
 	if t < 0 {
 		t = 0
 	}
-	h.counts[bucketOf(t)]++
+	h.counts[bucketOf(t)] += n
 	if h.n == 0 || t < h.min {
 		h.min = t
 	}
 	if t > h.max {
 		h.max = t
 	}
-	h.n++
-	h.sum += float64(t)
+	h.n += n
+	h.sum += float64(t) * float64(n)
 }
 
 // Count returns the number of observations.
@@ -78,12 +152,14 @@ func (h *Histogram) Count() uint64 { return h.n }
 // Sum returns the summed latency of all observations in picoseconds.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// EachBucket calls fn for every non-empty bucket in latency order with the
-// bucket's upper latency bound and its (non-cumulative) count, stopping
-// early if fn returns false. Exposition formats (e.g. Prometheus histogram
-// text) are built on this without touching the internal layout.
+// EachBucket calls fn for every non-empty bucket of the finite range in
+// latency order with the bucket's upper latency bound and its
+// (non-cumulative) count, stopping early if fn returns false. Samples at
+// or above 10^7 ns have no finite bucket: only Count includes them, as
+// Prometheus's le="+Inf" bucket does. Exposition formats are built on this
+// without touching the internal layout.
 func (h *Histogram) EachBucket(fn func(upper sim.Time, count uint64) bool) {
-	for b := 0; b < histBuckets; b++ {
+	for b := 0; b < overflowBucket; b++ {
 		if h.counts[b] == 0 {
 			continue
 		}
@@ -108,7 +184,8 @@ func (h *Histogram) Min() sim.Time { return h.min }
 func (h *Histogram) Max() sim.Time { return h.max }
 
 // Percentile returns the latency at quantile p in [0, 1], approximated by
-// the bucket upper bound. The exact min/max are used at the extremes.
+// the bucket upper bound. The exact min/max are used at the extremes, and
+// for a quantile above the histogram's range.
 func (h *Histogram) Percentile(p float64) sim.Time {
 	if h.n == 0 {
 		return 0
@@ -124,14 +201,7 @@ func (h *Histogram) Percentile(p float64) sim.Time {
 	for b := 0; b < histBuckets; b++ {
 		cum += h.counts[b]
 		if cum >= target {
-			u := bucketUpper(b)
-			if u > h.max {
-				u = h.max
-			}
-			if u < h.min {
-				u = h.min
-			}
-			return u
+			return h.upper(b)
 		}
 	}
 	return h.max
@@ -156,11 +226,7 @@ func (h *Histogram) CDF() []CDFPoint {
 			continue
 		}
 		cum += h.counts[b]
-		u := bucketUpper(b)
-		if u > h.max {
-			u = h.max
-		}
-		out = append(out, CDFPoint{Latency: u, Frac: float64(cum) / float64(h.n)})
+		out = append(out, CDFPoint{Latency: h.upper(b), Frac: float64(cum) / float64(h.n)})
 	}
 	return out
 }

@@ -277,3 +277,88 @@ func TestRenderCSV(t *testing.T) {
 		t.Fatal("CSV contains the display title")
 	}
 }
+
+// TestBucketOfMatchesLog10 holds the table lookup to the log10 rule it
+// replaces: every time up to 3 µs, every bucket floor ±3 ps, and random
+// times over the whole int64 range, negatives included.
+func TestBucketOfMatchesLog10(t *testing.T) {
+	check := func(ts sim.Time) {
+		if got, want := bucketOf(ts), bucketLog10(ts); got != want {
+			t.Fatalf("bucketOf(%d) = %d, log10 rule says %d", ts, got, want)
+		}
+	}
+	for ts := sim.Time(0); ts <= 3_000_000; ts++ {
+		check(ts)
+	}
+	for b := 1; b < histBuckets; b++ {
+		for d := sim.Time(-3); d <= 3; d++ {
+			check(bucketFloor[b] + d)
+		}
+	}
+	r := xrand.New(7)
+	for i := 0; i < 5_000_000; i++ {
+		check(sim.Time(r.Uint64()))
+	}
+}
+
+// TestHistogramOverflowReportsMax covers samples above the histogram's
+// 10^7 ns range, such as a wall-clock hop after a 2 s timeout: their
+// percentiles report the exact maximum, not the overflow bucket's nominal
+// 10.75 ms bound, and EachBucket leaves them to the total count.
+func TestHistogramOverflowReportsMax(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 10; i++ {
+		h.Record(2 * sim.Second)
+	}
+	for _, p := range []float64{0.5, 0.99} {
+		if got := h.Percentile(p); got != 2*sim.Second {
+			t.Errorf("P%v = %v, want 2s", p*100, got)
+		}
+	}
+	if cdf := h.CDF(); len(cdf) != 1 || cdf[0].Latency != 2*sim.Second {
+		t.Errorf("CDF = %+v, want one point at 2s", cdf)
+	}
+	h.EachBucket(func(upper sim.Time, n uint64) bool {
+		t.Errorf("EachBucket visited (%v, %d) for samples above the range", upper, n)
+		return true
+	})
+
+	// Mixed: the body stays bucketed, the tail reports the maximum.
+	h.Record(100 * sim.Nanosecond)
+	for i := 0; i < 89; i++ {
+		h.Record(100 * sim.Nanosecond)
+	}
+	if p50 := h.Percentile(0.5); p50 > 110*sim.Nanosecond {
+		t.Errorf("P50 = %v, want about 100ns", p50)
+	}
+	if p99 := h.Percentile(0.99); p99 != 2*sim.Second {
+		t.Errorf("P99 = %v, want 2s", p99)
+	}
+	var finite uint64
+	h.EachBucket(func(_ sim.Time, n uint64) bool { finite += n; return true })
+	if finite != 90 || h.Count() != 100 {
+		t.Errorf("finite buckets hold %d of %d, want 90 of 100", finite, h.Count())
+	}
+}
+
+func BenchmarkBucketOf(b *testing.B) {
+	ts := make([]sim.Time, 1024)
+	r := xrand.New(1)
+	for i := range ts {
+		ts[i] = sim.Time(50 * math.Exp(r.Float64()*4.6) * float64(sim.Nanosecond))
+	}
+	b.Run("table", func(b *testing.B) {
+		s := 0
+		for i := 0; i < b.N; i++ {
+			s += bucketOf(ts[i&1023])
+		}
+		_ = s
+	})
+	b.Run("log10", func(b *testing.B) {
+		s := 0
+		for i := 0; i < b.N; i++ {
+			s += bucketLog10(ts[i&1023])
+		}
+		_ = s
+	})
+}

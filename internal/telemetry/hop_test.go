@@ -1,9 +1,12 @@
 package telemetry
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/esdsim/esd/internal/sim"
 )
 
 // Nil-receiver no-op audit: every HopRecorder and HopHistograms method
@@ -176,5 +179,53 @@ func TestHopHistogramsObserve(t *testing.T) {
 	}
 	if snap[HopHedge].Count() != 0 {
 		t.Errorf("hedge count = %d, want 0", snap[HopHedge].Count())
+	}
+}
+
+// TestHopHistogramAboveRange covers wall-clock hops longer than the
+// histogram's 10.75 ms top bucket, such as an attempt that ran into the
+// 2 s request timeout: the router's /statusz and esdtop read their p50 and
+// p99 from Percentile, which must report the samples, not the bucket's
+// bound, and the Prometheus exposition must count them only under +Inf.
+func TestHopHistogramAboveRange(t *testing.T) {
+	var h HopHistograms
+	h.Observe(HopAttempt, time.Microsecond)
+	for i := 0; i < 5; i++ {
+		h.Observe(HopAttempt, 2*time.Second)
+	}
+	snap := h.Snapshot()[HopAttempt]
+	for _, p := range []float64{0.5, 0.99} {
+		if got := snap.Percentile(p); got != 2*sim.Second {
+			t.Errorf("hop P%v = %v, want 2s", p*100, got)
+		}
+	}
+
+	reg := NewRegistry()
+	th := reg.Histogram("t_hop_ns", "hop latency")
+	for i := 0; i < 5; i++ {
+		th.Observe(2 * sim.Second)
+	}
+	th.Observe(100 * sim.Nanosecond)
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if strings.Contains(out, `le="1.075e+07"`) {
+		t.Errorf("samples above the range exposed under the overflow bucket's nominal bound:\n%s", out)
+	}
+	var finite []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "t_hop_ns_bucket{") && !strings.Contains(line, "+Inf") {
+			finite = append(finite, line)
+		}
+	}
+	if len(finite) != 1 || !strings.HasSuffix(finite[0], "} 1") {
+		t.Errorf("finite buckets %q, want only the 100 ns sample's", finite)
+	}
+	for _, want := range []string{`t_hop_ns_bucket{le="+Inf"} 6`, "t_hop_ns_count 6"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
 	}
 }

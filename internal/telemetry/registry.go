@@ -1,16 +1,20 @@
 // Package telemetry is the simulator's observability substrate: a
-// low-overhead metrics registry (atomic counters, gauges and log-bucketed
-// latency histograms) with Prometheus text-format and expvar-style JSON
-// exposition, a sampled structured event tracer for the write path
-// (JSONL and Chrome trace_event export), and an opt-in HTTP server that
-// serves the metrics plus net/http/pprof.
+// metrics registry (counters, gauges and log-bucketed latency histograms)
+// with Prometheus text-format and expvar-style JSON exposition, a sampled
+// structured event tracer for the write path (JSONL and Chrome
+// trace_event export), and an opt-in HTTP server that serves the metrics
+// plus net/http/pprof.
 //
-// The simulator itself is single-threaded, but the HTTP endpoint scrapes
-// metrics live while a run is in flight, so every metric primitive is safe
-// for concurrent use: counters and gauges are atomics, histograms take a
-// mutex per observation. The per-layer hooks are reached through a nil-safe
-// *Sink (see sink.go), so with telemetry off the hot path pays exactly one
-// predictable branch per instrumentation point.
+// Hot paths do not write the registry. The per-layer hooks reach a
+// nil-safe *Sink (see sink.go), so with telemetry off an instrumentation
+// point costs one predictable branch; with it on, the Sink stages each
+// sample in plain memory that only its owner writes — the goroutine
+// driving a System, or a shard's owner — with no lock or atomic per
+// sample. The registry holds the published copy: a render first runs the
+// registry's publish hook, which folds the staged values in under the
+// owner's lock (see Publisher), so what a scrape reads is safe for
+// concurrent use: counters and gauges are atomics, and a histogram takes
+// its mutex only to publish or snapshot.
 package telemetry
 
 import (
@@ -94,8 +98,10 @@ func (g *Gauge) Value() int64 {
 }
 
 // TimeHistogram is a concurrency-safe latency histogram reusing the
-// log-bucketed stats.Histogram underneath: the simulation thread records,
-// the scrape goroutine snapshots under the same mutex.
+// log-bucketed stats.Histogram underneath. A staging owner replaces its
+// contents at each publication (store); writers that share one histogram,
+// such as the router's hop spans, record with Observe. Either way the
+// scrape goroutine snapshots under the same mutex.
 type TimeHistogram struct {
 	name string
 	help string
@@ -103,13 +109,24 @@ type TimeHistogram struct {
 	h    stats.Histogram
 }
 
-// Observe records one latency sample.
+// Observe records one latency sample under the mutex: the path for
+// histograms with several concurrent writers.
 func (t *TimeHistogram) Observe(d sim.Time) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.h.Record(d)
+	t.mu.Unlock()
+}
+
+// store publishes an owner's staged histogram, which only grows, so an
+// unchanged count means there is nothing to copy.
+func (t *TimeHistogram) store(h *stats.Histogram) {
+	t.mu.Lock()
+	if t.h.Count() != h.Count() {
+		t.h = *h
+	}
 	t.mu.Unlock()
 }
 
@@ -147,15 +164,16 @@ func (f *FloatFunc) Value() float64 {
 func (f *FloatFunc) Name() string { return f.name }
 
 // Registry holds the metric set of one telemetry instance. Metrics are
-// registered once (at Sink construction) and then only read or bumped, so
-// the registry lock is uncontended in steady state.
+// registered once (at Sink construction) and then only read or published,
+// so the registry lock is uncontended in steady state.
 type Registry struct {
-	mu     sync.RWMutex
-	order  []string // registration order of metric names
-	ctrs   map[string]*Counter
-	gauges map[string]*Gauge
-	hists  map[string]*TimeHistogram
-	funcs  map[string]*FloatFunc
+	mu      sync.RWMutex
+	publish func()   // brings staged values in before a render (SetPublish)
+	order   []string // registration order of metric names
+	ctrs    map[string]*Counter
+	gauges  map[string]*Gauge
+	hists   map[string]*TimeHistogram
+	funcs   map[string]*FloatFunc
 }
 
 // NewRegistry returns an empty registry.
@@ -165,6 +183,25 @@ func NewRegistry() *Registry {
 		gauges: make(map[string]*Gauge),
 		hists:  make(map[string]*TimeHistogram),
 		funcs:  make(map[string]*FloatFunc),
+	}
+}
+
+// SetPublish installs the hook every render (WritePrometheus, WriteJSON)
+// runs first: the owner of the sinks feeding this registry folds their
+// staged values in, so a render shows them. Set it once, at construction.
+func (r *Registry) SetPublish(fn func()) {
+	r.mu.Lock()
+	r.publish = fn
+	r.mu.Unlock()
+}
+
+// publishStaged runs the publish hook, if any, outside the registry lock.
+func (r *Registry) publishStaged() {
+	r.mu.RLock()
+	fn := r.publish
+	r.mu.RUnlock()
+	if fn != nil {
+		fn()
 	}
 }
 
@@ -243,6 +280,7 @@ func (r *Registry) FloatFunc(name, help string, fn func() float64) *FloatFunc {
 // sharded engine registers one metric set per shard): the format requires
 // all samples of a family to be contiguous.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	r.publishStaged()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var famOrder []string
@@ -329,6 +367,7 @@ func writePromHistogram(w io.Writer, name string, th *TimeHistogram) error {
 	h := th.Snapshot()
 	var cum uint64
 	var err error
+	// Samples above the histogram's range appear only in the +Inf bucket.
 	h.EachBucket(func(upper sim.Time, count uint64) bool {
 		cum += count
 		_, err = fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", fam, inner, upper.Nanoseconds(), cum)
@@ -359,6 +398,7 @@ func writePromHistogram(w io.Writer, name string, th *TimeHistogram) error {
 // at /debug/vars on the telemetry server without touching the process-wide
 // expvar registry (which would collide across Systems).
 func (r *Registry) WriteJSON(w io.Writer) error {
+	r.publishStaged()
 	r.mu.RLock()
 	names := append([]string(nil), r.order...)
 	r.mu.RUnlock()

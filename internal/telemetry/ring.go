@@ -57,18 +57,31 @@ func (r *ring[T]) held() int {
 	return int(n)
 }
 
-// put appends one record; a slot held by a concurrent snapshot drops it
-// (the sequence number shows up as a gap).
-func (r *ring[T]) put(rec T) {
+// claim takes the next sequence number and returns its slot locked, for
+// the writer to fill in place and unlock. It returns nil when a
+// concurrent snapshot holds the slot: the record is dropped, and its
+// sequence number shows up as a gap.
+func (r *ring[T]) claim() *ringSlot[T] {
 	n := r.seq.Add(1)
 	s := &r.slots[n&r.mask]
 	if !s.mu.TryLock() {
-		return
+		return nil
 	}
 	s.seq = n
-	s.rec = rec
-	s.mu.Unlock()
+	return s
 }
+
+// put appends one record (see claim).
+func (r *ring[T]) put(rec T) {
+	if s := r.claim(); s != nil {
+		s.rec = rec
+		s.mu.Unlock()
+	}
+}
+
+// skip advances the sequence past n records that were never put, as if
+// each had been put and then overwritten by the records put after it.
+func (r *ring[T]) skip(n uint64) { r.seq.Add(n) }
 
 // snapshot calls emit with a copy of every live record, oldest first. It
 // may run concurrently with writers: a slot overwritten between the

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"strings"
+	"sync"
+	"time"
 
 	"github.com/esdsim/esd/internal/sim"
 	"github.com/esdsim/esd/internal/stats"
@@ -99,7 +101,9 @@ type Options struct {
 	// that share a Registry.
 	Labels string
 	// Flight, when non-nil, receives one flight record per write/read the
-	// sink observes (the single-System wiring; the sharded engine records
+	// sink observes, staged like the metrics and moved into the recorder
+	// when the sink publishes, so a dump shows them after the next
+	// publication (the single-System wiring; the sharded engine records
 	// from its workers instead, so per-shard sinks leave this nil).
 	Flight *FlightRecorder
 }
@@ -120,72 +124,110 @@ func labeled(name, labels string) string {
 }
 
 // Sink is the per-System telemetry hub: the layers of the request path
-// call its hook methods, which bump registry metrics and (when tracing)
-// emit sampled events. A nil *Sink is fully valid and makes every hook a
-// single-branch no-op — this is the only cost telemetry-off hot paths pay.
+// call its hook methods, which stage counts and latencies and (when
+// tracing) emit sampled events. A nil *Sink is fully valid and makes every
+// hook a single-branch no-op — this is the only cost telemetry-off hot
+// paths pay.
 //
-// Hook methods are called by one goroutine at a time: the single thread
-// driving a System, or whichever goroutine owns a shard — its worker, or
-// a caller running a request inline — under that shard's owner lock, so
-// the unsynchronized fields below never see two writers. The registry
-// they update is safe to scrape concurrently.
+// A sink has one owner at a time: the goroutine driving a System (under
+// the System's owner lock), the controller's replay loop, or whichever
+// goroutine owns a shard — its worker, or a caller running a request
+// inline — under that shard's owner lock. The hooks stage into plain
+// fields that only the owner writes, with no lock or atomic per sample;
+// Publish, also the owner's, folds them into the registry, which is safe
+// to scrape concurrently. Readers get a publication through the owner's
+// Publisher (see Await), so a scrape shows every request completed
+// before it, except while the owner is wedged mid-batch.
 type Sink struct {
-	reg    *Registry
-	tracer *Tracer
-	flight *FlightRecorder
-	sample uint64
-	labels string
-	nSeen  uint64   // write/read events considered for sampling (sim thread only)
-	cur    TraceCtx // current request's trace context (sim thread only)
+	// The owner's staging, packed so one write's hooks touch few cache
+	// lines: the small fields first, then the latency histograms.
+	n  [numCounts]uint64 // staged counters, indexed by the c* slots
+	lv [numLevels]int64  // staged gauges, indexed by the l* slots
+	// stages is the stage vectors' staging set, published into stageLat.
+	// A shard engine shares it with the shard (Stages), so the shard's
+	// stage histograms and this family record each write once.
+	stages   *StageHistograms
+	flight   flightStage
+	tracer   *Tracer
+	cur      TraceCtx // current request's trace context
+	nSeen    uint64   // write/read events considered for sampling
+	sample   uint64
+	writeLat stats.Histogram
+	readLat  stats.Histogram
 
-	writes    *Counter
-	reads     *Counter
-	dedup     *Counter
-	unique    *Counter
-	decisions [numDecisions]*Counter
-
-	compareReads *Counter
-	compareMism  *Counter
-	bytesSaved   *Counter
-
-	writeLat *TimeHistogram
-	readLat  *TimeHistogram
+	reg      *Registry
+	labels   string
+	pub      Publisher
+	ctr      [numCounts]*Counter
+	done     [numCounts]uint64 // n as last published
+	gauges   [numLevels]*Gauge
+	probes   []*CacheProbe
+	writeT   *TimeHistogram
+	readT    *TimeHistogram
 	stageLat [NumStages]*TimeHistogram
+}
 
-	efitInserts *Counter
-	efitEvicts  *Counter
-	efitEntries *Gauge
-	amtHits     *Counter
-	amtMisses   *Counter
-	amtWB       *Counter
+// Staged counter slots of Sink.n.
+const (
+	cWrites = iota
+	cReads
+	cDedup
+	cUnique
+	cCompareReads
+	cCompareMism
+	cBytesSaved
+	cEFITInserts
+	cEFITEvicts
+	cAMTHits
+	cAMTMisses
+	cAMTWB
+	cDevReads
+	cDevWrites
+	cDevRowHits
+	cGapMoves
+	cEncrypts
+	cDecrypts
+	cCtrOverflows
+	cReencrypts
+	cCrashes
+	cEvents
+	cRunReqs
+	cDecision // cDecision+d-1 counts decision d (DecNone has no slot)
+	numCounts = cDecision + int(numDecisions) - 1
+)
 
-	devReads   *Counter
-	devWrites  *Counter
-	devRowHits *Counter
-	gapMoves   *Counter
+// Staged gauge slots of Sink.lv.
+const (
+	lEFITEntries = iota
+	lSimNow
+	lRunStalled
+	numLevels
+)
 
-	encrypts     *Counter
-	decrypts     *Counter
-	ctrOverflows *Counter
-	reencrypts   *Counter
-
-	crashes    *Counter
-	events     *Counter
-	simNow     *Gauge
-	runReqs    *Counter
-	runStalled *Gauge
+// publishCounts adds to each registry counter what its staged count
+// gained since the last publication, so sinks sharing a counter each
+// contribute their own part.
+func publishCounts(n, done []uint64, ctr []*Counter) {
+	for i := range n {
+		if n[i] != done[i] {
+			ctr[i].Add(n[i] - done[i])
+			done[i] = n[i]
+		}
+	}
 }
 
 // NewSink builds a live sink. Without Options.Registry it owns a private
 // registry; with one, its metrics (suffixed by Options.Labels) join the
-// shared registry.
+// shared registry. Either way the registry shows the sink's counts only
+// once the owner publishes them (Publish, Await).
 func NewSink(opts Options) *Sink {
 	s := &Sink{
 		reg:    opts.Registry,
 		tracer: opts.Tracer,
-		flight: opts.Flight,
+		flight: newFlightStage(opts.Flight),
 		sample: uint64(opts.SampleEvery),
 		labels: opts.Labels,
+		stages: new(StageHistograms),
 	}
 	if s.reg == nil {
 		s.reg = NewRegistry()
@@ -193,49 +235,53 @@ func NewSink(opts Options) *Sink {
 	if s.sample < 1 {
 		s.sample = 1
 	}
-	ctr := func(name, help string) *Counter { return s.reg.Counter(labeled(name, s.labels), help) }
-	gauge := func(name, help string) *Gauge { return s.reg.Gauge(labeled(name, s.labels), help) }
-	hist := func(name, help string) *TimeHistogram { return s.reg.Histogram(labeled(name, s.labels), help) }
-	s.writes = ctr("esd_writes_total", "dirty-eviction writes handled by the scheme")
-	s.reads = ctr("esd_reads_total", "demand reads served")
-	s.dedup = ctr("esd_dedup_writes_total", "writes eliminated by deduplication")
-	s.unique = ctr("esd_unique_writes_total", "lines written to NVMM as unique content")
+	ctr := func(slot int, name, help string) {
+		s.ctr[slot] = s.reg.Counter(labeled(name, s.labels), help)
+	}
+	gauge := func(slot int, name, help string) {
+		s.gauges[slot] = s.reg.Gauge(labeled(name, s.labels), help)
+	}
+	histo := func(name, help string) *TimeHistogram { return s.reg.Histogram(labeled(name, s.labels), help) }
+	ctr(cWrites, "esd_writes_total", "dirty-eviction writes handled by the scheme")
+	ctr(cReads, "esd_reads_total", "demand reads served")
+	ctr(cDedup, "esd_dedup_writes_total", "writes eliminated by deduplication")
+	ctr(cUnique, "esd_unique_writes_total", "lines written to NVMM as unique content")
 	for d := Decision(1); d < numDecisions; d++ {
-		s.decisions[d] = ctr(
+		ctr(cDecision+int(d)-1,
 			`esd_write_decision_total{decision="`+d.String()+`"}`,
 			"write-path decisions by verdict")
 	}
-	s.writeLat = hist("esd_write_latency_ns", "CPU-visible write latency (simulated)")
-	s.readLat = hist("esd_read_latency_ns", "CPU-visible read latency (simulated)")
+	s.writeT = histo("esd_write_latency_ns", "CPU-visible write latency (simulated)")
+	s.readT = histo("esd_read_latency_ns", "CPU-visible read latency (simulated)")
 	for st := Stage(0); int(st) < NumStages; st++ {
-		s.stageLat[st] = hist(
+		s.stageLat[st] = histo(
 			`esd_stage_latency_ns{stage="`+st.String()+`"}`,
 			"write latency by pipeline stage")
 	}
 
-	s.efitInserts = ctr("esd_efit_inserts_total", "fingerprint entries installed in the EFIT")
-	s.efitEvicts = ctr("esd_efit_evictions_total", "EFIT entries displaced by the LRCU policy")
-	s.efitEntries = gauge("esd_efit_entries", "live EFIT entries")
-	s.amtHits = ctr("esd_amt_cache_hits_total", "AMT SRAM cache hits")
-	s.amtMisses = ctr("esd_amt_cache_misses_total", "AMT SRAM cache misses (NVMM bucket fetch)")
-	s.amtWB = ctr("esd_amt_writebacks_total", "dirty AMT entries written back to NVMM")
+	ctr(cEFITInserts, "esd_efit_inserts_total", "fingerprint entries installed in the EFIT")
+	ctr(cEFITEvicts, "esd_efit_evictions_total", "EFIT entries displaced by the LRCU policy")
+	gauge(lEFITEntries, "esd_efit_entries", "live EFIT entries")
+	ctr(cAMTHits, "esd_amt_cache_hits_total", "AMT SRAM cache hits")
+	ctr(cAMTMisses, "esd_amt_cache_misses_total", "AMT SRAM cache misses (NVMM bucket fetch)")
+	ctr(cAMTWB, "esd_amt_writebacks_total", "dirty AMT entries written back to NVMM")
 
-	s.devReads = ctr("esd_device_reads_total", "PCM media reads")
-	s.devWrites = ctr("esd_device_writes_total", "PCM media writes (data and metadata)")
-	s.devRowHits = ctr("esd_device_row_hits_total", "row-buffer hits")
-	s.gapMoves = ctr("esd_startgap_moves_total", "Start-Gap wear-leveling rotations")
+	ctr(cDevReads, "esd_device_reads_total", "PCM media reads")
+	ctr(cDevWrites, "esd_device_writes_total", "PCM media writes (data and metadata)")
+	ctr(cDevRowHits, "esd_device_row_hits_total", "row-buffer hits")
+	ctr(cGapMoves, "esd_startgap_moves_total", "Start-Gap wear-leveling rotations")
 
-	s.encrypts = ctr("esd_crypto_encrypts_total", "counter-mode line encryptions")
-	s.decrypts = ctr("esd_crypto_decrypts_total", "counter-mode line decryptions")
-	s.ctrOverflows = ctr("esd_counter_overflows_total", "minor-counter overflows forcing page re-encryption")
-	s.reencrypts = ctr("esd_lines_reencrypted_total", "lines re-encrypted by counter-overflow rekeys")
+	ctr(cEncrypts, "esd_crypto_encrypts_total", "counter-mode line encryptions")
+	ctr(cDecrypts, "esd_crypto_decrypts_total", "counter-mode line decryptions")
+	ctr(cCtrOverflows, "esd_counter_overflows_total", "minor-counter overflows forcing page re-encryption")
+	ctr(cReencrypts, "esd_lines_reencrypted_total", "lines re-encrypted by counter-overflow rekeys")
 
-	s.compareReads = ctr("esd_compare_reads_total", "byte-compare verifications of fingerprint-matched dedup candidates")
-	s.compareMism = ctr("esd_compare_mismatches_total", "byte-compares that caught an ECC fingerprint collision")
-	s.bytesSaved = ctr("esd_dedup_bytes_saved_total", "bytes of media write traffic eliminated by deduplication")
+	ctr(cCompareReads, "esd_compare_reads_total", "byte-compare verifications of fingerprint-matched dedup candidates")
+	ctr(cCompareMism, "esd_compare_mismatches_total", "byte-compares that caught an ECC fingerprint collision")
+	ctr(cBytesSaved, "esd_dedup_bytes_saved_total", "bytes of media write traffic eliminated by deduplication")
 
-	// Dedup-effectiveness gauge family: derived from the counters above at
-	// scrape time, so the hot path pays nothing for them.
+	// Dedup-effectiveness gauge family: derived from the published
+	// counters above at scrape time, so the hot path pays nothing for them.
 	ff := func(name, help string, fn func() float64) { s.reg.FloatFunc(labeled(name, s.labels), help, fn) }
 	ratio := func(num, den *Counter) func() float64 {
 		return func() float64 {
@@ -246,17 +292,71 @@ func NewSink(opts Options) *Sink {
 			return float64(num.Value()) / float64(d)
 		}
 	}
-	ff("esd_dedup_hit_rate", "fraction of scheme writes eliminated by deduplication", ratio(s.dedup, s.writes))
-	ff("esd_fp_collision_rate", "fraction of byte-compares that caught an ECC fingerprint collision", ratio(s.compareMism, s.compareReads))
-	ff("esd_compare_verify_rate", "byte-compare verifications per scheme write", ratio(s.compareReads, s.writes))
-	ff("esd_counter_overflow_pressure", "lines re-encrypted by overflow rekeys per unique line written", ratio(s.reencrypts, s.unique))
+	ff("esd_dedup_hit_rate", "fraction of scheme writes eliminated by deduplication", ratio(s.ctr[cDedup], s.ctr[cWrites]))
+	ff("esd_fp_collision_rate", "fraction of byte-compares that caught an ECC fingerprint collision", ratio(s.ctr[cCompareMism], s.ctr[cCompareReads]))
+	ff("esd_compare_verify_rate", "byte-compare verifications per scheme write", ratio(s.ctr[cCompareReads], s.ctr[cWrites]))
+	ff("esd_counter_overflow_pressure", "lines re-encrypted by overflow rekeys per unique line written", ratio(s.ctr[cReencrypts], s.ctr[cUnique]))
 
-	s.crashes = ctr("esd_crashes_total", "simulated power failures")
-	s.events = ctr("esd_trace_events_total", "events emitted to the tracer")
-	s.simNow = gauge("esd_sim_now_ps", "simulated clock (picoseconds)")
-	s.runReqs = ctr("esd_run_requests_total", "trace records replayed (including warm-up)")
-	s.runStalled = gauge("esd_run_lag_ps", "accumulated closed-loop back-pressure lag")
+	ctr(cCrashes, "esd_crashes_total", "simulated power failures")
+	ctr(cEvents, "esd_trace_events_total", "events emitted to the tracer")
+	gauge(lSimNow, "esd_sim_now_ps", "simulated clock (picoseconds)")
+	ctr(cRunReqs, "esd_run_requests_total", "trace records replayed (including warm-up)")
+	gauge(lRunStalled, "esd_run_lag_ps", "accumulated closed-loop back-pressure lag")
 	return s
+}
+
+// Publish folds everything the owner staged since the last publication
+// into the registry and the flight recorder, then releases readers
+// waiting for it (see Publisher). Owner only: call it where the hooks
+// are called, or through Await. Nil-safe.
+func (s *Sink) Publish() {
+	if s == nil {
+		return
+	}
+	publishCounts(s.n[:], s.done[:], s.ctr[:])
+	for _, p := range s.probes {
+		publishCounts(p.n[:], p.done[:], p.ctr[:])
+	}
+	for i, g := range s.gauges {
+		g.Set(s.lv[i])
+	}
+	s.writeT.store(&s.writeLat)
+	s.readT.store(&s.readLat)
+	for i := range s.stageLat {
+		s.stageLat[i].store(s.stages.settle(i))
+	}
+	s.flight.flush()
+	s.pub.Served()
+}
+
+// PublishIfAsked publishes when a reader waits for it: the publication
+// point of an owner that runs for long stretches, such as a trace replay.
+// One atomic load otherwise. Nil-safe.
+func (s *Sink) PublishIfAsked() {
+	if s != nil && s.pub.Asked() {
+		s.Publish()
+	}
+}
+
+// Await is the reader's side of Publish: it publishes under own, the
+// owner lock of whoever drives this sink, when that lock is free, and
+// otherwise waits until deadline for the owner's next PublishIfAsked. It
+// reports whether the registry is now current. Nil-safe.
+func (s *Sink) Await(own *sync.Mutex, deadline time.Time) bool {
+	if s == nil {
+		return false
+	}
+	return s.pub.Await(own, s.Publish, deadline)
+}
+
+// Stages returns the sink's stage-histogram set (nil-safe). A shard that
+// records stage vectors for its own histograms uses this set, so with
+// metrics on each write's stages are recorded once, by the sink.
+func (s *Sink) Stages() *StageHistograms {
+	if s == nil {
+		return nil
+	}
+	return s.stages
 }
 
 // Registry exposes the sink's metric set for exposition (nil-safe).
@@ -275,18 +375,19 @@ func (s *Sink) Tracer() *Tracer {
 	return s.tracer
 }
 
-// Flight returns the attached flight recorder, if any (nil-safe).
+// Flight returns the attached flight recorder, if any (nil-safe). It
+// holds the sink's records as of the last publication.
 func (s *Sink) Flight() *FlightRecorder {
 	if s == nil {
 		return nil
 	}
-	return s.flight
+	return s.flight.f
 }
 
 // BeginRequest installs the trace context of the request about to enter
 // the scheme; subsequent OnWrite/OnRead events and flight records carry
-// its trace ID. Called by the layer that drives the scheme (System, the
-// controller's replay loop, a shard's owner) on the simulation thread.
+// its trace ID. Called by the sink's owner, the layer that drives the
+// scheme (System, the controller's replay loop, a shard's owner).
 func (s *Sink) BeginRequest(tc TraceCtx) {
 	if s == nil {
 		return
@@ -299,12 +400,12 @@ func (s *Sink) emit(ev Event) {
 	if s.tracer == nil {
 		return
 	}
-	s.events.Inc()
+	s.n[cEvents]++
 	s.tracer.Emit(ev)
 }
 
-// sampled reports whether the next write/read event falls on the sampling
-// grid. Called from the simulation thread only.
+// sampledTick reports whether the next write/read event falls on the
+// sampling grid (owner only).
 func (s *Sink) sampledTick() bool {
 	s.nSeen++
 	return s.nSeen%s.sample == 0
@@ -317,31 +418,27 @@ func (s *Sink) OnWrite(scheme string, d Decision, logical, phys uint64, dedup bo
 	if s == nil {
 		return
 	}
-	s.writes.Inc()
+	s.n[cWrites]++
 	if dedup {
-		s.dedup.Inc()
-		s.bytesSaved.Add(64)
+		s.n[cDedup]++
+		s.n[cBytesSaved] += 64
 	} else {
-		s.unique.Inc()
+		s.n[cUnique]++
 	}
 	if d > DecNone && d < numDecisions {
-		s.decisions[d].Inc()
+		s.n[cDecision+int(d)-1]++
 	}
-	s.writeLat.Observe(done - at)
-	s.simNow.Set(int64(done))
+	s.writeLat.Record(done - at)
+	s.lv[lSimNow] = int64(done)
 	if bd != nil {
 		st := StagesFromBreakdown(bd)
-		for i, dur := range st {
-			if dur > 0 {
-				s.stageLat[i].Observe(dur)
-			}
-		}
-		s.flight.RecordWrite(0, s.cur, logical, phys, dedup, at, done-at, &st)
+		s.stages.Observe(&st)
+		s.flight.write(s.cur, logical, phys, dedup, at, done-at, &st)
 	} else {
-		s.flight.RecordWrite(0, s.cur, logical, phys, dedup, at, done-at, nil)
+		s.flight.write(s.cur, logical, phys, dedup, at, done-at, nil)
 	}
 	if s.tracer != nil && s.sampledTick() {
-		s.events.Inc()
+		s.n[cEvents]++
 		s.tracer.Emit(Event{
 			At: int64(at), Kind: "write", Scheme: scheme, Trace: s.cur.TraceID,
 			Decision: d.String(), Logical: logical, Phys: phys,
@@ -355,12 +452,12 @@ func (s *Sink) OnRead(scheme string, logical uint64, hit bool, at, done sim.Time
 	if s == nil {
 		return
 	}
-	s.reads.Inc()
-	s.readLat.Observe(done - at)
-	s.simNow.Set(int64(done))
-	s.flight.RecordRead(0, s.cur, logical, hit, at, done-at)
+	s.n[cReads]++
+	s.readLat.Record(done - at)
+	s.lv[lSimNow] = int64(done)
+	s.flight.read(s.cur, logical, hit, at, done-at)
 	if s.tracer != nil && s.sampledTick() {
-		s.events.Inc()
+		s.n[cEvents]++
 		detail := "miss"
 		if hit {
 			detail = "hit"
@@ -378,8 +475,8 @@ func (s *Sink) OnEFITInsert(entries int) {
 	if s == nil {
 		return
 	}
-	s.efitInserts.Inc()
-	s.efitEntries.Set(int64(entries))
+	s.n[cEFITInserts]++
+	s.lv[lEFITEntries] = int64(entries)
 }
 
 // OnEFITEvict records an LRCU eviction (fp's entry with the given
@@ -388,7 +485,7 @@ func (s *Sink) OnEFITEvict(fp uint64, ref int, at sim.Time) {
 	if s == nil {
 		return
 	}
-	s.efitEvicts.Inc()
+	s.n[cEFITEvicts]++
 	s.emit(Event{At: int64(at), Kind: "efit-evict", Phys: fp,
 		Detail: "ref=" + itoa(ref)})
 }
@@ -399,9 +496,9 @@ func (s *Sink) OnAMT(hit bool) {
 		return
 	}
 	if hit {
-		s.amtHits.Inc()
+		s.n[cAMTHits]++
 	} else {
-		s.amtMisses.Inc()
+		s.n[cAMTMisses]++
 	}
 }
 
@@ -410,7 +507,7 @@ func (s *Sink) OnAMTWriteback() {
 	if s == nil {
 		return
 	}
-	s.amtWB.Inc()
+	s.n[cAMTWB]++
 }
 
 // OnCompare records one byte-compare verification of a fingerprint-matched
@@ -420,9 +517,9 @@ func (s *Sink) OnCompare(mismatch bool) {
 	if s == nil {
 		return
 	}
-	s.compareReads.Inc()
+	s.n[cCompareReads]++
 	if mismatch {
-		s.compareMism.Inc()
+		s.n[cCompareMism]++
 	}
 }
 
@@ -519,7 +616,7 @@ func (s *Sink) OnCrash(at sim.Time) {
 	if s == nil {
 		return
 	}
-	s.crashes.Inc()
+	s.n[cCrashes]++
 	s.emit(Event{At: int64(at), Kind: "crash"})
 }
 
@@ -528,8 +625,8 @@ func (s *Sink) OnRunProgress(lag sim.Time) {
 	if s == nil {
 		return
 	}
-	s.runReqs.Inc()
-	s.runStalled.Set(int64(lag))
+	s.n[cRunReqs]++
+	s.lv[lRunStalled] = int64(lag)
 }
 
 // OnRunMark emits a run lifecycle marker ("run-start", "run-measure",
@@ -546,9 +643,9 @@ func (s *Sink) DeviceRead(rowHit bool) {
 	if s == nil {
 		return
 	}
-	s.devReads.Inc()
+	s.n[cDevReads]++
 	if rowHit {
-		s.devRowHits.Inc()
+		s.n[cDevRowHits]++
 	}
 }
 
@@ -557,7 +654,7 @@ func (s *Sink) DeviceWrite() {
 	if s == nil {
 		return
 	}
-	s.devWrites.Inc()
+	s.n[cDevWrites]++
 }
 
 // GapMove implements the nvm.Probe hook for Start-Gap rotations.
@@ -565,7 +662,7 @@ func (s *Sink) GapMove(from, to uint64, at sim.Time) {
 	if s == nil {
 		return
 	}
-	s.gapMoves.Inc()
+	s.n[cGapMoves]++
 	s.emit(Event{At: int64(at), Kind: "gap-move", Logical: from, Phys: to})
 }
 
@@ -574,7 +671,7 @@ func (s *Sink) CryptoEncrypt() {
 	if s == nil {
 		return
 	}
-	s.encrypts.Inc()
+	s.n[cEncrypts]++
 }
 
 // CryptoDecrypt implements the crypto.Probe hook.
@@ -582,7 +679,7 @@ func (s *Sink) CryptoDecrypt() {
 	if s == nil {
 		return
 	}
-	s.decrypts.Inc()
+	s.n[cDecrypts]++
 }
 
 // CounterOverflow implements the crypto.Probe hook for a minor-counter
@@ -591,39 +688,46 @@ func (s *Sink) CounterOverflow(linesRekeyed int) {
 	if s == nil {
 		return
 	}
-	s.ctrOverflows.Inc()
-	s.reencrypts.Add(uint64(linesRekeyed))
+	s.n[cCtrOverflows]++
+	s.n[cReencrypts] += uint64(linesRekeyed)
 	s.emit(Event{Kind: "ctr-overflow", Detail: "lines=" + itoa(linesRekeyed)})
 }
 
 // CacheProbe is a per-cache instance of the cache.Probe hook interface,
-// labeling hit/miss/eviction counters with the cache's role.
+// labeling hit/miss/eviction counters with the cache's role. Its counts
+// are staged like the sink's and published with them.
 type CacheProbe struct {
-	hits, misses, evicts *Counter
+	n    [3]uint64 // hits, misses, evictions
+	done [3]uint64
+	ctr  [3]*Counter
 }
 
 // CacheProbe returns a probe whose counters carry the given cache label
 // (e.g. "efit", "amt"). Returns nil (a valid no-op probe slot) on a nil
 // sink; callers assign the result to an interface field only when non-nil.
+// The cache calls the probe from the sink's owner.
 func (s *Sink) CacheProbe(label string) *CacheProbe {
 	if s == nil {
 		return nil
 	}
-	return &CacheProbe{
-		hits:   s.reg.Counter(labeled(`esd_cache_hits_total{cache="`+label+`"}`, s.labels), "SRAM cache hits by cache"),
-		misses: s.reg.Counter(labeled(`esd_cache_misses_total{cache="`+label+`"}`, s.labels), "SRAM cache misses by cache"),
-		evicts: s.reg.Counter(labeled(`esd_cache_evictions_total{cache="`+label+`"}`, s.labels), "SRAM cache evictions by cache"),
+	p := &CacheProbe{}
+	for i, kind := range []string{"hits", "misses", "evictions"} {
+		p.ctr[i] = s.reg.Counter(
+			labeled(`esd_cache_`+kind+`_total{cache="`+label+`"}`, s.labels),
+			"SRAM cache "+kind+" by cache")
 	}
+	s.probes = append(s.probes, p)
+	return p
 }
 
 // Hit implements cache.Probe.
-func (p *CacheProbe) Hit() { p.hits.Inc() }
+func (p *CacheProbe) Hit() { p.n[0]++ }
 
 // Miss implements cache.Probe.
-func (p *CacheProbe) Miss() { p.misses.Inc() }
+func (p *CacheProbe) Miss() { p.n[1]++ }
 
 // Evict implements cache.Probe.
-func (p *CacheProbe) Evict() { p.evicts.Inc() }
+func (p *CacheProbe) Evict() { p.n[2]++ }
 
 // itoa is a tiny strconv.Itoa for small non-negative values on hook paths.
 func itoa(n int) string {

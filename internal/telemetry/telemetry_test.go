@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/esdsim/esd/internal/sim"
 	"github.com/esdsim/esd/internal/stats"
@@ -58,7 +60,12 @@ func TestNilSinkHooksAreNoOps(t *testing.T) {
 	s.CryptoDecrypt()
 	s.CounterOverflow(4)
 	s.RegisterHybridHealth(func() HybridHealth { return HybridHealth{} })
-	if s.Registry() != nil || s.Tracer() != nil || s.Flight() != nil {
+	s.Publish()
+	s.PublishIfAsked()
+	if s.Await(new(sync.Mutex), time.Now()) {
+		t.Error("nil sink reported a publication")
+	}
+	if s.Registry() != nil || s.Tracer() != nil || s.Flight() != nil || s.Stages() != nil {
 		t.Error("nil sink leaked non-nil accessors")
 	}
 	if p := s.CacheProbe("x"); p != nil {
@@ -83,6 +90,7 @@ func TestNilFlightAndStagesAreNoOps(t *testing.T) {
 
 	var h *StageHistograms
 	h.Observe(&st)
+	h.Publish()
 	snap := h.Snapshot()
 	for i := range snap {
 		if snap[i].Count() != 0 {
@@ -311,6 +319,7 @@ func TestSinkCountersAndSampling(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
+	s.Publish() // the hooks stage; the owner publishes before a read
 
 	get := func(name string) uint64 { return s.Registry().Counter(name, "").Value() }
 	if got := get("esd_writes_total"); got != 10 {
@@ -350,6 +359,7 @@ func TestSinkCountersAndSampling(t *testing.T) {
 func TestSinkHistogramExposition(t *testing.T) {
 	s := NewSink(Options{})
 	s.OnWrite("esd", DecBaseline, 0, 0, false, 0, 150*sim.Nanosecond, nil)
+	s.Publish()
 	var sb strings.Builder
 	if err := s.Registry().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -367,6 +377,7 @@ func TestCacheProbeLabels(t *testing.T) {
 	p.Hit()
 	p.Miss()
 	p.Evict()
+	s.Publish()
 	r := s.Registry()
 	if got := r.Counter(`esd_cache_hits_total{cache="efit"}`, "").Value(); got != 2 {
 		t.Errorf("hits = %d", got)
@@ -382,6 +393,7 @@ func TestCacheProbeLabels(t *testing.T) {
 func TestServerEndpoints(t *testing.T) {
 	s := NewSink(Options{})
 	s.OnWrite("esd", DecBaseline, 1, 1, false, 0, 100, nil)
+	s.Publish()
 	srv, err := NewServer(s.Registry(), ServerOptions{Addr: "127.0.0.1:0", Pprof: true})
 	if err != nil {
 		t.Fatal(err)
@@ -449,5 +461,89 @@ func TestDecisionStrings(t *testing.T) {
 			t.Errorf("duplicate decision name %q", s)
 		}
 		seen[s] = true
+	}
+}
+
+// TestStagedHistogramsMatchPerSample holds the staged recording — runs of
+// equal samples recorded at once, published on demand — to the histograms
+// that recording every sample builds, for a stream with long runs, short
+// runs and zero stages.
+func TestStagedHistogramsMatchPerSample(t *testing.T) {
+	var staged StageHistograms
+	var want [NumStages]stats.Histogram
+	s := NewSink(Options{})
+	var wantWrite stats.Histogram
+	for i := 0; i < 5000; i++ {
+		bd := stats.Breakdown{
+			FPLookupSRAM: 2 * sim.Nanosecond,                       // constant
+			ReadCompare:  sim.Time(i%7) * 3 * sim.Nanosecond,       // short runs, zeros
+			Media:        sim.Time(150+(i/100)%3) * sim.Nanosecond, // long runs
+			Queue:        sim.Time((i*7919)%13) * sim.Nanosecond,   // no runs
+		}
+		st := StagesFromBreakdown(&bd)
+		staged.Observe(&st)
+		for j, d := range st {
+			if d > 0 {
+				want[j].Record(d)
+			}
+		}
+		lat := bd.Total()
+		s.OnWrite("esd", DecUniqueFPMiss, 0, 0, false, 0, lat, &bd)
+		wantWrite.Record(lat)
+		if i%1000 == 999 {
+			staged.Publish() // publication mid-run must not perturb the result
+			s.Publish()
+		}
+	}
+	staged.Publish()
+	s.Publish()
+	got := staged.Snapshot()
+	for j := range got {
+		if got[j] != want[j] {
+			t.Errorf("stage %v: staged histogram differs from per-sample recording", Stage(j))
+		}
+	}
+	if got := s.Registry().Histogram("esd_write_latency_ns", "").Snapshot(); got != wantWrite {
+		t.Errorf("write latency: staged histogram differs from per-sample recording")
+	}
+	if got := s.Registry().Histogram(`esd_stage_latency_ns{stage="media"}`, "").Snapshot(); got != want[StageMedia] {
+		t.Errorf("stage family: staged histogram differs from per-sample recording")
+	}
+}
+
+// TestSinkFlightStagedMatchesDirect holds a sink's staged flight records
+// to a recorder fed each record directly: after every publication the
+// two dumps must be identical, sequence numbers included — also when
+// more records than the ring holds were staged between publications.
+func TestSinkFlightStagedMatchesDirect(t *testing.T) {
+	staged, direct := NewFlightRecorder(16), NewFlightRecorder(16)
+	s := NewSink(Options{Flight: staged})
+	publishAfter := map[int]bool{0: true, 3: true, 4: true, 20: true, 21: true, 60: true, 99: true}
+	for i := 0; i < 100; i++ {
+		tc := TraceCtx{TraceID: uint64(i + 1)}
+		s.BeginRequest(tc)
+		at, lat := sim.Time(i)*sim.Nanosecond, sim.Time(100+i%7)*sim.Nanosecond
+		if i%3 == 2 {
+			s.OnRead("esd", uint64(i), i%2 == 0, at, at+lat)
+			direct.RecordRead(0, tc, uint64(i), i%2 == 0, at, lat)
+		} else {
+			bd := stats.Breakdown{Encrypt: 40 * sim.Nanosecond, Media: lat - 40*sim.Nanosecond}
+			st := StagesFromBreakdown(&bd)
+			s.OnWrite("esd", DecUniqueFPMiss, uint64(i), uint64(1000+i), i%4 == 0, at, at+lat, &bd)
+			direct.RecordWrite(0, tc, uint64(i), uint64(1000+i), i%4 == 0, at, lat, &st)
+		}
+		if !publishAfter[i] {
+			continue
+		}
+		s.Publish()
+		got, want := staged.Snapshot(), direct.Snapshot()
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(want)
+		if string(gj) != string(wj) {
+			t.Fatalf("after record %d: staged dump differs from direct recording\n got %s\nwant %s", i, gj, wj)
+		}
+		if staged.Len() != direct.Len() {
+			t.Fatalf("after record %d: Len %d, want %d", i, staged.Len(), direct.Len())
+		}
 	}
 }

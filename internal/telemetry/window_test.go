@@ -220,6 +220,7 @@ func TestDedupEffectivenessGauges(t *testing.T) {
 	s.OnWrite("esd", DecUniqueCollision, 3, 3, false, 0, 100, nil)
 	s.OnCompare(false)
 	s.OnCompare(true)
+	s.Publish() // the hooks stage; the owner publishes before a read
 	var sb strings.Builder
 	if err := s.Registry().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
