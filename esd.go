@@ -834,6 +834,18 @@ func (s *ShardedSystem) Read(addr uint64) (ReadResult, error) {
 	return s.eng.Read(addr)
 }
 
+// ReadBatchOp is one read in a ShardedSystem.ReadBatch call: the caller
+// fills Addr, the system fills Res and Err.
+type ReadBatchOp = shard.ReadBatchOp
+
+// ReadBatch reads every op in one call, grouped by owning shard like
+// WriteBatch: one queue round trip per touched shard, and each read runs
+// as it would alone. Per-op results land in ops; see shard.Engine.ReadBatch
+// for the error contract.
+func (s *ShardedSystem) ReadBatch(ops []ReadBatchOp) error {
+	return s.eng.ReadBatch(ops)
+}
+
 // TryRead is Read with load shedding and a deadline (see TryWrite).
 func (s *ShardedSystem) TryRead(ctx context.Context, addr uint64) (ReadResult, error) {
 	return s.eng.TryRead(ctx, addr)

@@ -222,6 +222,27 @@ func (c *Cache[V]) Peek(key uint64) (V, bool) {
 	return zero, false
 }
 
+// Prefetch reads key's set the way a probe and the update after it will —
+// the tag, validity, value and recency lines and, under LRCU, the
+// reference counts — without scanning it or changing anything: no
+// statistic, recency tick or probe callback moves. A batch calls it for
+// every op before deciding any, so the sets' host cache misses overlap
+// instead of stalling op by op; with no scan there is no branch on a load
+// still in flight to stall on. It returns the set's first value slot and
+// a word folding the rest; neither is a lookup result (Peek is), but a
+// caller that keeps both keeps the compiler from dropping the loads.
+func (c *Cache[V]) Prefetch(key uint64) (V, uint64) {
+	base := c.setBase(key)
+	sum := c.keys[base] + c.last[base]
+	if c.valid[base] {
+		sum++
+	}
+	if c.policy == LRCU {
+		sum += uint64(c.ref[base])
+	}
+	return c.vals[base], sum
+}
+
 // Contains reports whether key is cached, without side effects.
 func (c *Cache[V]) Contains(key uint64) bool {
 	return c.find(key) >= 0

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +166,55 @@ func TestPeekHasNoSideEffects(t *testing.T) {
 		t.Fatal("Peek changed statistics")
 	}
 }
+
+// TestPrefetchIsInert runs twin caches through one random schedule of
+// probes, touches, inserts and deletes, prefetching every key of one twin
+// first. The twins must end with the same statistics, probe callbacks,
+// recency clock, contents and replacement state: a prefetch moves none.
+func TestPrefetchIsInert(t *testing.T) {
+	for _, pol := range []Policy{LRU, FIFO, LRCU} {
+		plain, pre := New[uint64](64, 4, pol), New[uint64](64, 4, pol)
+		var hits int
+		pre.SetProbe(&countProbe{hits: &hits})
+		rng := xrand.New(5)
+		for i := 0; i < 20_000; i++ {
+			k := rng.Uint64n(200)
+			pre.Prefetch(k)
+			for _, c := range []*Cache[uint64]{plain, pre} {
+				switch i % 5 {
+				case 0, 1:
+					c.GetRef(k)
+				case 2:
+					c.Touch(k, 8)
+				case 3:
+					c.PutWithRef(k, uint64(i), 1)
+				default:
+					c.Delete(k)
+				}
+			}
+			if i%1000 == 999 {
+				plain.DecayAll(1)
+				pre.DecayAll(1)
+			}
+		}
+		if plain.Stats != pre.Stats || plain.tick != pre.tick || plain.len != pre.len || hits != int(pre.Stats.Hits) {
+			t.Fatalf("%v: prefetch moved state: stats %+v vs %+v, tick %d vs %d, probe hits %d",
+				pol, plain.Stats, pre.Stats, plain.tick, pre.tick, hits)
+		}
+		if !slices.Equal(plain.keys, pre.keys) || !slices.Equal(plain.vals, pre.vals) ||
+			!slices.Equal(plain.valid, pre.valid) || !slices.Equal(plain.last, pre.last) ||
+			!slices.Equal(plain.born, pre.born) || !slices.Equal(plain.ref, pre.ref) {
+			t.Fatalf("%v: prefetch moved the cache's contents or replacement state", pol)
+		}
+	}
+}
+
+// countProbe counts hit callbacks.
+type countProbe struct{ hits *int }
+
+func (p *countProbe) Hit()   { *p.hits++ }
+func (p *countProbe) Miss()  {}
+func (p *countProbe) Evict() {}
 
 func TestStatsAndHitRate(t *testing.T) {
 	c := New[int](4, 4, LRU)

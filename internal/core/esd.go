@@ -56,6 +56,9 @@ type ESD struct {
 	def      dedup.Deferred
 	fpBuf    []ecc.Fingerprint
 	linePtrs []*ecc.Line
+	// touchSink is the word touch's loads fold into; storing it keeps
+	// the compiler from dropping them.
+	touchSink uint64
 }
 
 // Option configures an ESD instance at construction.
@@ -161,10 +164,40 @@ func (s *ESD) WriteBatch(ops []memctrl.BatchWrite) {
 		lines[i] = ops[i].Data
 	}
 	ecc.EncodeLines(lines, fps)
+	s.touch(ops, fps)
 	for i := range ops {
 		ops[i].Out = s.writeFP(ops[i].Logical, ops[i].Data, uint64(fps[i]), ops[i].At, ops, i)
 	}
 	s.flushBatch(ops)
+}
+
+// touch is the batch's touch stage: with every fingerprint and address
+// known up front, it reads ahead what the decision loop will read, so the
+// host cache misses of all ops overlap instead of stalling op by op. The
+// first pass touches each op's EFIT set and its AMT set and table entry;
+// the second, from what those loads brought in, the current mapping's
+// reference count and an EFIT candidate's media line and write counter.
+// Two passes, because the second pass's addresses and branches depend on
+// the first pass's loads: split, neither pass waits on a miss of its own.
+// Earlier ops may change what a later op finds, so the touched lines are
+// hints; the decisions still read live state, one op at a time. The touch
+// is read-only — no statistic, recency tick, probe callback, device
+// timing or telemetry moves.
+func (s *ESD) touch(ops []memctrl.BatchWrite, fps []ecc.Fingerprint) {
+	var sum uint64
+	for i := range ops {
+		v, w := s.efit.Prefetch(uint64(fps[i]))
+		sum += v + w + s.AMT.Prefetch(ops[i].Logical)
+	}
+	for i := range ops {
+		if prev, ok := s.AMT.Mapping(ops[i].Logical); ok {
+			sum += uint64(s.Refs.Count(prev))
+		}
+		if cand, hit := s.efit.Peek(uint64(fps[i])); hit {
+			sum += s.TouchLine(cand)
+		}
+	}
+	s.touchSink = sum
 }
 
 // writeFP runs the ESD write decision for one op. In scalar mode (batch ==

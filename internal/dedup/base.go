@@ -38,6 +38,10 @@ type Base struct {
 	// single-threaded per instance, so one buffer keeps the steady-state
 	// write path free of per-call line copies on the heap.
 	ctBuf ecc.Line
+
+	// touchSink is the word PrefetchReads' loads fold into; storing it
+	// keeps the compiler from dropping them.
+	touchSink uint64
 }
 
 // NewBase wires the shared machinery onto env.
@@ -137,6 +141,34 @@ func (b *Base) ReadPath(logical uint64, at sim.Time) memctrl.ReadOutcome {
 		out.Data = ct
 	}
 	return out
+}
+
+// PrefetchReads implements memctrl.ReadPrefetcher for a run of ReadPath
+// reads. The first pass touches each read's AMT set and table entry, the
+// second, from the mappings those loads brought in, the mapped line's
+// media line and write counter — the rest of what ReadPath will read. Two
+// passes, because the second pass's addresses and branches depend on the
+// first pass's loads: split, neither pass waits on a miss of its own. The
+// touch is read-only (see memctrl.ReadPrefetcher).
+func (b *Base) PrefetchReads(logical []uint64) {
+	var sum uint64
+	for _, l := range logical {
+		sum += b.AMT.Prefetch(l)
+	}
+	for _, l := range logical {
+		if phys, ok := b.AMT.Mapping(l); ok {
+			sum += b.TouchLine(phys)
+		}
+	}
+	b.touchSink = sum
+}
+
+// TouchLine reads phys's stored line and write counter ahead of a media
+// read of it (ReadPath, a compare read) with no effect, and returns a
+// word folding them for a touch stage to keep.
+func (b *Base) TouchLine(phys uint64) uint64 {
+	line, _ := b.Env.Device.Load(phys)
+	return line.Word(0) + b.Env.Crypto.Counter(phys)
 }
 
 // CrashBase performs the shared part of a power-failure simulation: the

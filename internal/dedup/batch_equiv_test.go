@@ -2,9 +2,13 @@ package dedup_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"github.com/esdsim/esd/internal/cache"
 	"github.com/esdsim/esd/internal/config"
+	"github.com/esdsim/esd/internal/core"
+	"github.com/esdsim/esd/internal/dedup"
 	"github.com/esdsim/esd/internal/ecc"
 	"github.com/esdsim/esd/internal/experiments"
 	"github.com/esdsim/esd/internal/memctrl"
@@ -12,12 +16,42 @@ import (
 	"github.com/esdsim/esd/internal/xrand"
 )
 
+// metaCounters are a scheme's metadata-cache counters: its fingerprint
+// cache's statistics (ESD's EFIT, SHA1's and DeWrite's fingerprint
+// cache), its AMT cache's, and the AMT's NVMM table reads and writes.
+type metaCounters struct {
+	FP, AMT               cache.Stats
+	NVMMReads, NVMMWrites uint64
+}
+
+func schemeMeta(s memctrl.Scheme) metaCounters {
+	var m metaCounters
+	var amt *memctrl.AMT
+	switch s := s.(type) {
+	case *core.ESD:
+		m.FP, amt = s.EFITStats(), s.AMT
+	case *dedup.SHA1:
+		m.FP, amt = s.FPCacheStats(), s.AMT
+	case *dedup.DeWrite:
+		m.FP, amt = s.FPCacheStats(), s.AMT
+	case *dedup.BCD:
+		amt = s.AMT
+	}
+	if amt != nil {
+		m.AMT, m.NVMMReads, m.NVMMWrites = amt.CacheStats(), amt.NVMMReads, amt.NVMMWrites
+	}
+	return m
+}
+
 // The batch write path must be observably identical to the scalar path:
 // same dedup decisions, same physical placements, same counters and
-// statistics, same data on every read-back. This drives one op stream
-// through a scalar engine and a batch engine (same seed, same config) and
-// compares everything except latencies, which legitimately differ because
-// deferred device writes see different bank-queue states.
+// statistics, same metadata-cache counters, energy, device traffic and
+// wear, same data on every read-back. This drives one op stream through a
+// scalar engine and a batch engine (same seed, same config) and compares
+// everything except latencies, which legitimately differ because deferred
+// device writes see different bank-queue states. The metadata-cache
+// counters are what a batch's touch stage would move first if it probed
+// through a counting lookup.
 func testScheme(t *testing.T, name string, batchSize int) {
 	cfg := config.Default()
 	cfg.PCM.CapacityBytes = 1 << 24
@@ -100,6 +134,24 @@ func testScheme(t *testing.T, name string, batchSize int) {
 	})
 	if !match || envS.Crypto.CounterEntries() != envB.Crypto.CounterEntries() {
 		t.Fatalf("%s: counter state diverged", name)
+	}
+	if ms, mb := schemeMeta(scalar), schemeMeta(batch); ms != mb {
+		t.Fatalf("%s: metadata caches diverged:\nscalar %+v\nbatch  %+v", name, ms, mb)
+	}
+	if envS.Energy != envB.Energy {
+		t.Fatalf("%s: scheme energy diverged:\nscalar %+v\nbatch  %+v", name, envS.Energy, envB.Energy)
+	}
+	// Row hits, queueing and stalls are timing; deferred stores reorder
+	// the device's read and write energy charges, so that float sum is
+	// compared to a tolerance.
+	ds, db := envS.Device.MediaStats(), envB.Device.MediaStats()
+	if ds.Reads != db.Reads || ds.Writes != db.Writes || math.Abs(ds.MediaEnergy-db.MediaEnergy) > 1e-9*ds.MediaEnergy {
+		t.Fatalf("%s: device traffic diverged:\nscalar %+v\nbatch  %+v", name, ds, db)
+	}
+	envS.Device.SyncHealth()
+	envB.Device.SyncHealth()
+	if ws, wb := envS.Device.Wear(), envB.Device.Wear(); ws != wb {
+		t.Fatalf("%s: wear diverged:\nscalar %+v\nbatch  %+v", name, ws, wb)
 	}
 	late := at + sim.Millisecond
 	for logical := range addrs {

@@ -93,6 +93,22 @@ func (a *AMT) Lookup(logical uint64, at sim.Time) (phys uint64, ok bool, lat sim
 	return phys, ok, lat
 }
 
+// Prefetch reads what a Lookup or Update of logical will read — the cache
+// set and the NVMM-resident table entry — with none of their effects, and
+// returns a word folding the loads for a touch stage to keep (see
+// cache.Cache.Prefetch).
+func (a *AMT) Prefetch(logical uint64) uint64 {
+	v, sum := a.cache.Prefetch(logical)
+	return v + sum + a.backing.Load(logical)
+}
+
+// Mapping returns logical's current mapping (ok reports whether one
+// exists) with no latency, statistic or cache effect: a touch stage's view
+// of the table, which is authoritative (every Update writes it first).
+func (a *AMT) Mapping(logical uint64) (phys uint64, ok bool) {
+	return a.backing.Get(logical)
+}
+
 // Update installs or replaces the mapping logical -> phys. The visible
 // latency is one SRAM probe; persistence is deferred to dirty write-back.
 // It returns the previous physical mapping, if any, so the caller can

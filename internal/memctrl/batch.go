@@ -34,6 +34,23 @@ func WriteBatch(s Scheme, ops []BatchWrite) {
 	WriteBatchFallback(s, ops)
 }
 
+// ReadPrefetcher is implemented by schemes that can touch the metadata a
+// run of reads will probe before the first of them runs (dedup.Base). The
+// touch must be inert — it moves no statistic, recency tick, probe
+// callback, device timing or telemetry — so the reads that follow run
+// exactly as they would without it, only with their host cache misses
+// already overlapped.
+type ReadPrefetcher interface {
+	PrefetchReads(logical []uint64)
+}
+
+// PrefetchReads runs s's read touch stage over logical when it has one.
+func PrefetchReads(s Scheme, logical []uint64) {
+	if p, ok := s.(ReadPrefetcher); ok {
+		p.PrefetchReads(logical)
+	}
+}
+
 // WriteBatchFallback loops ops through the scalar write path.
 func WriteBatchFallback(s Scheme, ops []BatchWrite) {
 	for i := range ops {

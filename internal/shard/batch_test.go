@@ -4,12 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
+	"github.com/esdsim/esd/internal/cache"
+	"github.com/esdsim/esd/internal/core"
+	"github.com/esdsim/esd/internal/dedup"
 	"github.com/esdsim/esd/internal/ecc"
 	"github.com/esdsim/esd/internal/memctrl"
 	"github.com/esdsim/esd/internal/sim"
+	"github.com/esdsim/esd/internal/stats"
 	"github.com/esdsim/esd/internal/xrand"
 )
 
@@ -29,12 +34,57 @@ func batchStream(n int, seed uint64) []WriteBatchOp {
 	return ops
 }
 
+// metaCounters are the metadata-cache counters of an engine's schemes,
+// summed over shards: the fingerprint cache's statistics (ESD's EFIT,
+// dedup-sha1's fingerprint cache), the AMT cache's, and the AMT's NVMM
+// table reads and writes. Summary carries none of them, yet a batch's
+// touch stage that probed through a counting lookup would move exactly
+// these first.
+type metaCounters struct {
+	FP, AMT               cache.Stats
+	NVMMReads, NVMMWrites uint64
+}
+
+func addCacheStats(a *cache.Stats, b cache.Stats) {
+	a.Hits += b.Hits
+	a.Misses += b.Misses
+	a.Inserts += b.Inserts
+	a.Evictions += b.Evictions
+}
+
+// engineMeta reads metaCounters from every shard under its owner lock.
+func engineMeta(e *Engine) metaCounters {
+	var m metaCounters
+	for _, s := range e.shards {
+		s.own.Lock()
+		var amt *memctrl.AMT
+		switch sch := s.sch.(type) {
+		case *core.ESD:
+			addCacheStats(&m.FP, sch.EFITStats())
+			amt = sch.AMT
+		case *dedup.SHA1:
+			addCacheStats(&m.FP, sch.FPCacheStats())
+			amt = sch.AMT
+		}
+		if amt != nil {
+			addCacheStats(&m.AMT, amt.CacheStats())
+			m.NVMMReads += amt.NVMMReads
+			m.NVMMWrites += amt.NVMMWrites
+		}
+		s.own.Unlock()
+	}
+	return m
+}
+
 // TestWriteBatchMatchesScalarEngine drives the same op stream through a
 // scalar-write engine and a WriteBatch engine (same config, scheme and
 // shard count) and requires identical dedup decisions, placements,
-// aggregate statistics and read-back data. Each sub-batch lands on its
-// shard in slice order, so per-shard op streams are identical to the
-// scalar engine's.
+// aggregate statistics and read-back data, and an identical Summary and
+// metadata-cache counters except for what arrival timing moves: a
+// sub-batch is one arrival group, so its latencies, its device queueing
+// and the clock differ from op-by-op writes by design. Each sub-batch
+// lands on its shard in slice order, so per-shard op streams are
+// identical to the scalar engine's.
 func TestWriteBatchMatchesScalarEngine(t *testing.T) {
 	for _, scheme := range []string{"esd", "dedup-sha1", "baseline"} {
 		for _, shards := range []int{1, 4} {
@@ -84,6 +134,22 @@ func TestWriteBatchMatchesScalarEngine(t *testing.T) {
 				}
 				if ss.Scheme != sb.Scheme {
 					t.Fatalf("scheme stats diverged:\nscalar %+v\nbatch  %+v", ss.Scheme, sb.Scheme)
+				}
+				// Media energy is compared apart: deferred stores reorder
+				// the device's read and write charges, and a float sum of
+				// the same terms in another order differs in its last bits.
+				untimed := func(s Summary) Summary {
+					s.WriteHist, s.ReadHist, s.Now, s.Energy.Media = stats.Histogram{}, stats.Histogram{}, 0, 0
+					return s
+				}
+				if us, ub := untimed(ss), untimed(sb); us != ub {
+					t.Fatalf("summary diverged:\nscalar %+v\nbatch  %+v", us, ub)
+				}
+				if math.Abs(ss.Energy.Media-sb.Energy.Media) > 1e-9*ss.Energy.Media {
+					t.Fatalf("media energy diverged: scalar %v, batch %v", ss.Energy.Media, sb.Energy.Media)
+				}
+				if ms, mb := engineMeta(es), engineMeta(eb); ms != mb {
+					t.Fatalf("metadata caches diverged:\nscalar %+v\nbatch  %+v", ms, mb)
 				}
 
 				for addr := uint64(0); addr < 1024; addr++ {
@@ -209,12 +275,14 @@ func TestTryWriteBatchSheds(t *testing.T) {
 // TestReadBatchMatchesScalarEngine replays one mixed stream through two
 // engines: the scalar engine reads op by op, the batch engine reads each
 // run through ReadBatch. Every read must agree on data, hit flag and
-// simulated latency — the batch runs each read through the scalar body, so
-// the per-shard clock sequences are identical. Writes alternate between
-// WriteBatch on both engines and Write on the scalar engine against
-// WriteAsync on the batch engine, so a batch read that immediately follows
-// an unacknowledged write to its address sees it only through per-shard
-// FIFO.
+// simulated latency, and the engines on their whole Summary (histograms,
+// energy, device traffic, wear, clock) and metadata-cache counters — the
+// batch runs each read through the scalar body after an inert touch
+// stage, so the per-shard clock sequences are identical. Writes
+// alternate between WriteBatch on both engines and Write on the scalar
+// engine against WriteAsync on the batch engine, so a batch read that
+// immediately follows an unacknowledged write to its address sees it
+// only through per-shard FIFO.
 func TestReadBatchMatchesScalarEngine(t *testing.T) {
 	for _, scheme := range []string{"esd", "dedup-sha1", "baseline"} {
 		for _, shards := range []int{1, 4} {
@@ -299,8 +367,11 @@ func TestReadBatchMatchesScalarEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ss.Scheme != sb.Scheme {
-					t.Fatalf("scheme stats diverged:\nscalar %+v\nbatch  %+v", ss.Scheme, sb.Scheme)
+				if ss != sb {
+					t.Fatalf("summary diverged:\nscalar %+v\nbatch  %+v", ss, sb)
+				}
+				if ms, mb := engineMeta(es), engineMeta(eb); ms != mb {
+					t.Fatalf("metadata caches diverged:\nscalar %+v\nbatch  %+v", ms, mb)
 				}
 			})
 		}

@@ -257,8 +257,10 @@ func (s *shard) exec(r *request) response {
 	case kReadBatch:
 		// Unlike a write sub-batch, each read ticks its own arrival and
 		// runs alone: the clock sequence is that of the same reads queued
-		// one by one.
+		// one by one. The scheme's touch stage first pulls every read's
+		// metadata into the host cache, changing nothing else.
 		b := r.batch
+		memctrl.PrefetchReads(s.sch, b.addrs)
 		for i, addr := range b.addrs {
 			out, lat := s.read(addr, r.tc)
 			b.reads[i] = ReadResult{Data: out.Data, Hit: out.Hit, Lat: lat}

@@ -26,9 +26,10 @@ trap 'rm -f "$TMP"' EXIT INT TERM
 go test -run '^$' -bench '.' -benchmem -benchtime "$BENCHTIME" -count "$BENCHCOUNT" \
   ./internal/ecc ./internal/crypto ./internal/fingerprint | tee "$TMP"
 
-# System-level: single-threaded write path and the sharded engine's
-# concurrent throughput (writes/s is the headline lines/sec metric).
-go test -run '^$' -bench 'BenchmarkSystemWrite|BenchmarkShardedThroughput|BenchmarkStageTracingOverhead' \
+# System-level: single-threaded write path, the sharded engine's
+# concurrent throughput (writes/s is the headline lines/sec metric), and
+# its batched write and read paths over a resident 1 Mi-line footprint.
+go test -run '^$' -bench 'BenchmarkSystemWrite|BenchmarkShardedThroughput|BenchmarkShardedBatchResident|BenchmarkStageTracingOverhead' \
   -benchmem -benchtime "$BENCHTIME" -count "$BENCHCOUNT" . | tee -a "$TMP"
 
 # Cluster-level: a routed write through a real TCP backend, hop recording

@@ -5,18 +5,19 @@
 #   BASE=<rev> WORKLOAD=namd-batch64 PAIRS=10 SEED=101 bash scripts/bench_ab.sh
 #   make bench-ab BASE=<rev> WORKLOAD=namd-batch64
 #
-# BASE is checked out into a git worktree under .bench_build/ and removed
-# when the script exits; the working tree is the change side. Pair i runs
-# both sides on seed SEED+i at `--seconds 20 --trace 0`, and which side
-# runs first alternates from pair to pair, so a clock that drifts over the
-# run reaches both sides alike. The result files go to
+# BASE is extracted with `git archive` into .bench_build/base and removed
+# when the script exits; the working tree is the change side. The archive
+# writes nothing under .git, unlike a worktree. Pair i runs both sides on
+# seed SEED+i at `--seconds 20 --trace 0`, and which side runs first
+# alternates from pair to pair, so a clock that drifts over the run
+# reaches both sides alike. The result files go to
 # .bench_build/ab/WORKLOAD-{base,change}-SEED.json (a rerun replaces only
 # its own workload's files), and the script ends with
 # `bash bench/run.sh compare base... -- change...`, whose verdict table it
 # prints and whose exit status it returns. A pair takes about a minute.
 # Both sides' result files carry the enclosing checkout's revision stamp,
-# because Go's build stamping does not recognize a worktree's .git file;
-# the file name tells the sides apart.
+# because the extracted base has no .git of its own; the file name tells
+# the sides apart.
 #
 # It refuses to run when bench/ or BENCHMARK.json differ between the two
 # trees: both sides must run the same benchmark.
@@ -37,17 +38,14 @@ fi
 
 wt="$root/.bench_build/base"
 out="$root/.bench_build/ab"
-cleanup() {
-	git worktree remove --force "$wt" 2>/dev/null || rm -rf "$wt"
-	git worktree prune
-}
-cleanup # a worktree left by an interrupted run
+cleanup() { rm -rf "$wt"; }
+cleanup # a tree left by an interrupted run
 trap cleanup EXIT
-git worktree add --detach --quiet "$wt" "$base"
-mkdir -p "$out"
+mkdir -p "$wt" "$out"
+git archive "$base" | tar -x -C "$wt"
 rm -f "$out/$WORKLOAD"-*
 
-# run SIDE SEED: one benchmark run of the base worktree or the working tree.
+# run SIDE SEED: one benchmark run of the base tree or the working tree.
 run() {
 	local dir=$root
 	[ "$1" = base ] && dir=$wt
