@@ -103,16 +103,20 @@ cluster-smoke:
 	sh scripts/cluster_smoke.sh
 
 # Differential checker: every scheme (the canonical four plus esd+caram),
-# single + sharded {1,8}, against the map oracle with invariant audits.
-# Half the write runs and half the read runs go through the batched APIs.
-# Any violation prints a replay command (esdcheck -seed N -upto M) that
-# reproduces it exactly.
+# single + sharded {1,8}, each shard count with queued writes (run by the
+# shard worker) and inline writes (run by the caller): 25 engines against
+# the map oracle, with invariant audits on every engine, shard by shard
+# on the sharded ones. Half the write runs and half the read runs go
+# through the batched APIs. Any violation prints a replay command
+# (esdcheck -seed N -upto M, plus the flags that shaped the op stream)
+# that reproduces it exactly.
 check:
 	$(GO) run ./cmd/esdcheck -ops 200000 -seed 1 -shards 1,8 -batch 0.5
 
-# Same matrix under the migration-heavy generator: a phase-shifting hot
-# set that churns the hybrid tier's promotion/demotion/writeback paths
-# against a deliberately undersized DRAM buffer.
+# Same matrix and audits under the migration-heavy generator: a
+# phase-shifting hot set that churns the hybrid tier's
+# promotion/demotion/writeback paths against a deliberately undersized
+# DRAM buffer.
 check-migrate:
 	$(GO) run ./cmd/esdcheck -ops 200000 -seed 1 -shards 1,8 -gen migrate
 
@@ -121,9 +125,10 @@ check-migrate:
 # of the stream, with half the write and read runs sent as batch frames.
 # The first pass runs at R=2; the second at R=3, where a write's wave
 # reaches all 3 nodes, and up to 4 while the reshard dual-writes — the
-# only run where a wave is wider than 2. A violation prints its replay
-# command (esdcheck -cluster -seed N -upto M, with the pass's node count
-# and replication).
+# only run where a wave is wider than 2. After the final sweep every
+# live node's engine is audited. A violation prints its replay command
+# (esdcheck -seed N -upto M -cluster=true, with the pass's -ops, -batch
+# and -replication).
 check-cluster:
 	$(GO) run ./cmd/esdcheck -cluster -ops 200000 -seed 1 -batch 0.5
 	$(GO) run ./cmd/esdcheck -cluster -ops 200000 -seed 1 -batch 0.5 -replication 3

@@ -1,12 +1,13 @@
 // Command esdcheck runs the model-based differential and invariant checker
 // (internal/check) against all schemes: one deterministic workload applied
 // to a map-based oracle and every scheme variant (single-threaded plus
-// sharded with and without coalescing), failing loudly on any divergence.
+// sharded, with writes run by the shard worker or inline by the caller),
+// failing loudly on any divergence or invariant violation.
 //
 // Every failure prints the seed and op index; replay the exact failing
-// prefix with:
+// prefix with the command printed under it:
 //
-//	esdcheck -seed N -upto M+1
+//	esdcheck -seed N -upto M+1 [the run's stream-shaping flags]
 //
 // Exit status is 0 when every seed passes, 1 on violations, 2 on usage
 // errors.
@@ -28,93 +29,157 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// flags holds run's parsed flag values.
+type flags struct {
+	ops, seeds, upto, every int
+	seed                    uint64
+	gen, schemes, shards    string
+	concurrent, verbose     bool
+	batch                   float64
+
+	// Cluster mode: differential-check a consistent-hash router over
+	// real in-process nodes instead of the engine matrix.
+	cluster                                      bool
+	clusterNodes, replication, killAt, reshardAt int
+}
+
+// newFlags returns run's flag set and the values it parses into.
+func newFlags(stderr io.Writer) (*flag.FlagSet, *flags) {
 	fs := flag.NewFlagSet("esdcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		ops        = fs.Int("ops", 200_000, "operations per seed")
-		seed       = fs.Uint64("seed", 1, "first workload seed")
-		seeds      = fs.Int("seeds", 1, "number of consecutive seeds to run")
-		upto       = fs.Int("upto", 0, "stop after N ops (replay a failing prefix; 0 = all)")
-		every      = fs.Int("every", 2000, "run invariant audits every K ops (<0 disables)")
-		genName    = fs.String("gen", "default", "workload profile: default, or migrate (phase-shifting hot set)")
-		schemes    = fs.String("schemes", "", "comma-separated schemes (default: the canonical four plus esd+caram)")
-		shards     = fs.String("shards", "1,2,8", "comma-separated shard counts for the sharded variants ('' disables)")
-		coalesce   = fs.String("coalesce", "both", "coalescing for sharded variants: off, on or both")
-		concurrent = fs.Bool("concurrent", false, "also run the adversarial concurrent schedules")
-		batchFrac  = fs.Float64("batch", 0, "fraction of consecutive-write and consecutive-read runs issued through the batch APIs (0 disables, 1 = all)")
-		verbose    = fs.Bool("v", false, "progress output")
+	f := &flags{}
+	fs.IntVar(&f.ops, "ops", 200_000, "operations per seed")
+	fs.Uint64Var(&f.seed, "seed", 1, "first workload seed")
+	fs.IntVar(&f.seeds, "seeds", 1, "number of consecutive seeds to run")
+	fs.IntVar(&f.upto, "upto", 0, "stop after N ops (replay a failing prefix; 0 = all)")
+	fs.IntVar(&f.every, "every", 2000, "run invariant audits every K ops (<0 disables)")
+	fs.StringVar(&f.gen, "gen", "default", "workload profile: default, or migrate (phase-shifting hot set)")
+	fs.StringVar(&f.schemes, "schemes", "", "comma-separated schemes (default: the canonical four plus esd+caram)")
+	fs.StringVar(&f.shards, "shards", "1,2,8", "comma-separated shard counts for the sharded variants ('' disables)")
+	fs.BoolVar(&f.concurrent, "concurrent", false, "also run the adversarial concurrent schedules")
+	fs.Float64Var(&f.batch, "batch", 0, "fraction of consecutive-write and consecutive-read runs issued through the batch APIs (0 disables, 1 = all)")
+	fs.BoolVar(&f.verbose, "v", false, "progress output")
+	fs.BoolVar(&f.cluster, "cluster", false, "check the cluster router over N in-process nodes (TCP data path)")
+	fs.IntVar(&f.clusterNodes, "cluster-nodes", 3, "initial backend count (cluster mode)")
+	fs.IntVar(&f.replication, "replication", 2, "router replica factor (cluster mode)")
+	fs.IntVar(&f.killAt, "kill-at", 0, "kill one node after this op index (0 = 70% of ops, <0 disables; cluster mode)")
+	fs.IntVar(&f.reshardAt, "reshard-at", 0, "grow the ring by one node after this op index (0 = 40% of ops, <0 disables; cluster mode)")
+	return fs, f
+}
 
-		// Cluster mode: differential-check a consistent-hash router over
-		// real in-process nodes instead of the engine matrix.
-		clusterMode  = fs.Bool("cluster", false, "check the cluster router over N in-process nodes (TCP data path)")
-		clusterNodes = fs.Int("cluster-nodes", 3, "initial backend count (cluster mode)")
-		replication  = fs.Int("replication", 2, "router replica factor (cluster mode)")
-		killAt       = fs.Int("kill-at", 0, "kill one node after this op index (0 = 70% of ops, <0 disables; cluster mode)")
-		reshardAt    = fs.Int("reshard-at", 0, "grow the ring by one node after this op index (0 = 40% of ops, <0 disables; cluster mode)")
-	)
+// replayFlags names the flags that shape a run's op stream (the
+// generator's dup-ratio quarters and migration phases scale with -ops) and,
+// in cluster mode, its fault schedule (the default -kill-at and
+// -reshard-at scale with -ops too).
+var replayFlags = []string{"cluster", "ops", "gen", "batch", "cluster-nodes", "replication", "kill-at", "reshard-at"}
+
+// replayCommand is the command that replays the first upto ops of seed's
+// run: -seed and -upto, plus every flag of replayFlags whose value in fs
+// differs from its default.
+func replayCommand(fs *flag.FlagSet, seed uint64, upto int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "esdcheck -seed %d -upto %d", seed, upto)
+	for _, name := range replayFlags {
+		f := fs.Lookup(name)
+		v := f.Value.String()
+		if v == f.DefValue {
+			continue
+		}
+		if _, isBool := f.Value.(interface{ IsBoolFlag() bool }); isBool {
+			fmt.Fprintf(&b, " -%s=%s", name, v)
+		} else {
+			fmt.Fprintf(&b, " -%s %s", name, v)
+		}
+	}
+	return b.String()
+}
+
+// genConfig is the generator both modes run: the -gen profile sized to
+// -ops.
+func (f *flags) genConfig() (check.GenConfig, error) {
+	var gen check.GenConfig
+	switch f.gen {
+	case "default":
+		gen = check.DefaultGen()
+	case "migrate":
+		gen = check.MigrateGen()
+		// PhaseEvery tracks the actual op count, not MigrateGen's default.
+		gen.PhaseEvery = max(f.ops/8, 1)
+	default:
+		return gen, fmt.Errorf("bad -gen %q (want default or migrate)", f.gen)
+	}
+	gen.Ops = f.ops
+	return gen, nil
+}
+
+// config is the differential run's configuration, without its seed.
+func (f *flags) config() (check.Config, error) {
+	gen, err := f.genConfig()
+	if err != nil {
+		return check.Config{}, err
+	}
+	cfg := check.Config{
+		Gen:           gen,
+		Upto:          f.upto,
+		AuditEvery:    f.every,
+		BatchFraction: f.batch,
+	}
+	if f.schemes != "" {
+		cfg.Schemes = splitList(f.schemes)
+	}
+	if cfg.Shards, err = parseInts(f.shards); err != nil {
+		return check.Config{}, fmt.Errorf("bad -shards: %v", err)
+	}
+	return cfg, nil
+}
+
+// clusterConfig is the routed run's configuration, without its seed.
+func (f *flags) clusterConfig() (check.ClusterConfig, error) {
+	gen, err := f.genConfig()
+	if err != nil {
+		return check.ClusterConfig{}, err
+	}
+	return check.ClusterConfig{
+		Gen:           gen,
+		Nodes:         f.clusterNodes,
+		Replication:   f.replication,
+		KillAt:        f.killAt,
+		ReshardAt:     f.reshardAt,
+		Upto:          f.upto,
+		BatchFraction: f.batch,
+	}, nil
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs, f := newFlags(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *batchFrac < 0 || *batchFrac > 1 {
+	if f.batch < 0 || f.batch > 1 {
 		fmt.Fprintf(stderr, "esdcheck: -batch must be in [0,1]\n")
 		return 2
 	}
 
-	if *clusterMode {
-		return runCluster(stdout, stderr, clusterArgs{
-			ops: *ops, seed: *seed, seeds: *seeds, upto: *upto,
-			nodes: *clusterNodes, replication: *replication,
-			killAt: *killAt, reshardAt: *reshardAt,
-			batchFrac: *batchFrac, verbose: *verbose,
-		})
+	if f.cluster {
+		cfg, err := f.clusterConfig()
+		if err != nil {
+			fmt.Fprintf(stderr, "esdcheck: %v\n", err)
+			return 2
+		}
+		return runCluster(stdout, stderr, fs, f, cfg)
 	}
 
-	gen := check.DefaultGen()
-	switch *genName {
-	case "default":
-	case "migrate":
-		gen = check.MigrateGen()
-	default:
-		fmt.Fprintf(stderr, "esdcheck: bad -gen %q (want default or migrate)\n", *genName)
-		return 2
-	}
-	cfg := check.Config{
-		Gen:           gen,
-		Upto:          *upto,
-		AuditEvery:    *every,
-		BatchFraction: *batchFrac,
-	}
-	cfg.Gen.Ops = *ops
-	if *genName == "migrate" {
-		// PhaseEvery tracks the actual op count, not MigrateGen's default.
-		cfg.Gen.PhaseEvery = max(*ops/8, 1)
-	}
-	if *schemes != "" {
-		cfg.Schemes = splitList(*schemes)
-	}
-	var err error
-	if cfg.Shards, err = parseInts(*shards); err != nil {
-		fmt.Fprintf(stderr, "esdcheck: bad -shards: %v\n", err)
-		return 2
-	}
-	switch *coalesce {
-	case "off":
-		cfg.Coalesce = []bool{false}
-	case "on":
-		cfg.Coalesce = []bool{true}
-	case "both":
-		cfg.Coalesce = []bool{false, true}
-	default:
-		fmt.Fprintf(stderr, "esdcheck: bad -coalesce %q (want off, on or both)\n", *coalesce)
+	cfg, err := f.config()
+	if err != nil {
+		fmt.Fprintf(stderr, "esdcheck: %v\n", err)
 		return 2
 	}
 
 	failed := false
-	for s := *seed; s < *seed+uint64(*seeds); s++ {
+	for s := f.seed; s < f.seed+uint64(f.seeds); s++ {
 		runCfg := cfg
 		runCfg.Seed = s
-		if *verbose {
+		if f.verbose {
 			runCfg.Progress = func(done, total int) {
 				fmt.Fprintf(stdout, "seed %d: %d/%d ops\n", s, done, total)
 			}
@@ -133,10 +198,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "seed %d: FAIL — %d violation(s):\n", s, len(res.Violations))
 			for _, v := range res.Violations {
 				fmt.Fprintf(stdout, "  %v\n", v)
-				fmt.Fprintf(stdout, "    replay: esdcheck -seed %d -upto %d%s\n", s, v.Op+1, batchArg(*batchFrac))
+				fmt.Fprintf(stdout, "    replay: %s\n", replayCommand(fs, s, v.Op+1))
 			}
 		}
-		if *concurrent {
+		if f.concurrent {
 			schemeSet := cfg.Schemes
 			if len(schemeSet) == 0 {
 				schemeSet = check.DefaultSchemes()
@@ -169,42 +234,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// batchArg is the -batch flag a replay command needs: the batching coin
-// shapes which ops reach the engines through which API.
-func batchArg(frac float64) string {
-	if frac == 0 {
-		return ""
-	}
-	return fmt.Sprintf(" -batch %g", frac)
-}
-
-type clusterArgs struct {
-	ops, seeds, upto   int
-	seed               uint64
-	nodes, replication int
-	killAt, reshardAt  int
-	batchFrac          float64
-	verbose            bool
-}
-
 // runCluster drives the routed differential checker: oracle vs a
 // consistent-hash router over real TCP backends, with a node kill and a
 // reshard cutover injected mid-stream at deterministic op indices.
-func runCluster(stdout, stderr io.Writer, a clusterArgs) int {
+func runCluster(stdout, stderr io.Writer, fs *flag.FlagSet, f *flags, base check.ClusterConfig) int {
 	failed := false
-	for s := a.seed; s < a.seed+uint64(a.seeds); s++ {
-		cfg := check.ClusterConfig{
-			Gen:           check.DefaultGen(),
-			Seed:          s,
-			Nodes:         a.nodes,
-			Replication:   a.replication,
-			KillAt:        a.killAt,
-			ReshardAt:     a.reshardAt,
-			Upto:          a.upto,
-			BatchFraction: a.batchFrac,
-		}
-		cfg.Gen.Ops = a.ops
-		if a.verbose {
+	for s := f.seed; s < f.seed+uint64(f.seeds); s++ {
+		cfg := base
+		cfg.Seed = s
+		if f.verbose {
 			cfg.Progress = func(done, total int) {
 				fmt.Fprintf(stdout, "cluster seed %d: %d/%d ops\n", s, done, total)
 			}
@@ -217,15 +255,14 @@ func runCluster(stdout, stderr io.Writer, a clusterArgs) int {
 		}
 		if res.Ok() {
 			fmt.Fprintf(stdout, "cluster seed %d: OK — %d ops (%d writes, %d reads) routed over %d nodes r=%d in %v\n",
-				s, res.Ops, res.Writes, res.Reads, a.nodes, a.replication, time.Since(start).Round(time.Millisecond))
+				s, res.Ops, res.Writes, res.Reads, cfg.Nodes, cfg.Replication, time.Since(start).Round(time.Millisecond))
 			continue
 		}
 		failed = true
 		fmt.Fprintf(stdout, "cluster seed %d: FAIL — %d violation(s):\n", s, len(res.Violations))
 		for _, v := range res.Violations {
 			fmt.Fprintf(stdout, "  %v\n", v)
-			fmt.Fprintf(stdout, "    replay: esdcheck -cluster -seed %d -upto %d -cluster-nodes %d -replication %d%s\n",
-				s, v.Op+1, a.nodes, a.replication, batchArg(a.batchFrac))
+			fmt.Fprintf(stdout, "    replay: %s\n", replayCommand(fs, s, v.Op+1))
 		}
 	}
 	if failed {

@@ -233,8 +233,8 @@ func cliMain(args []string, stdout io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("stats: %w", err)
 			}
-			fmt.Fprintf(stdout, "server: scheme=%s shards=%d writes=%d reads=%d dedup=%.1f%% coalesced=%d shed=%d\n",
-				st.Scheme, st.Shards, st.Writes, st.Reads, st.DedupRate*100, st.Coalesced, st.Shed)
+			fmt.Fprintf(stdout, "server: scheme=%s shards=%d writes=%d reads=%d dedup=%.1f%% shed=%d\n",
+				st.Scheme, st.Shards, st.Writes, st.Reads, st.DedupRate*100, st.Shed)
 		}
 	}
 	if errs > 0 {

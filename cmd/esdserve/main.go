@@ -47,7 +47,6 @@ func cliMain(args []string, stdout io.Writer, ready func(*server.Server) <-chan 
 		shards    = fs.Int("shards", 4, "number of independent shards")
 		queue     = fs.Int("queue-depth", 128, "per-shard request queue bound")
 		batch     = fs.Int("batch", 32, "max requests a shard drains per wakeup")
-		coalesce  = fs.Bool("coalesce", false, "coalesce same-address writes within a batch")
 		timeout   = fs.Duration("timeout", 2*time.Second, "per-request service budget")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget before force-closing connections")
 		metrics   = fs.Bool("metrics", false, "expose per-shard metrics at /metrics")
@@ -71,7 +70,6 @@ func cliMain(args []string, stdout io.Writer, ready func(*server.Server) <-chan 
 		Shards:      *shards,
 		QueueDepth:  *queue,
 		Batch:       *batch,
-		Coalesce:    *coalesce,
 		IssueGap:    sim.Time(*gapNs) * sim.Nanosecond,
 		Metrics:     *metrics,
 		Tracing:     *tracing,

@@ -84,7 +84,6 @@ func cliMain(args []string, stdout io.Writer) error {
 		traceFormat = fs.String("trace-format", "jsonl", "event trace encoding: jsonl or chrome")
 		traceSample = fs.Int("trace-sample", 1, "trace every Nth write/read event (rare events always traced)")
 		shards      = fs.Int("shards", 1, "partition the address space across N concurrent shards (sharded replay; ignores -warmup)")
-		coalesce    = fs.Bool("coalesce", false, "with -shards: coalesce same-address writes within a batch")
 		slow        = fs.Duration("slow", 0, "log requests whose simulated latency reaches this threshold (0 disables)")
 		slowMax     = fs.Int("slow-max", 100, "cap on slow-request log lines (0 = unlimited)")
 		deviceStats = fs.Bool("device-stats", false, "after the run, dump the device-health document (wear shape, per-bank rows, energy split, dedup effectiveness) as JSON")
@@ -146,7 +145,6 @@ func cliMain(args []string, stdout io.Writer) error {
 		}
 		return runSharded(stdout, cfg, scheme, stream, shardRun{
 			shards:      *shards,
-			coalesce:    *coalesce,
 			metricsAddr: *metricsAddr,
 			pprof:       *pprofFlag,
 			jsonOut:     *jsonOut,
@@ -293,7 +291,6 @@ func pickStream(traceFile, mix, app string, seed uint64, n int) (esd.Stream, err
 // shardRun bundles the sharded-replay knobs.
 type shardRun struct {
 	shards      int
-	coalesce    bool
 	metricsAddr string
 	pprof       bool
 	jsonOut     bool
@@ -313,9 +310,6 @@ func printDeviceStats(w io.Writer, scheme string, snaps []esd.DeviceHealthSnapsh
 // merged summary.
 func runSharded(w io.Writer, cfg esd.Config, scheme string, stream esd.Stream, opts shardRun) error {
 	sysOpts := []esd.ShardOption{esd.WithShards(opts.shards)}
-	if opts.coalesce {
-		sysOpts = append(sysOpts, esd.WithWriteCoalescing())
-	}
 	if opts.metricsAddr != "" {
 		sysOpts = append(sysOpts, esd.WithShardMetrics())
 	}
@@ -380,7 +374,6 @@ type shardedJSON struct {
 	MediaWrites  uint64  `json:"media_writes"`
 	MetadataNVMM int64   `json:"metadata_nvmm_bytes"`
 	MaxWear      uint64  `json:"max_wear"`
-	Coalesced    uint64  `json:"coalesced_writes"`
 	ElapsedNs    float64 `json:"simulated_ns"`
 }
 
@@ -401,7 +394,6 @@ func printShardedJSON(w io.Writer, scheme string, res *esd.ShardReplayResult) er
 		MediaWrites:  res.DeviceWrites,
 		MetadataNVMM: res.MetadataNVMM,
 		MaxWear:      res.MaxWear,
-		Coalesced:    res.Coalesced,
 		ElapsedNs:    res.Now.Nanoseconds(),
 	}
 	enc := json.NewEncoder(w)
@@ -417,8 +409,8 @@ func printShardedResult(w io.Writer, scheme string, res *esd.ShardReplayResult) 
 	fmt.Fprintf(w, "reads:   mean=%v p50=%v p99=%v max=%v\n",
 		res.ReadHist.Mean(), res.ReadHist.Percentile(0.5), res.ReadHist.Percentile(0.99), res.ReadHist.Max())
 	st := res.Scheme
-	fmt.Fprintf(w, "dedup:   eliminated=%d/%d (%.1f%%)  unique-writes=%d  coalesced=%d\n",
-		st.DedupWrites, st.Writes, st.DedupRate()*100, st.UniqueWrites, res.Coalesced)
+	fmt.Fprintf(w, "dedup:   eliminated=%d/%d (%.1f%%)  unique-writes=%d\n",
+		st.DedupWrites, st.Writes, st.DedupRate()*100, st.UniqueWrites)
 	fmt.Fprintf(w, "energy:  total=%.1f uJ   device: media-writes=%d  metadata-nvmm=%d B  wear(max=%d mean=%.2f)\n",
 		res.Energy.Total()/1000, res.DeviceWrites, res.MetadataNVMM, res.MaxWear, res.MeanWear)
 }

@@ -190,8 +190,8 @@ func render(w io.Writer, st *server.StatuszResponse, dev *server.DeviceResponse,
 			maxDepth = d
 		}
 	}
-	fmt.Fprintf(w, "queues      %s  depth %d/%d  shed=%d coalesced=%d slow=%d flight=%d\n",
-		q.String(), maxDepth, st.QueueCap, st.Shed, st.Coalesced, st.SlowRequests, st.FlightRecords)
+	fmt.Fprintf(w, "queues      %s  depth %d/%d  shed=%d slow=%d flight=%d\n",
+		q.String(), maxDepth, st.QueueCap, st.Shed, st.SlowRequests, st.FlightRecords)
 
 	if len(st.Stages) > 0 {
 		names := make([]string, 0, len(st.Stages))

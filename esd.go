@@ -719,24 +719,6 @@ func WithShardBatching(n int) ShardOption {
 	return func(o *shard.Options) { o.Batch = n }
 }
 
-// WithWriteCoalescing collapses same-address writes within one drained
-// batch (never across an intervening read of that address). Off by
-// default because coalescing changes the dedup statistics: absorbed
-// writes never reach the scheme.
-func WithWriteCoalescing() ShardOption {
-	return func(o *shard.Options) { o.Coalesce = true }
-}
-
-// WithBatchKernels routes runs of consecutive writes in each drained
-// shard batch through the schemes' batched write path: ECC fingerprints
-// and AES pads are computed in batched passes instead of per line. Dedup
-// decisions, placements, counters and statistics are identical to the
-// scalar path; per-op latencies can differ (deferred device writes
-// observe different bank-queue states). Off by default.
-func WithBatchKernels() ShardOption {
-	return func(o *shard.Options) { o.BatchKernels = true }
-}
-
 // WithShardMetrics enables per-shard telemetry sinks on one shared
 // registry; every metric carries a shard="i" label. See
 // ShardedSystem.WriteMetrics.
@@ -989,8 +971,6 @@ func (s *ShardedSystem) ServeMetrics(addr string, enablePprof bool) (*MetricsSer
 				QueueDepths []int          `json:"queue_depths"`
 				QueueCap    int            `json:"queue_cap"`
 				Shed        uint64         `json:"shed_requests"`
-				Coalescing  bool           `json:"coalescing"`
-				Coalesced   uint64         `json:"coalesced_writes"`
 				Tracing     bool           `json:"tracing"`
 				Stages      []StageLatency `json:"stages,omitempty"`
 			}{
@@ -999,8 +979,6 @@ func (s *ShardedSystem) ServeMetrics(addr string, enablePprof bool) (*MetricsSer
 				QueueDepths: s.eng.QueueLens(),
 				QueueCap:    s.eng.QueueCap(),
 				Shed:        s.eng.Shed(),
-				Coalescing:  s.eng.CoalesceEnabled(),
-				Coalesced:   s.eng.Coalesced(),
 				Tracing:     s.eng.TracingEnabled(),
 			}
 			st.Stages, _ = s.StageLatencies()

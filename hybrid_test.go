@@ -83,7 +83,7 @@ func TestHybridSystemEndToEnd(t *testing.T) {
 func TestHybridShardedRace(t *testing.T) {
 	cfg := hybridConfig()
 	cfg.Media.DRAM.CapacityBytes = 16 << 10 // 64 lines per shard after the 4-way split
-	sys, err := NewShardedSystem(cfg, SchemeESDCaram, WithShards(4), WithWriteCoalescing())
+	sys, err := NewShardedSystem(cfg, SchemeESDCaram, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,16 +8,18 @@
 //   - the differential checker: every Read must match the oracle exactly
 //     (same hit/miss, same 64 bytes), for every scheme, in both the
 //     single-threaded System form and the sharded form (1/2/8 shards,
-//     coalescing on and off) — so every scheme also implicitly agrees with
-//     every other scheme;
-//   - the invariant checker: every AuditEvery ops the single engines'
-//     white-box audits run — dedup refcount conservation, AMT
+//     writes run by the shard worker or inline by the caller) — so every
+//     scheme also implicitly agrees with every other scheme;
+//   - the invariant checker: every AuditEvery ops, and at the end, every
+//     engine's white-box audits run — dedup refcount conservation, AMT
 //     well-formedness, counter monotonicity/pad-uniqueness, EFIT
 //     consistency (see the Audit methods in internal/dedup and
-//     internal/core);
+//     internal/core) and, on esd+caram, the hybrid tier's audit. A
+//     sharded engine runs them on every shard under the shard's owner
+//     (shard.Engine.Barrier);
 //   - the adversarial schedules (RunConcurrent): mixed concurrent
-//     workloads under the race detector with per-bank fault injection and
-//     mid-run crash/recovery.
+//     workloads under the race detector with per-bank fault injection,
+//     audited once they quiesce.
 //
 // Every failure carries the seed and the op index at which it fired, so
 // `esdcheck -seed N -upto M` replays the exact prefix.
@@ -44,7 +46,7 @@ func DefaultSchemes() []string {
 // generated stream) after which it was detected.
 type Violation struct {
 	// Engine names the engine variant that diverged (e.g. "esd/single",
-	// "dewrite/shards=8,coalesce").
+	// "dewrite/shards=8,inline").
 	Engine string
 	// Op is the 0-based index of the last generated op before detection.
 	Op int

@@ -1,12 +1,15 @@
 package check
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/esdsim/esd/internal/core"
 	"github.com/esdsim/esd/internal/dedup"
 	"github.com/esdsim/esd/internal/ecc"
+	"github.com/esdsim/esd/internal/memctrl"
 )
 
 func TestCollisionDelta(t *testing.T) {
@@ -69,7 +72,7 @@ func TestGenDeterministic(t *testing.T) {
 }
 
 // TestRunSmall is the tier-1 face of the differential checker: every scheme,
-// single and sharded, coalescing on and off, against the oracle.
+// single and sharded, writes run queued and inline, against the oracle.
 func TestRunSmall(t *testing.T) {
 	gen := DefaultGen()
 	gen.Ops = 4000
@@ -84,9 +87,14 @@ func TestRunSmall(t *testing.T) {
 		t.Fatalf("ran %d ops, want 4000", res.Ops)
 	}
 	// Five schemes (canonical four + esd+caram), each single plus
-	// 2 shard counts x 2 coalescing settings.
+	// 2 shard counts x 2 owners.
 	if want := 5 * (1 + 2*2); len(res.Engines) != want {
 		t.Fatalf("%d engine variants, want %d", len(res.Engines), want)
+	}
+	for _, want := range []string{"esd/single", "esd/shards=2,queued", "esd/shards=2,inline", "esd+caram/shards=1,inline"} {
+		if !slices.Contains(res.Engines, want) {
+			t.Errorf("no engine %q in %v", want, res.Engines)
+		}
 	}
 }
 
@@ -156,7 +164,7 @@ func TestRunBatchFraction(t *testing.T) {
 func TestRunBatchDeterministic(t *testing.T) {
 	gen := DefaultGen()
 	gen.Ops = 2000
-	cfg := Config{Gen: gen, Seed: 13, Shards: []int{2}, Coalesce: []bool{false}, AuditEvery: 500, BatchFraction: 0.5}
+	cfg := Config{Gen: gen, Seed: 13, Shards: []int{2}, AuditEvery: 500, BatchFraction: 0.5}
 	r1, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +191,7 @@ func TestBatchInjectedBugCaught(t *testing.T) {
 	gen.Ops = 3000
 	corrupted := 0
 	cfg := Config{
-		Gen: gen, Seed: 21, Shards: []int{2}, Coalesce: []bool{false},
+		Gen: gen, Seed: 21, Shards: []int{2},
 		AuditEvery: -1, BatchFraction: 1.0,
 		mutateBatch: func(items []batchItem) []batchItem {
 			// Flip one word of the middle op of every batched run.
@@ -219,7 +227,7 @@ func TestBatchReadSwapCaught(t *testing.T) {
 	gen.Ops = 3000
 	swapped := 0
 	cfg := Config{
-		Gen: gen, Seed: 21, Shards: []int{2}, Coalesce: []bool{false},
+		Gen: gen, Seed: 21, Shards: []int{2},
 		AuditEvery: -1, BatchFraction: 1.0,
 		mutateReads: func(got []readGot) {
 			for i := 1; i < len(got); i++ {
@@ -263,7 +271,7 @@ func TestRunUptoReplaysPrefix(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	gen := DefaultGen()
 	gen.Ops = 2000
-	cfg := Config{Gen: gen, Seed: 11, Shards: []int{2}, Coalesce: []bool{true}, AuditEvery: 500}
+	cfg := Config{Gen: gen, Seed: 11, Shards: []int{2}, AuditEvery: 500}
 	r1, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +322,10 @@ func TestCollisionLinesExerciseCompare(t *testing.T) {
 
 // TestInjectedRefcountBugCaught is the checker's own acceptance test: a
 // deliberately corrupted reference count must be detected by the next
-// audit, with a violation that pins the failure for replay.
+// audit, on a single engine and on one shard of a sharded engine at either
+// owner (injected there through the shard's barrier), with a violation
+// that names the failure. A counter rolled back on one shard must be
+// reported as pad reuse.
 func TestInjectedRefcountBugCaught(t *testing.T) {
 	for _, scheme := range DefaultSchemes() {
 		if scheme == "baseline" {
@@ -325,48 +336,112 @@ func TestInjectedRefcountBugCaught(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gen := DefaultGen()
-			gen.Ops = 2000
-			g := NewGen(gen, 1)
-			for {
-				op, ok := g.Next()
-				if !ok {
-					break
+			auditCatches(t, se, func() string {
+				if _, ok := corruptRefcount(se.sch); !ok {
+					t.Fatal("no mapped physical line to corrupt")
 				}
-				if op.Kind == OpWrite {
-					se.write(op.Addr, op.Line)
-				}
-			}
-			if bad := se.audit(); len(bad) != 0 {
-				t.Fatalf("audit dirty before injection: %v", bad)
-			}
-			var victim uint64
-			found := false
-			switch s := se.sch.(type) {
-			case *core.ESD:
-				s.AMT.Range(func(_, phys uint64) bool { victim, found = phys, true; return false })
-				s.Refs.Inc(victim)
-			case *dedup.SHA1:
-				s.AMT.Range(func(_, phys uint64) bool { victim, found = phys, true; return false })
-				s.Refs.Inc(victim)
-			case *dedup.DeWrite:
-				s.AMT.Range(func(_, phys uint64) bool { victim, found = phys, true; return false })
-				s.Refs.Inc(victim)
-			default:
-				t.Fatalf("no injection surface for %T", se.sch)
-			}
-			if !found {
-				t.Fatal("no mapped physical line to corrupt")
-			}
-			bad := se.audit()
-			if len(bad) == 0 {
-				t.Fatalf("injected refcount corruption on phys %d went undetected", victim)
-			}
-			if !strings.Contains(strings.Join(bad, "\n"), "refcount") {
-				t.Fatalf("audit caught something, but not the refcount: %v", bad)
+				return "refcount"
+			})
+
+			for _, owner := range []string{ownerQueued, ownerInline} {
+				t.Run("shards=4,"+owner, func(t *testing.T) {
+					sh := newTestShardEngine(t, scheme, owner)
+					auditCatches(t, sh, func() string {
+						found := false
+						err := sh.eng.Barrier(func(id int, sch memctrl.Scheme, _ *memctrl.Env) {
+							if id == 2 {
+								_, found = corruptRefcount(sch)
+							}
+						})
+						if err != nil || !found {
+							t.Fatalf("no mapped physical line to corrupt on shard 2 (%v)", err)
+						}
+						return "shard 2: refcount"
+					})
+				})
 			}
 		})
 	}
+	// One row on esd/shards=4,queued.
+	t.Run("counter-rollback", func(t *testing.T) {
+		sh := newTestShardEngine(t, "esd", ownerQueued)
+		auditCatches(t, sh, func() string {
+			var line, counter uint64
+			err := sh.eng.Barrier(func(id int, _ memctrl.Scheme, env *memctrl.Env) {
+				if id != 1 {
+					return
+				}
+				env.Crypto.RangeCounters(func(addr, c uint64) bool {
+					line, counter = addr, c
+					return c == 0
+				})
+				if counter > 0 {
+					env.Crypto.Commit(line, counter-1)
+				}
+			})
+			if err != nil || counter == 0 {
+				t.Fatalf("no written line to roll back on shard 1 (%v)", err)
+			}
+			return fmt.Sprintf("shard 1: counter: line %d went backwards %d -> %d", line, counter, counter-1)
+		})
+	})
+}
+
+// auditCatches writes a short stream into e, requires a clean audit, runs
+// inject, and requires the next audit to report what inject returns.
+func auditCatches(t *testing.T, e engine, inject func() (want string)) {
+	t.Helper()
+	gen := DefaultGen()
+	gen.Ops = 2000
+	g := NewGen(gen, 1)
+	for {
+		op, ok := g.Next()
+		if !ok {
+			break
+		}
+		if op.Kind == OpWrite {
+			e.write(op.Addr, op.Line)
+		}
+	}
+	if bad := e.audit(); len(bad) != 0 {
+		t.Fatalf("audit dirty before injection: %v", bad)
+	}
+	want := inject()
+	if bad := e.audit(); !strings.Contains(strings.Join(bad, "\n"), want) {
+		t.Fatalf("injected corruption not reported as %q; audit says %v", want, bad)
+	}
+}
+
+// corruptRefcount bumps the reference count of one mapped physical line
+// of sch; ok is false when nothing is mapped.
+func corruptRefcount(sch memctrl.Scheme) (victim uint64, ok bool) {
+	var base *dedup.Base
+	switch s := sch.(type) {
+	case *core.ESD:
+		base = &s.Base
+	case *dedup.SHA1:
+		base = &s.Base
+	case *dedup.DeWrite:
+		base = &s.Base
+	default:
+		return 0, false
+	}
+	base.AMT.Range(func(_, phys uint64) bool { victim, ok = phys, true; return false })
+	if ok {
+		base.Refs.Inc(victim)
+	}
+	return victim, ok
+}
+
+// newTestShardEngine builds a 4-shard engine of the checker's matrix.
+func newTestShardEngine(t *testing.T, scheme, owner string) *shardEngine {
+	t.Helper()
+	sh, err := newShardEngine(checkConfig(), scheme, 4, owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sh.close() })
+	return sh
 }
 
 // TestConcurrentSmall drives the adversarial concurrent schedule; under

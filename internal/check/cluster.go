@@ -81,12 +81,14 @@ func (c *ClusterConfig) withDefaults() ClusterConfig {
 
 // clusterNode is one in-process backend under the checker.
 type clusterNode struct {
-	name string
-	eng  *shard.Engine
-	srv  *server.Server
+	name   string
+	eng    *shard.Engine
+	srv    *server.Server
+	killed bool
 }
 
 func (n *clusterNode) kill() {
+	n.killed = true
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = n.srv.Shutdown(ctx)
@@ -111,7 +113,8 @@ func bootClusterNode(sys config.Config, scheme, name string) (*clusterNode, erro
 // fronting Nodes backends, with a mid-stream reshard (adding one node)
 // and a mid-stream node kill at deterministic op indices. Reads must
 // match the oracle exactly through every phase — before, during and
-// after both fault injections.
+// after both fault injections. After the final sweep the invariant
+// audits run on every live node's engine, the standby included.
 func RunCluster(cfg ClusterConfig) (*Result, error) {
 	rc := cfg.withDefaults()
 	if rc.KillAt >= 0 && rc.Replication < 2 {
@@ -302,6 +305,14 @@ func RunCluster(cfg ClusterConfig) (*Result, error) {
 		}
 		if len(res.Violations) >= rc.MaxViolations {
 			return res, nil
+		}
+	}
+	for _, n := range nodes {
+		if n.killed {
+			continue
+		}
+		for _, msg := range auditShards(n.eng, make([]counterAudit, n.eng.NumShards())) {
+			fail(lastOp, n.name+": "+msg)
 		}
 	}
 	return res, nil

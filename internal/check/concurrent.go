@@ -16,9 +16,8 @@ import (
 type ConcurrentConfig struct {
 	// Scheme is the scheme every shard runs.
 	Scheme string
-	// Shards and Coalesce configure the engine under test.
-	Shards   int
-	Coalesce bool
+	// Shards is the engine's shard count.
+	Shards int
 	// Workers is the number of concurrent client goroutines.
 	Workers int
 	// OpsPerWorker is each worker's op count.
@@ -39,7 +38,6 @@ func DefaultConcurrent(scheme string) ConcurrentConfig {
 	return ConcurrentConfig{
 		Scheme:       scheme,
 		Shards:       4,
-		Coalesce:     true,
 		Workers:      8,
 		OpsPerWorker: 2000,
 		Addrs:        256,
@@ -56,12 +54,16 @@ const stripeCount = 64
 // striped lock is held across {engine op, model update}, so within one
 // address ops are serialized and every read must return exactly the model's
 // current value, while across addresses the engine sees genuinely
-// concurrent traffic (run it under -race). Async writes ride WriteAsync so
-// the coalescing path engages under contention. Batch writes and reads
+// concurrent traffic (run it under -race). Half the writes ride
+// WriteAsync, so the shard workers run them in drained batches, and half
+// blocking Write, which runs on the calling goroutine when its shard is
+// idle: both owners reach every shard. Batch writes and reads
 // (WriteBatch, ReadBatch) hold every touched stripe, taken in stripe order
 // so that no two workers deadlock. An async write followed at once by a
 // read of the same address must read it back: the write is still queued
-// when the read arrives, so the read must not run ahead of it.
+// when the read arrives, so the read must not run ahead of it. Once the
+// workers are done and every model entry has read back, the invariant
+// audits run on every shard.
 //
 // It returns harness violations; an error reports engine construction
 // failure.
@@ -75,7 +77,7 @@ func RunConcurrent(cfg ConcurrentConfig) ([]Violation, error) {
 }
 
 func runConcurrentOn(sys config.Config, cfg ConcurrentConfig) ([]Violation, error) {
-	eng, err := shard.New(sys, cfg.Scheme, shard.Options{Shards: cfg.Shards, Coalesce: cfg.Coalesce})
+	eng, err := shard.New(sys, cfg.Scheme, shard.Options{Shards: cfg.Shards})
 	if err != nil {
 		return nil, fmt.Errorf("check: %w", err)
 	}
@@ -238,6 +240,9 @@ func runConcurrentOn(sys config.Config, cfg ConcurrentConfig) ([]Violation, erro
 				fail(lastOp, fmt.Sprintf("sweep addr=%d: data diverges from model", addr))
 			}
 		}
+	}
+	for _, msg := range auditShards(eng, make([]counterAudit, eng.NumShards())) {
+		fail(lastOp, msg)
 	}
 	return vios, nil
 }

@@ -29,6 +29,8 @@ type engine interface {
 	// crash simulates a power failure; it reports false when the variant
 	// has no crash surface (sharded engines).
 	crash() bool
+	// audit runs the white-box invariant audits on every scheme instance
+	// of the variant (see auditScheme).
 	audit() []string
 	close() error
 }
@@ -61,14 +63,7 @@ type singleEngine struct {
 	// physical backing while storing a compressed difference elsewhere.
 	dedupIdentical bool
 
-	// Counter-audit shadow state (pad-uniqueness): per-line counters must
-	// never decrease between audits, and the total counter mass must move
-	// in lockstep with the crypto engine's encryption count minus the
-	// scheme's discarded speculative encryptions.
-	shadow     map[uint64]uint64
-	prevSum    uint64
-	prevEnc    uint64
-	prevWasted uint64
+	counters counterAudit
 }
 
 func newSingleEngine(cfg config.Config, scheme string) (*singleEngine, error) {
@@ -82,7 +77,6 @@ func newSingleEngine(cfg config.Config, scheme string) (*singleEngine, error) {
 		env:            env,
 		sch:            sch,
 		dedupIdentical: scheme != experiments.SchemeBCD,
-		shadow:         make(map[uint64]uint64),
 	}, nil
 }
 
@@ -203,70 +197,125 @@ func (e *singleEngine) crash() bool {
 	return true
 }
 
-func (e *singleEngine) audit() []string {
-	bad := AuditScheme(e.sch)
-	bad = append(bad, e.auditCounters()...)
-	// Hybrid-media variants also audit the tier itself: LRU/index
-	// consistency, capacity bounds, and clean residents byte-identical to
-	// their PCM homes.
-	if h := e.env.Hybrid(); h != nil {
+func (e *singleEngine) audit() []string { return auditScheme(e.sch, e.env, &e.counters) }
+
+func (e *singleEngine) close() error { return nil }
+
+// auditScheme runs every audit the checker has on one scheme instance:
+// AuditScheme, the counter audit against ca's shadow state, and, on the
+// hybrid media tier, the tier's own audit (LRU/index consistency,
+// capacity bounds, clean residents byte-identical to their PCM homes).
+func auditScheme(sch memctrl.Scheme, env *memctrl.Env, ca *counterAudit) []string {
+	bad := AuditScheme(sch)
+	bad = append(bad, ca.audit(env, sch)...)
+	if h := env.Hybrid(); h != nil {
 		bad = append(bad, h.Audit()...)
 	}
 	return bad
 }
 
-// auditCounters checks counter-mode pad uniqueness: a per-line counter that
-// ever decreases (or a counter bump unaccounted by an encryption) would
-// reuse a one-time pad.
-func (e *singleEngine) auditCounters() []string {
+// counterAudit checks counter-mode pad uniqueness for one scheme instance
+// across successive audits: a per-line counter must never decrease, and
+// the total counter mass must move in lockstep with the crypto engine's
+// encryption count minus the scheme's discarded speculative encryptions.
+// A counter that went backwards, or a bump no encryption accounts for,
+// would reuse a one-time pad. The zero value starts from a fresh engine.
+type counterAudit struct {
+	shadow     map[uint64]uint64
+	prevSum    uint64
+	prevEnc    uint64
+	prevWasted uint64
+}
+
+func (ca *counterAudit) audit(env *memctrl.Env, sch memctrl.Scheme) []string {
+	if ca.shadow == nil {
+		ca.shadow = make(map[uint64]uint64)
+	}
 	var bad []string
 	var sum uint64
-	e.env.Crypto.RangeCounters(func(addr, c uint64) bool {
-		if prev, ok := e.shadow[addr]; ok && c < prev {
+	env.Crypto.RangeCounters(func(addr, c uint64) bool {
+		if prev, ok := ca.shadow[addr]; ok && c < prev {
 			bad = append(bad, fmt.Sprintf("counter: line %d went backwards %d -> %d (pad reuse)", addr, prev, c))
 		}
-		e.shadow[addr] = c
+		ca.shadow[addr] = c
 		sum += c
 		return true
 	})
-	enc, wasted := e.env.Crypto.Encryptions, e.sch.Stats().WastedEncryptions
-	dSum, dEnc, dWasted := sum-e.prevSum, enc-e.prevEnc, wasted-e.prevWasted
+	enc, wasted := env.Crypto.Encryptions, sch.Stats().WastedEncryptions
+	// Signed deltas, so a counter mass that shrank reads negative.
+	dSum, dEnc, dWasted := int64(sum-ca.prevSum), int64(enc-ca.prevEnc), int64(wasted-ca.prevWasted)
 	if dSum != dEnc-dWasted {
 		bad = append(bad, fmt.Sprintf("counter: counters advanced by %d but engine performed %d encryptions (%d discarded)", dSum, dEnc, dWasted))
 	}
-	e.prevSum, e.prevEnc, e.prevWasted = sum, enc, wasted
+	ca.prevSum, ca.prevEnc, ca.prevWasted = sum, enc, wasted
 	return bad
 }
 
-func (e *singleEngine) close() error { return nil }
-
-// shardEngine drives a sharded engine variant. Writes go through
-// WriteAsync (fire-and-forget), which both exercises the coalescing path
-// (synchronous writes never batch up) and still guarantees a later read of
-// the same address observes the write: same address means same shard, and
-// a shard executes its queue in submission order.
-type shardEngine struct {
-	name string
-	eng  *shard.Engine
-	rops []shard.ReadBatchOp
+// auditShards runs auditScheme on every shard of eng, under each shard's
+// owner through the engine's barrier, with counters[i] holding shard i's
+// counter-audit state. Every message names its shard.
+func auditShards(eng *shard.Engine, counters []counterAudit) []string {
+	perShard := make([][]string, eng.NumShards())
+	err := eng.Barrier(func(id int, sch memctrl.Scheme, env *memctrl.Env) {
+		perShard[id] = auditScheme(sch, env, &counters[id])
+	})
+	if err != nil {
+		return []string{fmt.Sprintf("audit barrier: %v", err)}
+	}
+	var bad []string
+	for id, msgs := range perShard {
+		for _, m := range msgs {
+			bad = append(bad, fmt.Sprintf("shard %d: %s", id, m))
+		}
+	}
+	return bad
 }
 
-func newShardEngine(cfg config.Config, scheme string, shards int, coalesce bool) (*shardEngine, error) {
-	eng, err := shard.New(cfg, scheme, shard.Options{Shards: shards, Coalesce: coalesce})
+// Owners of a sharded engine's writes: the axis of the sharded variants.
+const (
+	ownerQueued = "queued"
+	ownerInline = "inline"
+)
+
+// shardEngine drives a sharded engine variant, its writes run by one of
+// the two owners a shard request can have. A queued engine writes through
+// WriteAsync, which always enqueues, so the shard's worker runs the writes
+// and drains them in multi-request batches, and the reads queue behind
+// them. An inline engine writes through blocking Write, which runs on the
+// checker's goroutine whenever the shard is idle. Either way a later read
+// of the same address observes the write: same address means same shard,
+// and a shard executes its requests in submission order.
+type shardEngine struct {
+	name     string
+	eng      *shard.Engine
+	inline   bool
+	rops     []shard.ReadBatchOp
+	counters []counterAudit
+}
+
+func newShardEngine(cfg config.Config, scheme string, shards int, owner string) (*shardEngine, error) {
+	eng, err := shard.New(cfg, scheme, shard.Options{Shards: shards})
 	if err != nil {
 		return nil, err
 	}
-	name := fmt.Sprintf("%s/shards=%d", scheme, shards)
-	if coalesce {
-		name += "+coalesce"
-	}
-	return &shardEngine{name: name, eng: eng}, nil
+	return &shardEngine{
+		name:     fmt.Sprintf("%s/shards=%d,%s", scheme, shards, owner),
+		eng:      eng,
+		inline:   owner == ownerInline,
+		counters: make([]counterAudit, eng.NumShards()),
+	}, nil
 }
 
 func (e *shardEngine) label() string { return e.name }
 
 func (e *shardEngine) write(addr uint64, line ecc.Line) []string {
-	if err := e.eng.WriteAsync(addr, line); err != nil {
+	var err error
+	if e.inline {
+		_, err = e.eng.Write(addr, line)
+	} else {
+		err = e.eng.WriteAsync(addr, line)
+	}
+	if err != nil {
 		return []string{fmt.Sprintf("write addr=%d: %v", addr, err)}
 	}
 	return nil
@@ -315,6 +364,6 @@ func (e *shardEngine) readBatch(items []readItem, got []readGot) {
 
 func (e *shardEngine) crash() bool { return false }
 
-func (e *shardEngine) audit() []string { return nil }
+func (e *shardEngine) audit() []string { return auditShards(e.eng, e.counters) }
 
 func (e *shardEngine) close() error { return e.eng.Close() }

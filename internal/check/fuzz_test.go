@@ -4,7 +4,7 @@ import "testing"
 
 // FuzzDifferential fuzzes the workload-shape space: whatever mix of
 // duplicates, zero bursts, crafted collisions, crashes and skew the fuzzer
-// invents, ESD (single and sharded+coalescing) must stay observationally
+// invents, ESD (single, and sharded at both owners) must stay observationally
 // equal to the oracle and pass every audit. This is the fuzz-shaped face of
 // the differential checker; `esdcheck` runs the big sweeps.
 func FuzzDifferential(f *testing.F) {
@@ -29,7 +29,6 @@ func FuzzDifferential(f *testing.F) {
 			Seed:       seed,
 			Schemes:    []string{"esd"},
 			Shards:     []int{2},
-			Coalesce:   []bool{true},
 			AuditEvery: 100,
 		})
 		if err != nil {

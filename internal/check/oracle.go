@@ -4,7 +4,7 @@ import "github.com/esdsim/esd/internal/ecc"
 
 // Oracle is the trivially-correct reference memory: a map from logical line
 // address to the last line written there. Everything the schemes do —
-// fingerprints, dedup, encryption, sharding, coalescing — must be
+// fingerprints, dedup, encryption, sharding, batching — must be
 // observationally equivalent to this.
 type Oracle struct {
 	mem map[uint64]ecc.Line

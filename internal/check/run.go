@@ -13,17 +13,15 @@ type Config struct {
 	// Seed drives the generator; the same (Gen, Seed) pair replays the
 	// exact same op stream.
 	Seed uint64
-	// Schemes lists the schemes to check (default: the four canonical).
+	// Schemes lists the schemes to check (default: DefaultSchemes).
 	Schemes []string
-	// Shards lists the sharded variants per scheme (default 1, 2, 8; nil
-	// keeps the default, an explicit empty slice disables sharded
-	// variants).
+	// Shards lists the shard counts of the sharded variants per scheme
+	// (default 1, 2, 8; nil keeps the default, an explicit empty slice
+	// disables sharded variants). Each count yields two variants, one per
+	// owner of its writes: queued and inline (see shardEngine).
 	Shards []int
-	// Coalesce lists the coalescing settings per sharded variant
-	// (default off and on).
-	Coalesce []bool
-	// AuditEvery runs the invariant audits every K ops on the single
-	// engines (default 2000; <0 disables).
+	// AuditEvery runs the invariant audits on every engine every K ops
+	// and after the final sweep (default 2000; <0 disables them all).
 	AuditEvery int
 	// Upto stops after this many ops (0 = the full Gen.Ops), replaying the
 	// failing prefix of an earlier run.
@@ -68,9 +66,9 @@ type Result struct {
 func (r *Result) Ok() bool { return len(r.Violations) == 0 }
 
 // checkConfig returns the system configuration the checker runs under: the
-// Table I defaults shrunk to a 64 MiB device so 28 engine variants fit in
-// memory, with SRAM caches shrunk too so eviction/refill paths actually
-// exercise under a small address footprint.
+// Table I defaults shrunk to a 64 MiB device so the 35 engine variants of
+// the default matrix fit in memory, with SRAM caches shrunk too so
+// eviction/refill paths actually exercise under a small address footprint.
 func checkConfig() config.Config {
 	cfg := config.Default()
 	cfg.PCM.CapacityBytes = 1 << 26
@@ -100,9 +98,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Shards == nil {
 		out.Shards = []int{1, 2, 8}
-	}
-	if len(out.Coalesce) == 0 {
-		out.Coalesce = []bool{false, true}
 	}
 	if out.AuditEvery == 0 {
 		out.AuditEvery = 2000
@@ -138,8 +133,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		engines = append(engines, se)
 		for _, n := range rc.Shards {
-			for _, co := range rc.Coalesce {
-				sh, err := newShardEngine(sys, scheme, n, co)
+			for _, owner := range []string{ownerQueued, ownerInline} {
+				sh, err := newShardEngine(sys, scheme, n, owner)
 				if err != nil {
 					return nil, fmt.Errorf("check: %w", err)
 				}

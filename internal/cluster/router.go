@@ -620,7 +620,6 @@ func (r *Router) Stats() (server.StatsResponse, error) {
 		sum.DeviceWrites += out.DeviceWrites
 		sum.EnergyNJ += out.EnergyNJ
 		sum.MetadataNVMM += out.MetadataNVMM
-		sum.Coalesced += out.Coalesced
 		sum.Shed += out.Shed
 		if out.MaxWear > sum.MaxWear {
 			sum.MaxWear = out.MaxWear

@@ -1,9 +1,10 @@
 // Batch pad generation: the per-line cost of counter-mode encryption is
-// four independent cipher.Block.Encrypt calls plus the XOR fold. When the
-// shard coalescer (or a batched client frame) hands the write path N lines
-// at once, the counter blocks of all N lines are laid out back to back in
-// one engine-held scratch buffer and encrypted in a single tight pass, so
-// the AES round-key loads and call overhead amortize across 4×N blocks
+// four independent cipher.Block.Encrypt calls plus the XOR fold. When a
+// batched write (System.WriteBatch, or a shard's write sub-batch from a
+// batched client frame) hands the write path N lines at once, the counter
+// blocks of all N lines are laid out back to back in one engine-held
+// scratch buffer and encrypted in a single tight pass, so the AES
+// round-key loads and call overhead amortize across 4×N blocks
 // instead of being paid per block. The pad for each 16-byte block is the
 // same AES(key, addr || counter || blockIndex) the scalar path computes —
 // batch and scalar ciphertexts are bit-identical by construction, which the
@@ -31,8 +32,8 @@ type BatchOp struct {
 
 // ReserveCounter commits the next write counter for addr and returns it,
 // with exactly the statistics side effects of EncryptInPlace. Batch write
-// paths that defer pad generation (to coalesce device writes) call this at
-// decision time so counter semantics — and the pad-uniqueness invariant
+// paths that defer pad generation (to batch it across the write) call this
+// at decision time so counter semantics — and the pad-uniqueness invariant
 // the checker audits — are identical to the scalar path: the counter is
 // burned the moment the write is accepted, never reused even if the
 // physical line is freed and reallocated later in the same batch.

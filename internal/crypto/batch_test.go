@@ -11,7 +11,7 @@ import (
 
 // EncryptBatch must be observably identical to N EncryptInPlace calls:
 // same ciphertexts, same committed counters, same Encryptions count — for
-// every batch size the coalescer forms (1..9) and for address collisions
+// batch sizes 1..9 and for address collisions
 // within one batch (the same address written twice in a batch must burn
 // two distinct counters, never reuse a pad).
 func TestEncryptBatchMatchesScalar(t *testing.T) {

@@ -1,5 +1,5 @@
 // Batch codec entry points. Encoding a line is eight table-driven word
-// encodes; encoding a coalesced batch of 4–8 lines through one call keeps
+// encodes; encoding a write batch's lines through one call keeps
 // the 2 KiB lane tables hot in L1 across all of them and gives the write
 // path one call site per batch instead of per line.
 package ecc

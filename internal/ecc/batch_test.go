@@ -20,9 +20,8 @@ func randLines(rng *xrand.Rand, n int) []*Line {
 	return lines
 }
 
-// EncodeLines must agree with per-line EncodeLine for every batch size the
-// write path forms (1..9 covers singletons, the coalescer's 4–8 sweet spot
-// and one past it).
+// EncodeLines must agree with per-line EncodeLine for every batch size
+// from a singleton to 9 lines.
 func TestEncodeLinesMatchesScalar(t *testing.T) {
 	for size := 1; size <= 9; size++ {
 		prop := func(seed uint64) bool {

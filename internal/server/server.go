@@ -257,7 +257,7 @@ type StageStatus struct {
 }
 
 // StatuszResponse is the /statusz JSON document: the live serving state —
-// queue depths, shed counts, coalescer state, per-stage latency
+// queue depths, shed counts, per-stage latency
 // percentiles — gathered without any engine barrier, so it answers even
 // while shards are wedged.
 type StatuszResponse struct {
@@ -268,8 +268,6 @@ type StatuszResponse struct {
 	QueueDepths     []int                  `json:"queue_depths"`
 	QueueCap        int                    `json:"queue_cap"`
 	Shed            uint64                 `json:"shed_requests"`
-	Coalescing      bool                   `json:"coalescing"`
-	Coalesced       uint64                 `json:"coalesced_writes"`
 	Tracing         bool                   `json:"tracing"`
 	SlowThresholdMs float64                `json:"slow_threshold_ms"`
 	SlowRequests    uint64                 `json:"slow_requests"`
@@ -290,8 +288,6 @@ func (s *Server) Statusz() StatuszResponse {
 		QueueDepths:     s.eng.QueueLens(),
 		QueueCap:        s.eng.QueueCap(),
 		Shed:            s.eng.Shed(),
-		Coalescing:      s.eng.CoalesceEnabled(),
-		Coalesced:       s.eng.Coalesced(),
 		Tracing:         s.eng.TracingEnabled(),
 		SlowThresholdMs: float64(s.cfg.SlowRequestThreshold) / float64(time.Millisecond),
 		SlowRequests:    s.slow.Load(),
@@ -460,7 +456,6 @@ type StatsResponse struct {
 	EnergyNJ     float64 `json:"energy_nj"`
 	MetadataNVMM int64   `json:"metadata_nvmm_bytes"`
 	MaxWear      uint64  `json:"max_wear"`
-	Coalesced    uint64  `json:"coalesced_writes"`
 	Shed         uint64  `json:"shed_requests"`
 	SimNowNs     float64 `json:"sim_now_ns"`
 }
@@ -587,7 +582,6 @@ func statsFrom(eng *shard.Engine, sum shard.Summary) StatsResponse {
 		EnergyNJ:     sum.Energy.Total(),
 		MetadataNVMM: sum.MetadataNVMM,
 		MaxWear:      sum.MaxWear,
-		Coalesced:    sum.Coalesced,
 		Shed:         sum.Shed,
 		SimNowNs:     sum.Now.Nanoseconds(),
 	}

@@ -170,51 +170,6 @@ func TestWriteBatchMatchesScalarEngine(t *testing.T) {
 	}
 }
 
-// TestBatchKernelsMatchesScalar replays the same async write stream
-// through a default engine and a BatchKernels engine: the drained-run
-// batched execution must preserve every dedup decision and statistic.
-func TestBatchKernelsMatchesScalar(t *testing.T) {
-	run := func(batchKernels bool) (Summary, []ReadResult) {
-		e, err := New(testConfig(), "esd", Options{Shards: 4, BatchKernels: batchKernels})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		ops := batchStream(4000, 23)
-		// Async writes keep the queues deep enough that the workers drain
-		// multi-request batches, which is what routes runs through the
-		// batch kernels.
-		for i := range ops {
-			if err := e.WriteAsync(ops[i].Addr, ops[i].Line); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sum, err := e.Summary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		reads := make([]ReadResult, 256)
-		for a := range reads {
-			r, err := e.Read(uint64(a))
-			if err != nil {
-				t.Fatal(err)
-			}
-			reads[a] = r
-		}
-		return sum, reads
-	}
-	ss, rs := run(false)
-	sb, rb := run(true)
-	if ss.Scheme != sb.Scheme {
-		t.Fatalf("scheme stats diverged:\nscalar %+v\nbatch  %+v", ss.Scheme, sb.Scheme)
-	}
-	for a := range rs {
-		if rs[a].Hit != rb[a].Hit || rs[a].Data != rb[a].Data {
-			t.Fatalf("read-back of %d diverged", a)
-		}
-	}
-}
-
 // TestWriteBatchAfterClose verifies the error contract: every op reports
 // ErrClosed and the call returns it.
 func TestWriteBatchAfterClose(t *testing.T) {

@@ -57,22 +57,9 @@ type Options struct {
 	// ErrOverloaded.
 	QueueDepth int
 	// Batch is the maximum number of queued requests a shard worker
-	// drains per wakeup (default 32); batching amortizes scheduling and
-	// enables write coalescing.
+	// drains per wakeup (default 32); a drained batch takes the owner
+	// lock and republishes the shard's counters once, not per request.
 	Batch int
-	// Coalesce collapses same-address writes within one drained batch:
-	// only the newest survives (older ones complete with its outcome) —
-	// never across an intervening read of that address, which pins every
-	// older write. Off by default because it changes dedup statistics.
-	Coalesce bool
-	// BatchKernels executes runs of consecutive writes in a drained batch
-	// through the scheme's batched write path (memctrl.WriteBatch):
-	// identical dedup decisions, placements, counters and statistics, but
-	// the pads of unique stores come from one batched AES pass and the
-	// device writes issue after the decisions, so per-op latencies can
-	// differ from the scalar path (deferred writes observe different
-	// bank-queue states). Off by default for exact scalar-path latencies.
-	BatchKernels bool
 	// IssueGap is the simulated time each shard's clock advances per
 	// request (default 10 ns), matching System.IssueGap.
 	IssueGap sim.Time
@@ -170,17 +157,15 @@ func New(cfg config.Config, scheme string, opts Options) (*Engine, error) {
 			return nil, fmt.Errorf("shard: %w", err)
 		}
 		s := &shard{
-			id:           i,
-			env:          env,
-			sch:          sch,
-			reqs:         make(chan request, opts.QueueDepth),
-			gap:          opts.IssueGap,
-			batch:        opts.Batch,
-			coalesce:     opts.Coalesce,
-			batchKernels: opts.BatchKernels,
-			interval:     sch.TickInterval(),
-			flight:       telemetry.NewFlightRecorder(opts.FlightSlots),
-			stages:       env.Tel.Stages(),
+			id:       i,
+			env:      env,
+			sch:      sch,
+			reqs:     make(chan request, opts.QueueDepth),
+			gap:      opts.IssueGap,
+			batch:    opts.Batch,
+			interval: sch.TickInterval(),
+			flight:   telemetry.NewFlightRecorder(opts.FlightSlots),
+			stages:   env.Tel.Stages(),
 		}
 		if opts.Tracing && s.stages == nil {
 			s.stages = new(telemetry.StageHistograms)
@@ -235,13 +220,6 @@ func (e *Engine) AdoptTrace(id uint64) telemetry.TraceCtx {
 // TracingEnabled reports whether stage tracing is on (Options.Tracing).
 func (e *Engine) TracingEnabled() bool { return e.opts.Tracing }
 
-// CoalesceEnabled reports whether write coalescing is on.
-func (e *Engine) CoalesceEnabled() bool { return e.opts.Coalesce }
-
-// BatchKernelsEnabled reports whether drained write runs execute through
-// the schemes' batched write path (Options.BatchKernels).
-func (e *Engine) BatchKernelsEnabled() bool { return e.opts.BatchKernels }
-
 // QueueCap returns the per-shard queue bound.
 func (e *Engine) QueueCap() int { return e.opts.QueueDepth }
 
@@ -256,16 +234,6 @@ func (e *Engine) QueueLens() []int {
 		out[i] = len(s.reqs)
 	}
 	return out
-}
-
-// Coalesced returns the live total of writes absorbed by coalescing
-// (barrier-free, unlike Summary).
-func (e *Engine) Coalesced() uint64 {
-	var n uint64
-	for _, s := range e.shards {
-		n += s.coalesced.Load()
-	}
-	return n
 }
 
 // FlightLen returns how many records the shards' flight recorders hold,
@@ -428,10 +396,10 @@ func (e *Engine) Write(addr uint64, line ecc.Line) (memctrl.WriteOutcome, error)
 }
 
 // WriteAsync enqueues a write without waiting for its outcome (blocking
-// only while the owning shard's queue is full). Per-shard FIFO ordering
-// still holds: a later Read of the same address observes the write. The
-// checker uses it to keep shard queues deep enough that batch draining and
-// write coalescing actually engage — blocking per-op writes never batch.
+// only while the owning shard's queue is full). It always goes through the
+// queue, so the shard's worker runs it, never the caller. Per-shard FIFO
+// ordering still holds: a later Read of the same address observes the
+// write.
 func (e *Engine) WriteAsync(addr uint64, line ecc.Line) error {
 	sh := e.ShardOf(addr)
 	return e.submit(sh, request{kind: kWrite, addr: e.localAddr(addr), line: line}, true)
@@ -484,15 +452,15 @@ func (e *Engine) TryReadTraced(ctx context.Context, addr uint64, tc telemetry.Tr
 // Flush is a full barrier: it waits until every request submitted before
 // the call has executed and every shard's device write queue has drained.
 func (e *Engine) Flush() error {
-	return e.fanout(kFlush, nil)
+	return e.barrier((*shard).flush)
 }
 
 // Summary snapshots and merges every shard's counters. It is a barrier
 // like Flush: the snapshot is taken in queue order, so it covers every
 // request submitted before the call.
 func (e *Engine) Summary() (Summary, error) {
-	snaps := make([]Snapshot, len(e.shards))
-	if err := e.fanout(kSnap, snaps); err != nil {
+	snaps, err := e.Snapshots()
+	if err != nil {
 		return Summary{}, err
 	}
 	return merge(e, snaps), nil
@@ -501,20 +469,30 @@ func (e *Engine) Summary() (Summary, error) {
 // Snapshots returns the per-shard views behind Summary.
 func (e *Engine) Snapshots() ([]Snapshot, error) {
 	snaps := make([]Snapshot, len(e.shards))
-	if err := e.fanout(kSnap, snaps); err != nil {
+	if err := e.barrier(func(s *shard) { snaps[s.id] = s.snapshot() }); err != nil {
 		return nil, err
 	}
 	return snaps, nil
 }
 
-// fanout sends one request of the given kind to every shard concurrently
-// and waits for all responses; snaps (when non-nil) receives shard i's
-// snapshot at index i.
-func (e *Engine) fanout(k kind, snaps []Snapshot) error {
+// Barrier calls fn once for every shard with the shard's index, scheme
+// and environment, under that shard's owner and after every request
+// submitted to the shard before the call, and returns once every call has
+// finished. The calls on different shards may run concurrently; fn must
+// not retain sch or env, nor call into the engine. It is how a caller
+// inspects (the checker's audits) or alters a shard's state between
+// requests.
+func (e *Engine) Barrier(fn func(id int, sch memctrl.Scheme, env *memctrl.Env)) error {
+	return e.barrier(func(s *shard) { fn(s.id, s.sch, s.env) })
+}
+
+// barrier queues one kBarrier request carrying fn on every shard, then
+// waits for all of them.
+func (e *Engine) barrier(fn func(*shard)) error {
 	chans := make([]chan response, len(e.shards))
 	for i := range e.shards {
 		chans[i] = getRespChan()
-		if err := e.submit(i, request{kind: k, done: chans[i]}, true); err != nil {
+		if err := e.submit(i, request{kind: kBarrier, fn: fn, done: chans[i]}, true); err != nil {
 			// Collect responses already in flight before bailing.
 			for j := 0; j < i; j++ {
 				<-chans[j]
@@ -524,11 +502,8 @@ func (e *Engine) fanout(k kind, snaps []Snapshot) error {
 			return err
 		}
 	}
-	for i, ch := range chans {
-		resp := <-ch
-		if snaps != nil && resp.snap != nil {
-			snaps[i] = *resp.snap
-		}
+	for _, ch := range chans {
+		<-ch
 		putRespChan(ch)
 	}
 	return nil

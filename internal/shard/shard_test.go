@@ -10,6 +10,7 @@ import (
 
 	"github.com/esdsim/esd/internal/config"
 	"github.com/esdsim/esd/internal/ecc"
+	"github.com/esdsim/esd/internal/memctrl"
 	"github.com/esdsim/esd/internal/sim"
 	"github.com/esdsim/esd/internal/trace"
 )
@@ -195,64 +196,6 @@ func TestTryWriteShedsWhenQueueFull(t *testing.T) {
 	}
 }
 
-func TestCoalescingKeepsNewestAndRespectsReadBarrier(t *testing.T) {
-	e, err := New(testConfig(), "esd", Options{Shards: 1, QueueDepth: 16, Batch: 16, Coalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = e.Close() }) // runs after stall's release
-	release := stall(t, e)
-	resps := make([]chan response, 0, 4)
-	sub := func(k kind, addr uint64, line ecc.Line) chan response {
-		t.Helper()
-		ch := make(chan response, 1)
-		if err := e.submit(0, request{kind: k, addr: addr, line: line, done: ch}, true); err != nil {
-			t.Fatal(err)
-		}
-		resps = append(resps, ch)
-		return ch
-	}
-	// w(5)=old, w(5)=new   -> first coalesces into second
-	// w(9)=a, r(9), w(9)=b -> the read pins w(9)=a; nothing coalesces
-	first := sub(kWrite, 5, lineWith(1))
-	second := sub(kWrite, 5, lineWith(2))
-	sub(kWrite, 9, lineWith(7))
-	readCh := sub(kRead, 9, ecc.Line{})
-	sub(kWrite, 9, lineWith(8))
-	release()
-	r1, r2 := <-first, <-second
-	if r1.write.PhysAddr != r2.write.PhysAddr || r1.write.Done != r2.write.Done {
-		t.Fatalf("coalesced write outcome differs from survivor: %+v vs %+v", r1.write, r2.write)
-	}
-	if got := (<-readCh).read; !got.Hit || got.Data != lineWith(7) {
-		t.Fatalf("read between writes saw %v (hit=%v), want the older content 7", got.Data.Word(0), got.Hit)
-	}
-	for _, ch := range resps[4:] {
-		<-ch
-	}
-	sum, err := e.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Coalesced != 1 {
-		t.Fatalf("Coalesced = %d, want exactly 1 (read barrier must pin w(9)=a)", sum.Coalesced)
-	}
-	got, err := e.Read(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Data != lineWith(2) {
-		t.Fatalf("addr 5 = %v, want newest content 2", got.Data.Word(0))
-	}
-	got, err = e.Read(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Data != lineWith(8) {
-		t.Fatalf("addr 9 = %v, want newest content 8", got.Data.Word(0))
-	}
-}
-
 func TestRouterBijection(t *testing.T) {
 	e, err := New(testConfig(), "baseline", Options{Shards: 8})
 	if err != nil {
@@ -324,5 +267,38 @@ func TestSummaryBarrierSeesAllPriorWrites(t *testing.T) {
 	}
 	if sum.Scheme.DedupWrites+sum.Scheme.UniqueWrites != n {
 		t.Fatalf("dedup+unique = %d, want %d", sum.Scheme.DedupWrites+sum.Scheme.UniqueWrites, n)
+	}
+}
+
+// TestBarrierRunsAfterQueuedRequests: Barrier calls fn once per shard,
+// with that shard's scheme, after every request queued before the call.
+func TestBarrierRunsAfterQueuedRequests(t *testing.T) {
+	e, err := New(testConfig(), "esd", Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 300
+	for i := 0; i < n; i++ {
+		if err := e.WriteAsync(uint64(i), lineWith(uint64(i%5))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writes := make([]uint64, e.NumShards())
+	calls := make([]int, e.NumShards())
+	err = e.Barrier(func(id int, sch memctrl.Scheme, env *memctrl.Env) {
+		calls[id]++
+		writes[id] = sch.Stats().Writes
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range calls {
+		if calls[id] != 1 || writes[id] != n/3 {
+			t.Fatalf("shard %d: %d calls saw %d writes, want 1 call after %d", id, calls[id], writes[id], n/3)
+		}
+	}
+	e.Close()
+	if err := e.Barrier(func(int, memctrl.Scheme, *memctrl.Env) {}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Barrier after Close: %v, want ErrClosed", err)
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // Snapshot is one shard's consistent view of its counters, taken by the
-// shard worker itself (so it reflects exactly the requests executed
-// before the snapshot request in queue order).
+// shard worker itself through a barrier (so it reflects exactly the
+// requests submitted before the barrier).
 type Snapshot struct {
 	Shard        int
 	Scheme       memctrl.SchemeStats
@@ -27,7 +27,6 @@ type Snapshot struct {
 	MetadataNVMM int64
 	MetadataSRAM int64
 	Now          sim.Time
-	Coalesced    uint64
 	QueueLen     int
 }
 
@@ -55,10 +54,8 @@ type Summary struct {
 	MeanWear float64
 	// Now is the furthest shard clock.
 	Now sim.Time
-	// Coalesced counts writes absorbed by batch coalescing; Shed counts
-	// Try* requests rejected with ErrOverloaded.
-	Coalesced uint64
-	Shed      uint64
+	// Shed counts Try* requests rejected with ErrOverloaded.
+	Shed uint64
 }
 
 func merge(e *Engine, snaps []Snapshot) Summary {
@@ -83,7 +80,6 @@ func merge(e *Engine, snaps []Snapshot) Summary {
 		if sn.Now > sum.Now {
 			sum.Now = sn.Now
 		}
-		sum.Coalesced += sn.Coalesced
 	}
 	if wearLines > 0 {
 		sum.MeanWear = float64(wearWrites) / float64(wearLines)

@@ -17,10 +17,9 @@ type kind uint8
 const (
 	kWrite kind = iota
 	kRead
-	kFlush      // drain the shard's device write queue
-	kSnap       // snapshot the shard's counters
 	kWriteBatch // a pre-grouped sub-batch of writes (Engine.WriteBatch)
 	kReadBatch  // a pre-grouped sub-batch of reads (Engine.ReadBatch)
+	kBarrier    // run fn on the shard under its owner (Engine.barrier)
 )
 
 // request is one unit of work on a shard queue. done (buffered, capacity
@@ -37,13 +36,14 @@ type request struct {
 	// writes outcomes into it in place (the done send publishes them to
 	// the caller).
 	batch *subBatch
+	// fn is a kBarrier's work, run by the shard's owner.
+	fn func(*shard)
 }
 
 type response struct {
 	write memctrl.WriteOutcome
 	read  memctrl.ReadOutcome
 	lat   sim.Time // simulated service latency (write/read)
-	snap  *Snapshot
 }
 
 // readResult is a read response as Engine.Read returns it.
@@ -55,9 +55,9 @@ func (r *response) readResult() ReadResult {
 // environment (EFIT, AMT, counter cache, bank group), with one owner at a
 // time: the worker goroutine while it executes a drained batch, or a
 // caller running its request inline on an idle shard (Engine.start). Fields
-// below own are the owner's alone except flight, stages, coalesced and
-// pubStats, which are concurrency-safe and read live by the
-// introspection endpoints (no barrier required). The telemetry sink
+// below own are the owner's alone except flight, stages and pubStats,
+// which are concurrency-safe and read live by the introspection endpoints
+// (no barrier required). The telemetry sink
 // (env.Tel) and stages stage their samples in owner memory; a reader gets
 // them published through pub (Engine.publish).
 type shard struct {
@@ -80,28 +80,17 @@ type shard struct {
 	// publishStats.
 	pub telemetry.Publisher
 
-	env      *memctrl.Env
-	sch      memctrl.Scheme
-	gap      sim.Time
-	batch    int
-	coalesce bool
-	// batchKernels routes runs of consecutive drained writes through the
-	// scheme's batched write path (Options.BatchKernels).
-	batchKernels bool
+	env   *memctrl.Env
+	sch   memctrl.Scheme
+	gap   sim.Time
+	batch int
 
 	now      sim.Time
 	interval sim.Time
 	nextTick sim.Time
 
-	// runIdx/runOps are execBatched's reusable scratch: the request
-	// indices of the pending write run and the memctrl batch built from
-	// them.
-	runIdx []int
-	runOps []memctrl.BatchWrite
-
 	writeHist stats.Histogram
 	readHist  stats.Histogram
-	coalesced atomic.Uint64
 
 	// pubStats is a copy of the scheme's counter block, republished after
 	// every drained batch and inline request: the barrier-free view behind
@@ -122,14 +111,11 @@ type shard struct {
 }
 
 // run is the worker loop: it blocks for one request, then drains up to
-// batch-1 more without blocking, optionally coalesces writes, and
-// executes the batch in order under the owner lock. It exits when the
-// queue is closed and fully drained.
+// batch-1 more without blocking and executes the batch in order under the
+// owner lock. It exits when the queue is closed and fully drained.
 func (s *shard) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	buf := make([]request, 0, s.batch)
-	var superseded []bool
-	lastWrite := make(map[uint64]int)
 	for {
 		req, ok := <-s.reqs
 		if !ok {
@@ -151,22 +137,10 @@ func (s *shard) run(wg *sync.WaitGroup) {
 			}
 		}
 		s.own.Lock()
-		switch {
-		case s.coalesce && len(buf) > 1:
-			superseded = s.markSuperseded(buf, superseded, lastWrite)
-			if s.batchKernels {
-				s.execBatched(buf, superseded)
-			} else {
-				s.execCoalesced(buf, superseded)
-			}
-		case s.batchKernels && len(buf) > 1:
-			s.execBatched(buf, nil)
-		default:
-			for i := range buf {
-				resp := s.exec(&buf[i])
-				if buf[i].done != nil {
-					buf[i].done <- resp
-				}
+		for i := range buf {
+			resp := s.exec(&buf[i])
+			if buf[i].done != nil {
+				buf[i].done <- resp
 			}
 		}
 		s.publishStats()
@@ -185,58 +159,6 @@ func (s *shard) run(wg *sync.WaitGroup) {
 			s.publishStats()
 			s.own.Unlock()
 			return
-		}
-	}
-}
-
-// markSuperseded flags every write that a newer same-address write in the
-// same batch makes redundant. Scanning backwards: lastWrite[a] set means
-// a later write to a exists with no intervening read of a (reads pin
-// older writes; flush/snapshot barriers pin everything before them).
-func (s *shard) markSuperseded(buf []request, superseded []bool, lastWrite map[uint64]int) []bool {
-	superseded = append(superseded[:0], make([]bool, len(buf))...)
-	clear(lastWrite)
-	for i := len(buf) - 1; i >= 0; i-- {
-		switch buf[i].kind {
-		case kWrite:
-			if _, ok := lastWrite[buf[i].addr]; ok {
-				superseded[i] = true
-			}
-			lastWrite[buf[i].addr] = i
-		case kRead:
-			delete(lastWrite, buf[i].addr)
-		default: // kFlush, kSnap, kWriteBatch, kReadBatch: barriers
-			clear(lastWrite)
-		}
-	}
-	return superseded
-}
-
-// execCoalesced executes a batch honoring superseded marks: a skipped
-// write completes with the outcome of the surviving (newer) write to its
-// address, which always appears later in the same batch.
-func (s *shard) execCoalesced(buf []request, superseded []bool) {
-	var waiters map[uint64][]chan response
-	for i := range buf {
-		if superseded[i] {
-			s.coalesced.Add(1)
-			if buf[i].done != nil {
-				if waiters == nil {
-					waiters = make(map[uint64][]chan response)
-				}
-				waiters[buf[i].addr] = append(waiters[buf[i].addr], buf[i].done)
-			}
-			continue
-		}
-		resp := s.exec(&buf[i])
-		if buf[i].kind == kWrite && waiters != nil {
-			for _, ch := range waiters[buf[i].addr] {
-				ch <- resp
-			}
-			delete(waiters, buf[i].addr)
-		}
-		if buf[i].done != nil {
-			buf[i].done <- resp
 		}
 	}
 }
@@ -283,13 +205,9 @@ func (s *shard) exec(r *request) response {
 		// Outcomes travel in the sub-batch itself; the done send is the
 		// publication barrier.
 		return response{}
-	case kFlush:
-		if idle := s.env.Device.Flush(s.now); idle > s.now {
-			s.now = idle
-		}
+	default: // kBarrier
+		r.fn(s)
 		return response{}
-	default: // kSnap
-		return response{snap: s.snapshot()}
 	}
 }
 
@@ -328,67 +246,6 @@ func (s *shard) read(addr uint64, tc telemetry.TraceCtx) (memctrl.ReadOutcome, s
 	return out, lat
 }
 
-// execBatched executes a drained batch with runs of consecutive writes
-// going through the scheme's batched write path (one batched AES pass
-// per run) instead of the scalar loop. Reads, barriers and pre-grouped
-// sub-batches flush the pending run first, preserving per-shard FIFO
-// semantics. With a superseded mask (coalescing), a skipped write
-// completes with the outcome of the surviving newer write to its
-// address, exactly as in execCoalesced.
-func (s *shard) execBatched(buf []request, superseded []bool) {
-	var waiters map[uint64][]chan response
-	run := s.runIdx[:0]
-	flushRun := func() {
-		if len(run) == 0 {
-			return
-		}
-		ops := s.runOps[:0]
-		for _, i := range run {
-			s.env.Tel.BeginRequest(buf[i].tc)
-			ops = append(ops, memctrl.BatchWrite{Logical: buf[i].addr, Data: &buf[i].line, At: s.tick()})
-		}
-		memctrl.WriteBatch(s.sch, ops)
-		for k, i := range run {
-			op := &ops[k]
-			resp := response{write: op.Out, lat: s.recordWrite(buf[i].tc, buf[i].addr, &op.Out, op.At)}
-			if waiters != nil {
-				for _, ch := range waiters[buf[i].addr] {
-					ch <- resp
-				}
-				delete(waiters, buf[i].addr)
-			}
-			if buf[i].done != nil {
-				buf[i].done <- resp
-			}
-		}
-		s.runOps = ops[:0]
-		run = run[:0]
-	}
-	for i := range buf {
-		if superseded != nil && superseded[i] {
-			s.coalesced.Add(1)
-			if buf[i].done != nil {
-				if waiters == nil {
-					waiters = make(map[uint64][]chan response)
-				}
-				waiters[buf[i].addr] = append(waiters[buf[i].addr], buf[i].done)
-			}
-			continue
-		}
-		if buf[i].kind == kWrite {
-			run = append(run, i)
-			continue
-		}
-		flushRun()
-		resp := s.exec(&buf[i])
-		if buf[i].done != nil {
-			buf[i].done <- resp
-		}
-	}
-	flushRun()
-	s.runIdx = run[:0]
-}
-
 // publishStats republishes the scheme's counter block for the barrier-free
 // readers (a struct copy under a short mutex; the scheme itself stays
 // the owner's), and the staged telemetry when a reader has asked for it.
@@ -424,10 +281,18 @@ func (s *shard) tick() sim.Time {
 	return s.now
 }
 
-func (s *shard) snapshot() *Snapshot {
+// flush drains the shard's device write queue, advancing the shard clock
+// to the moment it goes idle.
+func (s *shard) flush() {
+	if idle := s.env.Device.Flush(s.now); idle > s.now {
+		s.now = idle
+	}
+}
+
+func (s *shard) snapshot() Snapshot {
 	s.env.Device.SyncHealth()
 	mst := s.env.Device.MediaStats()
-	return &Snapshot{
+	return Snapshot{
 		Shard:        s.id,
 		Scheme:       s.sch.Stats(),
 		WriteHist:    s.writeHist,
@@ -440,7 +305,6 @@ func (s *shard) snapshot() *Snapshot {
 		MetadataNVMM: s.sch.MetadataNVMM(),
 		MetadataSRAM: s.sch.MetadataSRAM(),
 		Now:          s.now,
-		Coalesced:    s.coalesced.Load(),
 		QueueLen:     len(s.reqs),
 	}
 }
