@@ -390,49 +390,17 @@ func BenchmarkAblationRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryOverhead measures the write-path cost of the
-// telemetry hooks in three configurations: telemetry disabled (every
-// hook is a nil-receiver no-op), metrics only (counts and histograms
-// staged in plain owner memory, no tracer), and full event tracing to
-// io.Discard at 1-in-64 sampling. The off/metrics gap is the regression
-// budget for new hooks; the gate on it is TestTelemetryOverheadGate
-// (`make overhead-check`), which measures metrics plus the flight
-// recorder against off within one run and fails above 1.10x.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	run := func(b *testing.B, opts ...SystemOption) {
-		b.ReportAllocs()
-		cfg := DefaultConfig()
-		cfg.PCM.CapacityBytes = 1 << 30
-		sys, err := NewSystem(cfg, SchemeESD, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var line Line
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			line.SetWord(0, uint64(i)%512)
-			sys.Write(uint64(i)%65536, line)
-		}
-		b.StopTimer()
-		if err := sys.CloseTrace(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b) })
-	b.Run("metrics", func(b *testing.B) { run(b, WithMetrics()) })
-	b.Run("trace", func(b *testing.B) {
-		run(b, WithEventTrace(io.Discard), WithTraceSampling(64))
-	})
-}
-
-// BenchmarkStageTracingOverhead prices the request-tracing additions on
-// the ESD write path. "off" is the telemetry-dark baseline
-// (BenchmarkSystemWriteESD's configuration); "metrics" is a live sink,
-// including the per-stage latency histograms behind /statusz;
-// "metrics+flight" adds the always-on flight-recorder ring. The contract:
-// metrics+flight within 1.10x of off (TestTelemetryOverheadGate gates it
-// within one run), and 0 allocs/op in every configuration, because
-// tracing must never put the steady state on the heap.
+// BenchmarkStageTracingOverhead prices telemetry on the ESD write path.
+// "off" is the telemetry-dark baseline (BenchmarkSystemWriteESD's
+// configuration: every hook is a nil-receiver no-op); "metrics" is a live
+// sink, counts, histograms and the stage latency set staged in plain owner
+// memory; "metrics+flight" adds the always-on flight-recorder ring;
+// "trace" renders every 64th request's record into a JSONL trace on
+// io.Discard. The off/metrics gap is the regression budget for new hooks.
+// The contract: metrics+flight within 1.10x of off (TestTelemetryOverheadGate,
+// `make overhead-check`, gates it within one run), and 0 allocs/op in
+// every configuration but trace, because telemetry must never put the
+// steady state on the heap.
 func BenchmarkStageTracingOverhead(b *testing.B) {
 	run := func(opts ...SystemOption) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -449,11 +417,16 @@ func BenchmarkStageTracingOverhead(b *testing.B) {
 				line.SetWord(0, uint64(i)%512)
 				sys.Write(uint64(i)%65536, line)
 			}
+			b.StopTimer()
+			if err := sys.CloseTrace(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.Run("off", run())
 	b.Run("metrics", run(WithMetrics()))
 	b.Run("metrics+flight", run(WithMetrics(), WithFlightRecorder(256)))
+	b.Run("trace", run(WithEventTrace(io.Discard), WithTraceSampling(64)))
 }
 
 // BenchmarkSystemWriteBatch measures the batched single-engine write path

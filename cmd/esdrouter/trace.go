@@ -17,10 +17,11 @@ import (
 )
 
 // esdtrace: the cross-node timeline stitcher. One fleet trace ID appears
-// in the router's hop recorder (wall-clock attempt events) and in each
-// touched node's per-shard flight recorder (simulated-time engine
-// records). This subcommand pulls every recorder the router knows about,
-// filters for one ID, and prints the request's full path:
+// in the router's flight recorder (router records, on the wall clock) and
+// in each touched node's per-shard flight recorders (engine records, on
+// the simulated clock); every /debug/flightrecorder serves the same
+// telemetry.Record. This subcommand pulls every recorder the router knows
+// about, filters for one ID, and prints the request's full path:
 //
 //	esdrouter esdtrace -router http://localhost:9001 -trace 0x5f3a9c01
 //
@@ -52,18 +53,12 @@ func runTrace(args []string, stdout io.Writer) error {
 	base := strings.TrimRight(*routerURL, "/")
 	hc := &http.Client{Timeout: 5 * time.Second}
 
-	// The router's own recorder: wall-clock hop events.
-	var hops []telemetry.HopRecord
-	if err := traceGet(hc, base+"/debug/flightrecorder", &hops); err != nil {
+	// The router's own recorder: wall-clock hop records.
+	mine, err := traceRecords(hc, base, trace)
+	if err != nil {
 		return fmt.Errorf("router flight recorder: %w", err)
 	}
-	var mine []telemetry.HopRecord
-	for _, h := range hops {
-		if h.Trace == trace {
-			mine = append(mine, h)
-		}
-	}
-	sort.Slice(mine, func(i, j int) bool { return mine[i].AtUnixNs < mine[j].AtUnixNs })
+	sort.Slice(mine, func(i, j int) bool { return mine[i].AtNs < mine[j].AtNs })
 
 	// The member list, from the ring section.
 	var st cluster.Status
@@ -75,9 +70,9 @@ func runTrace(args []string, stdout io.Writer) error {
 	if len(mine) == 0 {
 		fmt.Fprintf(stdout, "router: no hop events (trace unknown, untraced, or already overwritten in the ring)\n")
 	} else {
-		t0 := mine[0].AtUnixNs
+		t0 := mine[0].AtNs
 		fmt.Fprintf(stdout, "router: %d hop events (wall clock, t0 = %s)\n",
-			len(mine), time.Unix(0, t0).Format("15:04:05.000000"))
+			len(mine), time.Unix(0, int64(t0)).Format("15:04:05.000000"))
 		for _, h := range mine {
 			loc := ""
 			if h.Node != "" {
@@ -88,7 +83,7 @@ func runTrace(args []string, stdout io.Writer) error {
 				att = fmt.Sprintf(" attempt=%d", h.Attempt)
 			}
 			fmt.Fprintf(stdout, "  %+10.3fms  %-11s %-11s addr=%-8d%s%s  lat=%.3fms  %s\n",
-				float64(h.AtUnixNs-t0)/1e6, h.Hop, h.Op, h.Addr, loc, att,
+				(h.AtNs-t0)/1e6, h.Kind, h.Op, h.Addr, loc, att,
 				h.LatNs/1e6, server.StatusText(byte(h.Status)))
 		}
 	}
@@ -100,18 +95,12 @@ func runTrace(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "node %s: no HTTP address; cannot scrape\n", n.Name)
 			continue
 		}
-		var recs []telemetry.FlightRecord
-		if err := traceGet(hc, "http://"+n.HTTPAddr+"/debug/flightrecorder", &recs); err != nil {
+		hit, err := traceRecords(hc, "http://"+n.HTTPAddr, trace)
+		if err != nil {
 			fmt.Fprintf(stdout, "node %s: %v\n", n.Name, err)
 			continue
 		}
 		reachable++
-		var hit []telemetry.FlightRecord
-		for _, rec := range recs {
-			if rec.Trace == trace {
-				hit = append(hit, rec)
-			}
-		}
 		if len(hit) == 0 {
 			continue
 		}
@@ -155,6 +144,22 @@ func stageSummary(stages map[string]float64) string {
 		fmt.Fprintf(&b, " %s=%.0fns", name, stages[name])
 	}
 	return b.String()
+}
+
+// traceRecords fetches the flight recorder served at base and keeps the
+// records of one trace.
+func traceRecords(hc *http.Client, base string, trace uint64) ([]telemetry.Record, error) {
+	var recs []telemetry.Record
+	if err := traceGet(hc, base+"/debug/flightrecorder", &recs); err != nil {
+		return nil, err
+	}
+	mine := recs[:0]
+	for _, rec := range recs {
+		if rec.Trace == trace {
+			mine = append(mine, rec)
+		}
+	}
+	return mine, nil
 }
 
 // traceGet fetches url and decodes the JSON body into out.

@@ -21,9 +21,9 @@ func TestEsdtraceStitchesTimeline(t *testing.T) {
 	// One node's engine records: the traced write plus unrelated noise.
 	nodeMux := http.NewServeMux()
 	nodeMux.HandleFunc("/debug/flightrecorder", func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode([]telemetry.FlightRecord{
-			{Seq: 7, Trace: 999, Kind: "read", Shard: 0, Addr: 5},
-			{Seq: 8, Trace: trace, Kind: "write", Shard: 1, Addr: 42, Dedup: true,
+		_ = json.NewEncoder(w).Encode([]telemetry.Record{
+			{Seq: 7, Layer: "engine", Clock: "sim", Trace: 999, Kind: "read", Shard: 0, Addr: 5},
+			{Seq: 8, Layer: "engine", Clock: "sim", Trace: trace, Kind: "write", Shard: 1, Addr: 42, Dedup: true,
 				LatNs: 180, StagesNs: map[string]float64{"efit": 90, "media": 60}},
 		})
 	})
@@ -33,11 +33,11 @@ func TestEsdtraceStitchesTimeline(t *testing.T) {
 
 	routerMux := http.NewServeMux()
 	routerMux.HandleFunc("/debug/flightrecorder", func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode([]telemetry.HopRecord{
-			{Seq: 1, Trace: trace, Hop: "checkout", Op: "write", Node: "alpha", Addr: 42, AtUnixNs: 1000, LatNs: 2000},
-			{Seq: 2, Trace: trace, Hop: "attempt", Op: "write", Node: "alpha", Addr: 42, AtUnixNs: 4000, LatNs: 250000, OK: true},
-			{Seq: 3, Trace: 999, Hop: "route", Op: "read", Addr: 5, AtUnixNs: 9000},
-			{Seq: 4, Trace: trace, Hop: "route", Op: "write", Addr: 42, AtUnixNs: 500, LatNs: 260000, OK: true},
+		_ = json.NewEncoder(w).Encode([]telemetry.Record{
+			{Seq: 1, Layer: "router", Clock: "wall", Trace: trace, Kind: "checkout", Op: "write", Node: "alpha", Addr: 42, AtNs: 1000, LatNs: 2000},
+			{Seq: 2, Layer: "router", Clock: "wall", Trace: trace, Kind: "attempt", Op: "write", Node: "alpha", Addr: 42, AtNs: 4000, LatNs: 250000},
+			{Seq: 3, Layer: "router", Clock: "wall", Trace: 999, Kind: "route", Op: "read", Addr: 5, AtNs: 9000},
+			{Seq: 4, Layer: "router", Clock: "wall", Trace: trace, Kind: "route", Op: "write", Addr: 42, AtNs: 500, LatNs: 260000},
 		})
 	})
 	routerMux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {

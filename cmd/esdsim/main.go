@@ -80,9 +80,9 @@ func cliMain(args []string, stdout io.Writer) error {
 		jsonOut     = fs.Bool("json", false, "emit the result as JSON instead of text")
 		metricsAddr = fs.String("metrics-addr", "", "serve live metrics over HTTP on this address (/metrics, /debug/vars)")
 		pprofFlag   = fs.Bool("pprof", false, "also mount net/http/pprof on the metrics server (needs -metrics-addr)")
-		traceOut    = fs.String("trace-out", "", "write sampled write-path events to this file")
+		traceOut    = fs.String("trace-out", "", "render the run's records (sampled writes and reads, every rare event) into this file")
 		traceFormat = fs.String("trace-format", "jsonl", "event trace encoding: jsonl or chrome")
-		traceSample = fs.Int("trace-sample", 1, "trace every Nth write/read event (rare events always traced)")
+		traceSample = fs.Int("trace-sample", 1, "trace every Nth write/read record (rare events always traced)")
 		shards      = fs.Int("shards", 1, "partition the address space across N concurrent shards (sharded replay; ignores -warmup)")
 		slow        = fs.Duration("slow", 0, "log requests whose simulated latency reaches this threshold (0 disables)")
 		slowMax     = fs.Int("slow-max", 100, "cap on slow-request log lines (0 = unlimited)")

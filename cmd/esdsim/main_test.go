@@ -146,8 +146,8 @@ func TestCLITraceJSONLRoundTrip(t *testing.T) {
 		switch ev.Kind {
 		case "write":
 			hasWrite = true
-			if ev.Scheme != "esd" || ev.Decision == "" {
-				t.Errorf("write event missing scheme/decision: %+v", ev)
+			if ev.Decision == "" || ev.Clock != "sim" || ev.LatNs <= 0 {
+				t.Errorf("write record missing decision, clock or latency: %+v", ev)
 			}
 		case "run-end":
 			hasRunEnd = true

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"github.com/esdsim/esd/internal/server"
+	"github.com/esdsim/esd/internal/telemetry"
 )
 
 func main() {
@@ -193,21 +194,7 @@ func render(w io.Writer, st *server.StatuszResponse, dev *server.DeviceResponse,
 	fmt.Fprintf(w, "queues      %s  depth %d/%d  shed=%d slow=%d flight=%d\n",
 		q.String(), maxDepth, st.QueueCap, st.Shed, st.SlowRequests, st.FlightRecords)
 
-	if len(st.Stages) > 0 {
-		names := make([]string, 0, len(st.Stages))
-		for name := range st.Stages {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(w, "stages (p50/p99 ns)\n")
-		for i, name := range names {
-			sg := st.Stages[name]
-			fmt.Fprintf(w, "  %-10s %6.0f/%-8.0f", name, sg.P50Ns, sg.P99Ns)
-			if i%3 == 2 || i == len(names)-1 {
-				fmt.Fprintln(w)
-			}
-		}
-	}
+	renderLatencies(w, "stages", st.Stages)
 
 	if dev == nil {
 		fmt.Fprintf(w, "device      (no /debug/device endpoint)\n")
@@ -269,5 +256,25 @@ func bytesHuman(n uint64) string {
 		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
 	default:
 		return fmt.Sprintf("%d B", n)
+	}
+}
+
+// renderLatencies draws a latency section — a node's stages or a
+// router's hops — three names to a row, sorted by name.
+func renderLatencies(w io.Writer, title string, lat map[string]telemetry.LatencySummary) {
+	if len(lat) == 0 {
+		return
+	}
+	names := make([]string, 0, len(lat))
+	for name := range lat {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	fmt.Fprintf(w, "%s (p50/p99 ns)\n", title)
+	for i, name := range names {
+		fmt.Fprintf(w, "  %-11s %7.0f/%-9.0f", name, lat[name].P50Ns, lat[name].P99Ns)
+		if i%3 == 2 || i == len(names)-1 {
+			fmt.Fprintln(w)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/esdsim/esd/internal/server"
+	"github.com/esdsim/esd/internal/telemetry"
 )
 
 // canned builds an httptest server serving fixed /statusz and
@@ -25,7 +26,7 @@ func canned(t *testing.T) *httptest.Server {
 		QueueDepths: []int{3, 0},
 		QueueCap:    128,
 		Rates:       &server.RateStatus{WindowS: 15, WritesPerS: 1200, ReadsPerS: 300},
-		Stages: map[string]server.StageStatus{
+		Stages: map[string]telemetry.LatencySummary{
 			"efit":  {Count: 10, P50Ns: 420, P99Ns: 980},
 			"media": {Count: 10, P50Ns: 60000, P99Ns: 120000},
 		},

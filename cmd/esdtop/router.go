@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -43,21 +42,7 @@ func renderRouter(w io.Writer, st *cluster.Status, cs *cluster.ClusterStatus) {
 	fmt.Fprintln(w)
 
 	// Per-hop latency section, the router-side sibling of a node's stages.
-	if len(st.Hops) > 0 {
-		names := make([]string, 0, len(st.Hops))
-		for name := range st.Hops {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(w, "hops (p50/p99 ns)\n")
-		for i, name := range names {
-			hop := st.Hops[name]
-			fmt.Fprintf(w, "  %-11s %7.0f/%-9.0f", name, hop.P50Ns, hop.P99Ns)
-			if i%3 == 2 || i == len(names)-1 {
-				fmt.Fprintln(w)
-			}
-		}
-	}
+	renderLatencies(w, "hops", st.Hops)
 
 	if cs == nil {
 		fmt.Fprintf(w, "fleet       (no /statusz/cluster endpoint)\n")

@@ -11,6 +11,7 @@ import (
 	"github.com/esdsim/esd/internal/cluster"
 	"github.com/esdsim/esd/internal/nvm"
 	"github.com/esdsim/esd/internal/server"
+	"github.com/esdsim/esd/internal/telemetry"
 )
 
 // cannedRouter serves fixed /statusz and /statusz/cluster documents: a
@@ -29,7 +30,7 @@ func cannedRouter(t *testing.T) *httptest.Server {
 		Hedges:        12,
 		UptimeS:       300,
 		FlightRecords: 812,
-		Hops: map[string]server.StageStatus{
+		Hops: map[string]telemetry.LatencySummary{
 			"route":   {Count: 100, P50Ns: 250000, P99Ns: 900000},
 			"attempt": {Count: 120, P50Ns: 200000, P99Ns: 800000},
 		},

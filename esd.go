@@ -580,9 +580,11 @@ func (s *System) ServeMetrics(addr string, enablePprof bool) (*MetricsServer, er
 	return &MetricsServer{srv: srv}, nil
 }
 
-// FlightRecord is one decoded flight-recorder entry: the trace id, request
-// kind and outcome, and (for writes) the per-stage latency decomposition.
-type FlightRecord = telemetry.FlightRecord
+// FlightRecord is one decoded record, as a flight recorder's dump and an
+// event trace hold it: the trace id, the kind (a request, or a rare event
+// in a trace) and its outcome, its time on the simulated clock, and (for
+// writes) the per-stage latency decomposition.
+type FlightRecord = telemetry.Record
 
 // TraceCtx is the request-scoped trace context threaded through the write
 // and read paths; the zero value means "untraced".
@@ -611,23 +613,20 @@ func (s *System) SetSlowRequestLog(w io.Writer, threshold Time, max int) {
 	s.ctl.SlowMax = max
 }
 
-// TraceEvent is one decoded structured trace event.
-type TraceEvent = telemetry.Event
-
 // ReadTraceEvents decodes a JSONL event trace written via WithEventTrace —
-// the round-trip counterpart of the tracer's encoder.
-func ReadTraceEvents(r io.Reader) ([]TraceEvent, error) {
-	return telemetry.ReadEvents(r)
+// one record per line — back into records.
+func ReadTraceEvents(r io.Reader) ([]FlightRecord, error) {
+	return telemetry.ReadRecords(r)
 }
 
-// CloseTrace finalizes the event trace (for Chrome format, the closing
-// bracket) and flushes it to the underlying writer, returning the first
-// error the tracer encountered. It is a no-op without an active trace.
+// CloseTrace renders the records still staged for the event trace,
+// finalizes it (for Chrome format, the closing bracket) and flushes it to
+// the underlying writer, returning the first error the tracer
+// encountered. It is a no-op without an active trace.
 func (s *System) CloseTrace() error {
-	if s.tel == nil {
-		return nil
-	}
-	return s.tel.Tracer().Close()
+	s.lock()
+	defer s.unlock()
+	return s.tel.CloseTrace()
 }
 
 // Stats returns the scheme's event counters.
@@ -897,37 +896,19 @@ func (s *ShardedSystem) TryReadTraced(ctx context.Context, addr uint64, tc Trace
 // to call at any time from any goroutine and never blocks the workers.
 func (s *ShardedSystem) FlightRecords() []FlightRecord { return s.eng.FlightRecords() }
 
-// StageLatency summarizes one write-path stage's latency distribution.
-type StageLatency struct {
-	Stage  string  `json:"stage"`
-	Count  uint64  `json:"count"`
-	MeanNs float64 `json:"mean_ns"`
-	P50Ns  float64 `json:"p50_ns"`
-	P99Ns  float64 `json:"p99_ns"`
-}
+// StageLatency summarizes one write-path stage's latency distribution
+// (simulated nanoseconds), as a node's /statusz serves it.
+type StageLatency = telemetry.LatencySummary
 
 // StageLatencies merges the per-shard stage histograms and summarizes each
-// stage that has observations. ok is false unless the system was built
-// with WithStageTracing.
-func (s *ShardedSystem) StageLatencies() (out []StageLatency, ok bool) {
+// stage that has observations, keyed by stage name. ok is false unless the
+// system was built with WithStageTracing.
+func (s *ShardedSystem) StageLatencies() (map[string]StageLatency, bool) {
 	hists, ok := s.eng.StageSnapshot()
 	if !ok {
 		return nil, false
 	}
-	for i := range hists {
-		h := &hists[i]
-		if h.Count() == 0 {
-			continue
-		}
-		out = append(out, StageLatency{
-			Stage:  telemetry.Stage(i).String(),
-			Count:  h.Count(),
-			MeanNs: h.Mean().Nanoseconds(),
-			P50Ns:  h.Percentile(0.5).Nanoseconds(),
-			P99Ns:  h.Percentile(0.99).Nanoseconds(),
-		})
-	}
-	return out, true
+	return telemetry.Summarize[telemetry.Stage](hists[:]), true
 }
 
 // TelemetryEnabled reports whether the system was built with
@@ -966,13 +947,13 @@ func (s *ShardedSystem) ServeMetrics(addr string, enablePprof bool) (*MetricsSer
 		},
 		Status: func() any {
 			st := struct {
-				Scheme      string         `json:"scheme"`
-				Shards      int            `json:"shards"`
-				QueueDepths []int          `json:"queue_depths"`
-				QueueCap    int            `json:"queue_cap"`
-				Shed        uint64         `json:"shed_requests"`
-				Tracing     bool           `json:"tracing"`
-				Stages      []StageLatency `json:"stages,omitempty"`
+				Scheme      string                  `json:"scheme"`
+				Shards      int                     `json:"shards"`
+				QueueDepths []int                   `json:"queue_depths"`
+				QueueCap    int                     `json:"queue_cap"`
+				Shed        uint64                  `json:"shed_requests"`
+				Tracing     bool                    `json:"tracing"`
+				Stages      map[string]StageLatency `json:"stages,omitempty"`
 			}{
 				Scheme:      s.eng.SchemeName(),
 				Shards:      s.eng.NumShards(),

@@ -12,6 +12,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"sort"
 	"strings"
 
 	esd "github.com/esdsim/esd"
@@ -21,9 +22,9 @@ func main() {
 	cfg := esd.DefaultConfig()
 	cfg.PCM.CapacityBytes = 1 << 28
 
-	// Telemetry is opt-in per System: WithEventTrace adds a JSONL event
-	// tracer (and implies the metrics registry), WithTraceSampling keeps
-	// the hot-path events to 1-in-8.
+	// Telemetry is opt-in per System: WithEventTrace renders the System's
+	// records into a JSONL trace (and implies the metrics registry),
+	// WithTraceSampling keeps the write and read records to 1-in-8.
 	var traceBuf bytes.Buffer
 	sys, err := esd.NewSystem(cfg, esd.SchemeESD,
 		esd.WithEventTrace(&traceBuf),
@@ -50,23 +51,29 @@ func main() {
 		res.Requests, sys.SchemeName(), st.DedupWrites, st.Writes)
 
 	// 1. The event trace: every rare event (EFIT evictions, counter
-	// overflows, run markers) plus a 1-in-8 sample of writes and reads.
-	events, err := esd.ReadTraceEvents(&traceBuf)
+	// overflows, run markers) plus a 1-in-8 sample of writes and reads,
+	// each a record like the flight recorder's, on the simulated clock.
+	recs, err := esd.ReadTraceEvents(&traceBuf)
 	if err != nil {
 		log.Fatal(err)
 	}
 	byKind := map[string]int{}
-	for _, ev := range events {
-		byKind[ev.Kind]++
+	for _, r := range recs {
+		byKind[r.Kind]++
 	}
-	fmt.Printf("\nevent trace: %d events\n", len(events))
-	for kind, n := range byKind {
-		fmt.Printf("  %-12s %d\n", kind, n)
+	kinds := make([]string, 0, len(byKind))
+	for kind := range byKind {
+		kinds = append(kinds, kind)
 	}
-	for _, ev := range events {
-		if ev.Kind == "write" {
-			fmt.Printf("first sampled write: decision=%s logical=%#x lat=%dps\n",
-				ev.Decision, ev.Logical, ev.Lat)
+	sort.Strings(kinds)
+	fmt.Printf("\nevent trace: %d records\n", len(recs))
+	for _, kind := range kinds {
+		fmt.Printf("  %-12s %d\n", kind, byKind[kind])
+	}
+	for _, r := range recs {
+		if r.Kind == "write" {
+			fmt.Printf("first sampled write: decision=%s addr=%#x lat=%gns\n",
+				r.Decision, r.Addr, r.LatNs)
 			break
 		}
 	}

@@ -259,7 +259,7 @@ func (r *Router) WriteBatchTraced(trace uint64, ops []server.BatchWriteOp, res [
 	}
 	// The batch route event: Attempt carries the replica-set fan-out
 	// (how many sub-batch frames the batch split into).
-	r.hop(telemetry.HopRoute, trace, server.OpWriteBatch, "", ops[0].Addr, len(groups), 0, began)
+	r.hop(telemetry.HopRoute, trace, server.OpWriteBatch, nil, ops[0].Addr, len(groups), 0, began)
 	return nil
 }
 
@@ -361,6 +361,6 @@ func (r *Router) ReadBatchTraced(trace uint64, addrs []uint64, res []server.Batc
 		copy(rr.Data[:], out.Data)
 		res[i] = rr
 	}
-	r.hop(telemetry.HopRoute, trace, server.OpReadBatch, "", addrs[0], len(groups), 0, began)
+	r.hop(telemetry.HopRoute, trace, server.OpReadBatch, nil, addrs[0], len(groups), 0, began)
 	return nil
 }

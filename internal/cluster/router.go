@@ -130,11 +130,11 @@ type Router struct {
 	repairs   atomic.Uint64
 	readSeq   atomic.Uint64
 
-	// Distributed-tracing state: per-hop latency histograms, the router
+	// Distributed-tracing state: the per-hop latency set, the router
 	// flight recorder, and the fleet trace ID source (traceBase +
 	// traceSeq). See trace.go.
-	hops      *telemetry.HopHistograms
-	flight    *telemetry.HopRecorder
+	hops      *telemetry.LatencySet
+	flight    *telemetry.FlightRecorder
 	traceBase uint64
 	traceSeq  atomic.Uint64
 
@@ -155,8 +155,8 @@ func NewRouter(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		ring:   ring,
 		state:  make(map[string]*nodeState),
-		hops:   &telemetry.HopHistograms{},
-		flight: telemetry.NewHopRecorder(0),
+		hops:   telemetry.NewLatencySet(telemetry.NumHops),
+		flight: telemetry.NewFlightRecorder(telemetry.DefaultHopSlots),
 		// Boot-time base, shifted to dwarf node-local IDs; the hopSeq term
 		// separates routers booted in the same nanosecond (tests).
 		traceBase: (uint64(time.Now().UnixNano()) + hopSeq.Add(1)*1e9) << 20,
@@ -359,7 +359,7 @@ func (r *Router) WriteTraced(trace uint64, addr uint64, line ecc.Line) (server.W
 			if !primaryOK {
 				// The primary never took this write; the first acceptor was a
 				// replica further down the set.
-				r.hopNow(telemetry.HopFailover, trace, server.OpWrite, f.st.node.Name, addr, i, 0)
+				r.hopNow(telemetry.HopFailover, trace, server.OpWrite, f.st, addr, i, 0)
 			}
 		}
 	}
@@ -371,11 +371,11 @@ func (r *Router) WriteTraced(trace uint64, addr uint64, line ecc.Line) (server.W
 		if lastErr == nil {
 			lastErr = ErrNoReplica
 		}
-		r.hop(telemetry.HopRoute, trace, server.OpWrite, "", addr, 0, server.StatusOf(lastErr), began)
+		r.hop(telemetry.HopRoute, trace, server.OpWrite, nil, addr, 0, server.StatusOf(lastErr), began)
 		return server.WriteResponse{}, fmt.Errorf("%w (addr=%d): %v", ErrNoReplica, addr, lastErr)
 	}
 	resp.Trace = trace
-	r.hop(telemetry.HopRoute, trace, server.OpWrite, "", addr, 0, server.StatusOK, began)
+	r.hop(telemetry.HopRoute, trace, server.OpWrite, nil, addr, 0, server.StatusOK, began)
 	return resp, nil
 }
 
@@ -410,7 +410,7 @@ func (r *Router) ReadTraced(trace uint64, addr uint64) (server.ReadResponse, err
 	if err == nil {
 		resp.Trace = trace
 	}
-	r.hop(telemetry.HopRoute, trace, server.OpRead, "", addr, 0, server.StatusOf(err), began)
+	r.hop(telemetry.HopRoute, trace, server.OpRead, nil, addr, 0, server.StatusOf(err), began)
 	return resp, err
 }
 
@@ -443,7 +443,7 @@ func (r *Router) readRouted(trace uint64, addr uint64) (server.ReadResponse, err
 		if i > 0 {
 			// Served by a follower because the primary was down or failed.
 			r.failovers.Add(1)
-			r.hopNow(telemetry.HopFailover, trace, server.OpRead, st.node.Name, addr, i, 0)
+			r.hopNow(telemetry.HopFailover, trace, server.OpRead, st, addr, i, 0)
 		}
 		return resp, nil
 	}
@@ -491,7 +491,7 @@ func (r *Router) readHedged(trace uint64, addr uint64, primary, follower *nodeSt
 		case res := <-ch:
 			if res.err == nil {
 				if hedged && res.from == follower {
-					r.hopNow(telemetry.HopHedgeWin, trace, server.OpRead, follower.node.Name, addr, 0, 0)
+					r.hopNow(telemetry.HopHedgeWin, trace, server.OpRead, follower, addr, 0, 0)
 				}
 				return res.resp, nil
 			}
@@ -502,14 +502,14 @@ func (r *Router) readHedged(trace uint64, addr uint64, primary, follower *nodeSt
 				// synchronously if it never ran.
 				if timer.Stop() {
 					r.failovers.Add(1)
-					r.hopNow(telemetry.HopFailover, trace, server.OpRead, follower.node.Name, addr, 1, 0)
+					r.hopNow(telemetry.HopFailover, trace, server.OpRead, follower, addr, 1, 0)
 					return r.readNode(follower, trace, addr)
 				}
 				return server.ReadResponse{}, res.err
 			}
 		case <-timer.C:
 			r.hedges.Add(1)
-			r.hopNow(telemetry.HopHedge, trace, server.OpRead, follower.node.Name, addr, 0, 0)
+			r.hopNow(telemetry.HopHedge, trace, server.OpRead, follower, addr, 0, 0)
 			hedged = true
 			launched++
 			go func() {
@@ -569,7 +569,7 @@ func (r *Router) readRepair(trace uint64, addr uint64, set []*nodeState) (server
 				_, err := c.WriteTraced(trace, addr, line)
 				return err
 			})
-			r.hop(telemetry.HopReadRepair, trace, server.OpWrite, g.st.node.Name, addr, 0, 0, began)
+			r.hop(telemetry.HopReadRepair, trace, server.OpWrite, g.st, addr, 0, 0, began)
 		}
 	}
 	return auth.resp, true

@@ -171,20 +171,20 @@ type NodeStatus struct {
 // attempt, checkout, retry, hedge, ...) mirroring the per-stage section a
 // node's /statusz carries.
 type Status struct {
-	Epoch         uint64                        `json:"epoch"`
-	VNodes        int                           `json:"vnodes"`
-	Replication   int                           `json:"replication"`
-	Nodes         []NodeStatus                  `json:"nodes"`
-	Healthy       int                           `json:"healthy_nodes"`
-	Resharding    bool                          `json:"resharding"`
-	LastReshard   *ReshardReport                `json:"last_reshard,omitempty"`
-	Retries       uint64                        `json:"retries"`
-	Failovers     uint64                        `json:"failovers"`
-	Hedges        uint64                        `json:"hedges"`
-	ReadRepairs   uint64                        `json:"read_repairs"`
-	UptimeS       float64                       `json:"uptime_s"`
-	FlightRecords int                           `json:"flight_records,omitempty"`
-	Hops          map[string]server.StageStatus `json:"hops,omitempty"`
+	Epoch         uint64                              `json:"epoch"`
+	VNodes        int                                 `json:"vnodes"`
+	Replication   int                                 `json:"replication"`
+	Nodes         []NodeStatus                        `json:"nodes"`
+	Healthy       int                                 `json:"healthy_nodes"`
+	Resharding    bool                                `json:"resharding"`
+	LastReshard   *ReshardReport                      `json:"last_reshard,omitempty"`
+	Retries       uint64                              `json:"retries"`
+	Failovers     uint64                              `json:"failovers"`
+	Hedges        uint64                              `json:"hedges"`
+	ReadRepairs   uint64                              `json:"read_repairs"`
+	UptimeS       float64                             `json:"uptime_s"`
+	FlightRecords int                                 `json:"flight_records,omitempty"`
+	Hops          map[string]telemetry.LatencySummary `json:"hops,omitempty"`
 }
 
 // Status builds the live router status document.
@@ -219,21 +219,8 @@ func (s *Server) Status() Status {
 		}
 		st.Nodes = append(st.Nodes, row)
 	}
-	hists := r.HopSnapshot()
 	st.FlightRecords = r.HopRecordsLen()
-	st.Hops = make(map[string]server.StageStatus, len(hists))
-	for i := range hists {
-		h := &hists[i]
-		if h.Count() == 0 {
-			continue
-		}
-		st.Hops[telemetry.Hop(i).String()] = server.StageStatus{
-			Count:  h.Count(),
-			MeanNs: h.Mean().Nanoseconds(),
-			P50Ns:  h.Percentile(0.5).Nanoseconds(),
-			P99Ns:  h.Percentile(0.99).Nanoseconds(),
-		}
-	}
+	st.Hops = r.HopLatencies()
 	return st
 }
 
@@ -261,7 +248,7 @@ func (s *Server) mux() http.Handler {
 	mux.HandleFunc("/debug/flightrecorder", func(w http.ResponseWriter, req *http.Request) {
 		recs := s.r.HopRecords()
 		if recs == nil {
-			recs = []telemetry.HopRecord{}
+			recs = []telemetry.Record{}
 		}
 		writeJSON(w, recs)
 	})

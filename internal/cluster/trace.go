@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/esdsim/esd/internal/server"
+	"github.com/esdsim/esd/internal/sim"
 	"github.com/esdsim/esd/internal/stats"
 	"github.com/esdsim/esd/internal/telemetry"
 )
@@ -17,8 +18,8 @@ import (
 // 0, adopted from the wire otherwise — and the ID is propagated to every
 // backend the request touches in the frames' trace field. Backends adopt
 // it (shard.Engine.AdoptTrace), so the same ID shows up in the router's
-// hop recorder, each node's slow-request log and per-shard flight
-// recorder, and the client response.
+// flight recorder, each node's slow-request log and per-shard flight
+// recorders, and the client response.
 //
 // Router trace IDs are offset by a boot-time base so they are visually
 // distinct from node-local IDs (small monotonic integers): a 20-bit-
@@ -30,9 +31,11 @@ func (r *Router) NewTraceID() uint64 {
 	return r.traceBase + r.traceSeq.Add(1)
 }
 
-// HopSnapshot copies the per-hop latency histograms.
-func (r *Router) HopSnapshot() [telemetry.NumHops]stats.Histogram {
-	return r.hops.Snapshot()
+// HopLatencies summarizes the per-hop latency set, keyed by hop name.
+func (r *Router) HopLatencies() map[string]telemetry.LatencySummary {
+	var hists [telemetry.NumHops]stats.Histogram
+	r.hops.Snapshot(hists[:])
+	return telemetry.Summarize[telemetry.Hop](hists[:])
 }
 
 // HopRecordsLen returns how many records the router flight recorder
@@ -40,21 +43,32 @@ func (r *Router) HopSnapshot() [telemetry.NumHops]stats.Histogram {
 func (r *Router) HopRecordsLen() int { return r.flight.Len() }
 
 // HopRecords snapshots the router flight recorder, oldest first.
-func (r *Router) HopRecords() []telemetry.HopRecord {
+func (r *Router) HopRecords() []telemetry.Record {
 	return r.flight.Snapshot()
 }
 
-// hop records one duration event that began at `began`.
-func (r *Router) hop(h telemetry.Hop, trace uint64, op byte, node string, addr uint64, attempt int, status byte, began time.Time) {
+// hop records one duration event that began at `began` on node st (nil
+// for the router-local route and repair hops).
+func (r *Router) hop(h telemetry.Hop, trace uint64, op byte, st *nodeState, addr uint64, attempt int, status byte, began time.Time) {
 	d := time.Since(began)
-	r.hops.Observe(h, d)
-	r.flight.Record(h, trace, op, node, addr, attempt, status, began.UnixNano(), d)
+	r.hops.Observe(int(h), sim.Time(d.Nanoseconds())*sim.Nanosecond)
+	r.flight.RecordHop(h, trace, op, nodeName(st), addr, attempt, status, began.UnixNano(), d)
 }
 
 // hopNow records one point event (retry decision, markDown, hedge fire).
-func (r *Router) hopNow(h telemetry.Hop, trace uint64, op byte, node string, addr uint64, attempt int, status byte) {
-	r.hops.Observe(h, 0)
-	r.flight.Record(h, trace, op, node, addr, attempt, status, time.Now().UnixNano(), 0)
+func (r *Router) hopNow(h telemetry.Hop, trace uint64, op byte, st *nodeState, addr uint64, attempt int, status byte) {
+	r.hops.Observe(int(h), 0)
+	r.flight.RecordHop(h, trace, op, nodeName(st), addr, attempt, status, time.Now().UnixNano(), 0)
+}
+
+// nodeName is the name a hop record keeps for node st (nil for none): a
+// pointer to the node's own name, which never changes, so recording a hop
+// copies no string.
+func nodeName(st *nodeState) *string {
+	if st == nil {
+		return nil
+	}
+	return &st.node.Name
 }
 
 // nodeFrame is one frame bound for one node, with the state of its
@@ -75,7 +89,7 @@ type nodeFrame struct {
 func (r *Router) start(f *nodeFrame, trace uint64, op byte, addr uint64, send func(c *server.TCPClient) error) {
 	if f.a > 0 {
 		r.retries.Add(1)
-		r.hopNow(telemetry.HopRetry, trace, op, f.st.node.Name, addr, f.a, server.StatusOf(f.err))
+		r.hopNow(telemetry.HopRetry, trace, op, f.st, addr, f.a, server.StatusOf(f.err))
 	}
 	t0 := time.Now()
 	c, err := f.st.pool.Get()
@@ -84,7 +98,7 @@ func (r *Router) start(f *nodeFrame, trace uint64, op byte, addr uint64, send fu
 		f.st.errs.Add(1)
 		return
 	}
-	r.hop(telemetry.HopCheckout, trace, op, f.st.node.Name, addr, f.a, 0, t0)
+	r.hop(telemetry.HopCheckout, trace, op, f.st, addr, f.a, 0, t0)
 	_ = c.SetDeadline(time.Now().Add(r.cfg.RequestTimeout))
 	f.c, f.sent = c, time.Now()
 	f.err = send(c)
@@ -106,7 +120,7 @@ func (r *Router) finish(f *nodeFrame, trace uint64, op byte, addr uint64, recv f
 			_ = c.SetDeadline(time.Now().Add(r.cfg.RequestTimeout))
 			f.err = recv(c)
 		}
-		r.hop(telemetry.HopAttempt, trace, op, f.st.node.Name, addr, f.a, server.StatusOf(f.err), f.sent)
+		r.hop(telemetry.HopAttempt, trace, op, f.st, addr, f.a, server.StatusOf(f.err), f.sent)
 		if f.err == nil {
 			f.st.pool.Put(c)
 			return false
@@ -154,12 +168,12 @@ func (r *Router) doNodeCtx(st *nodeState, trace uint64, op byte, addr uint64, f 
 }
 
 // markDownTr is markDown carrying the trace context of the failure that
-// triggered it, so the mark-down lands in the hop recorder under the
-// request's ID.
+// triggered it, so the mark-down lands in the router's flight recorder
+// under the request's ID.
 func (r *Router) markDownTr(st *nodeState, err error, trace uint64, op byte, addr uint64) {
 	if st.up.Swap(false) {
 		r.logf("cluster: node %s marked down (trace=%d): %v", st.node.Name, trace, err)
-		r.hopNow(telemetry.HopMarkDown, trace, op, st.node.Name, addr, 0, server.StatusOf(err))
+		r.hopNow(telemetry.HopMarkDown, trace, op, st, addr, 0, server.StatusOf(err))
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 )
 
 // hopKinds collects the hop-kind names recorded under one trace ID.
-func hopKinds(recs []telemetry.HopRecord, trace uint64) map[string]int {
+func hopKinds(recs []telemetry.Record, trace uint64) map[string]int {
 	out := make(map[string]int)
 	for _, rec := range recs {
 		if rec.Trace == trace {
-			out[rec.Hop]++
+			out[rec.Kind]++
 		}
 	}
 	return out
@@ -127,14 +127,14 @@ func TestClusterServerTraceEndpoints(t *testing.T) {
 		t.Fatal("/statusz flight_records = 0 after traffic")
 	}
 
-	var recs []telemetry.HopRecord
+	var recs []telemetry.Record
 	getTestJSON(t, base+"/debug/flightrecorder", &recs)
 	if len(recs) == 0 {
 		t.Fatal("/debug/flightrecorder empty after traffic")
 	}
 	seenRoute := false
 	for _, rec := range recs {
-		if rec.Hop == "route" && rec.Trace != 0 {
+		if rec.Kind == "route" && rec.Trace != 0 {
 			seenRoute = true
 		}
 	}
@@ -258,7 +258,7 @@ func TestTraceAcrossHedgeAndFailover(t *testing.T) {
 		}
 		// The mark-down event is attributed to the primary by name.
 		for _, rec := range r.HopRecords() {
-			if rec.Trace == trace && rec.Hop == "mark-down" && rec.Node != primary.node.Name {
+			if rec.Trace == trace && rec.Kind == "mark-down" && rec.Node != primary.node.Name {
 				t.Errorf("mark-down attributed to %q, want %q", rec.Node, primary.node.Name)
 			}
 		}

@@ -254,7 +254,7 @@ func (s *ESD) writeFP(logical uint64, data *ecc.Line, fp uint64, at sim.Time, ba
 			s.St.DupByCache++
 			mapLat := s.DedupHit(logical, candidate, t)
 			bd.Metadata = mapLat
-			s.Env.Tel.OnWrite(s.Name(), telemetry.DecDupFPCache, logical, candidate, true, at, t+mapLat, &bd)
+			s.Env.Tel.OnWrite(telemetry.DecDupFPCache, logical, candidate, true, at, t+mapLat, &bd)
 			return memctrl.WriteOutcome{Done: t + mapLat, Breakdown: bd, Deduplicated: true, PhysAddr: candidate}
 		}
 		// ECC collision: genuinely different content behind the same
@@ -311,7 +311,7 @@ func (s *ESD) writeUnique(logical uint64, data *ecc.Line, fp uint64, at, t sim.T
 	bd.Queue += wr.Stall
 	bd.Media = wr.ServiceLatency
 	done := wr.AcceptedAt + wr.ServiceLatency
-	s.Env.Tel.OnWrite(s.Name(), dec, logical, phys, false, at, done, &bd)
+	s.Env.Tel.OnWrite(dec, logical, phys, false, at, done, &bd)
 	return memctrl.WriteOutcome{
 		Done:      done,
 		Breakdown: bd,
@@ -336,7 +336,7 @@ func (s *ESD) flushBatch(ops []memctrl.BatchWrite) {
 		out.Breakdown.Queue += p.Wr.Stall
 		out.Breakdown.Media = p.Wr.ServiceLatency
 		out.Done = p.Wr.AcceptedAt + p.Wr.ServiceLatency
-		s.Env.Tel.OnWrite(s.Name(), telemetry.Decision(p.Tag), p.Logical, p.Phys, false, op.At, out.Done, &out.Breakdown)
+		s.Env.Tel.OnWrite(telemetry.Decision(p.Tag), p.Logical, p.Phys, false, op.At, out.Done, &out.Breakdown)
 	}
 	s.def.Reset()
 }
@@ -344,7 +344,7 @@ func (s *ESD) flushBatch(ops []memctrl.BatchWrite) {
 // Read implements memctrl.Scheme.
 func (s *ESD) Read(logical uint64, at sim.Time) memctrl.ReadOutcome {
 	out := s.ReadPath(logical, at)
-	s.Env.Tel.OnRead(s.Name(), logical, out.Hit, at, out.Done)
+	s.Env.Tel.OnRead(logical, out.Hit, at, out.Done)
 	return out
 }
 

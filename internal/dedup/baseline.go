@@ -50,7 +50,7 @@ func (s *Baseline) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.Wr
 		Media:    wr.ServiceLatency,
 		Metadata: metaLat,
 	}
-	s.env.Tel.OnWrite(s.Name(), telemetry.DecBaseline, logical, logical, false, at, done, &bd)
+	s.env.Tel.OnWrite(telemetry.DecBaseline, logical, logical, false, at, done, &bd)
 	return memctrl.WriteOutcome{Done: done, PhysAddr: logical, Breakdown: bd}
 }
 
@@ -88,7 +88,7 @@ func (s *Baseline) WriteBatch(ops []memctrl.BatchWrite) {
 		op.Out.Breakdown.Queue = p.Wr.Stall
 		op.Out.Breakdown.Media = p.Wr.ServiceLatency
 		op.Out.Done = p.Wr.AcceptedAt + p.Wr.ServiceLatency
-		s.env.Tel.OnWrite(s.Name(), telemetry.DecBaseline, p.Logical, p.Logical, false, op.At, op.Out.Done, &op.Out.Breakdown)
+		s.env.Tel.OnWrite(telemetry.DecBaseline, p.Logical, p.Logical, false, op.At, op.Out.Done, &op.Out.Breakdown)
 	}
 	s.def.Reset()
 }
@@ -109,7 +109,7 @@ func (s *Baseline) Read(logical uint64, at sim.Time) memctrl.ReadOutcome {
 		s.env.Crypto.DecryptInPlace(logical, &ct)
 		out.Data = ct
 	}
-	s.env.Tel.OnRead(s.Name(), logical, ok, at, out.Done)
+	s.env.Tel.OnRead(logical, ok, at, out.Done)
 	return out
 }
 

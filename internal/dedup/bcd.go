@@ -184,7 +184,7 @@ func (s *BCD) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.WriteOu
 				mapLat := s.DedupHit(logical, candidate, t)
 				bd.Metadata = mapLat
 				s.Env.Tel.OnCompare(false)
-				s.Env.Tel.OnWrite(s.Name(), telemetry.DecDupFPCache, logical, candidate, true, at, t+mapLat, &bd)
+				s.Env.Tel.OnWrite(telemetry.DecDupFPCache, logical, candidate, true, at, t+mapLat, &bd)
 				return memctrl.WriteOutcome{Done: t + mapLat, Breakdown: bd, Deduplicated: true, PhysAddr: candidate}
 			}
 			s.St.CompareMismatches++
@@ -221,7 +221,7 @@ func (s *BCD) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.WriteOu
 	bd.Media = wr.ServiceLatency
 	bd.Metadata = mapLat
 	done := wr.AcceptedAt + wr.ServiceLatency
-	s.Env.Tel.OnWrite(s.Name(), telemetry.DecBaseWrite, logical, phys, false, at, done, &bd)
+	s.Env.Tel.OnWrite(telemetry.DecBaseWrite, logical, phys, false, at, done, &bd)
 	return memctrl.WriteOutcome{Done: done, Breakdown: bd, PhysAddr: phys}
 }
 
@@ -293,7 +293,7 @@ func (s *BCD) storeDelta(logical, base uint64, mask uint8, words [8]uint64, n in
 	bd.Media = wr.ServiceLatency
 	bd.Metadata = mapLat
 	done := wr.AcceptedAt + wr.ServiceLatency
-	s.Env.Tel.OnWrite(s.Name(), telemetry.DecDeltaWrite, logical, base, true, at, done, &bd)
+	s.Env.Tel.OnWrite(telemetry.DecDeltaWrite, logical, base, true, at, done, &bd)
 	return memctrl.WriteOutcome{
 		Done:         done,
 		Breakdown:    bd,
@@ -308,7 +308,7 @@ func (s *BCD) Read(logical uint64, at sim.Time) memctrl.ReadOutcome {
 	de, ok := s.deltas[logical]
 	if !ok {
 		out := s.ReadPath(logical, at)
-		s.Env.Tel.OnRead(s.Name(), logical, out.Hit, at, out.Done)
+		s.Env.Tel.OnRead(logical, out.Hit, at, out.Done)
 		return out
 	}
 	s.St.Reads++
@@ -317,7 +317,7 @@ func (s *BCD) Read(logical uint64, at sim.Time) memctrl.ReadOutcome {
 	// Base line read.
 	ct, found, rr := s.Env.Device.Read(de.basePhys, feEnd)
 	if !found {
-		s.Env.Tel.OnRead(s.Name(), logical, false, at, rr.Done)
+		s.Env.Tel.OnRead(logical, false, at, rr.Done)
 		return memctrl.ReadOutcome{Done: rr.Done, Hit: false}
 	}
 	base := s.Env.Crypto.Decrypt(de.basePhys, &ct)
@@ -329,7 +329,7 @@ func (s *BCD) Read(logical uint64, at sim.Time) memctrl.ReadOutcome {
 			out.SetWord(w, de.words[w])
 		}
 	}
-	s.Env.Tel.OnRead(s.Name(), logical, true, at, rr2.Done)
+	s.Env.Tel.OnRead(logical, true, at, rr2.Done)
 	return memctrl.ReadOutcome{Done: rr2.Done, Data: out, Hit: true}
 }
 

@@ -186,7 +186,7 @@ func (s *DeWrite) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.Wri
 				mapLat := s.DedupHit(logical, candidate, t)
 				bd.Metadata = mapLat
 				s.train(logical, true)
-				s.Env.Tel.OnWrite(s.Name(), telemetry.DecPredDupDup, logical, candidate, true, at, t+mapLat, &bd)
+				s.Env.Tel.OnWrite(telemetry.DecPredDupDup, logical, candidate, true, at, t+mapLat, &bd)
 				return memctrl.WriteOutcome{Done: t + mapLat, Breakdown: bd, Deduplicated: true, PhysAddr: candidate}
 			}
 		}
@@ -200,7 +200,7 @@ func (s *DeWrite) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.Wri
 		bd.Media = wr.ServiceLatency
 		bd.Metadata = mapLat
 		done := wr.AcceptedAt + wr.ServiceLatency
-		s.Env.Tel.OnWrite(s.Name(), telemetry.DecPredDupUnique, logical, phys, false, at, done, &bd)
+		s.Env.Tel.OnWrite(telemetry.DecPredDupUnique, logical, phys, false, at, done, &bd)
 		return memctrl.WriteOutcome{Done: done, Breakdown: bd, PhysAddr: phys}
 	}
 
@@ -230,7 +230,7 @@ func (s *DeWrite) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.Wri
 			mapLat := s.DedupHit(logical, candidate, t)
 			bd.Metadata = mapLat
 			s.train(logical, true)
-			s.Env.Tel.OnWrite(s.Name(), telemetry.DecPredUniqueDup, logical, candidate, true, at, t+mapLat, &bd)
+			s.Env.Tel.OnWrite(telemetry.DecPredUniqueDup, logical, candidate, true, at, t+mapLat, &bd)
 			return memctrl.WriteOutcome{Done: t + mapLat, Breakdown: bd, Deduplicated: true, PhysAddr: candidate}
 		}
 	}
@@ -247,7 +247,7 @@ func (s *DeWrite) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.Wri
 	bd.Media = wr.ServiceLatency
 	bd.Metadata = mapLat
 	done := wr.AcceptedAt + wr.ServiceLatency
-	s.Env.Tel.OnWrite(s.Name(), telemetry.DecPredUniqueUnique, logical, specPhys, false, at, done, &bd)
+	s.Env.Tel.OnWrite(telemetry.DecPredUniqueUnique, logical, specPhys, false, at, done, &bd)
 	return memctrl.WriteOutcome{Done: done, Breakdown: bd, PhysAddr: specPhys}
 }
 
@@ -266,7 +266,7 @@ func (s *DeWrite) installFP(crc, phys uint64, at sim.Time) {
 // Read implements memctrl.Scheme.
 func (s *DeWrite) Read(logical uint64, at sim.Time) memctrl.ReadOutcome {
 	out := s.ReadPath(logical, at)
-	s.Env.Tel.OnRead(s.Name(), logical, out.Hit, at, out.Done)
+	s.Env.Tel.OnRead(logical, out.Hit, at, out.Done)
 	return out
 }
 

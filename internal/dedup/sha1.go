@@ -87,7 +87,7 @@ func (s *SHA1) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.WriteO
 		s.St.DupByCache++
 		mapLat := s.DedupHit(logical, phys, t)
 		bd.Metadata = mapLat
-		s.Env.Tel.OnWrite(s.Name(), telemetry.DecDupFPCache, logical, phys, true, at, t+mapLat, &bd)
+		s.Env.Tel.OnWrite(telemetry.DecDupFPCache, logical, phys, true, at, t+mapLat, &bd)
 		return memctrl.WriteOutcome{Done: t + mapLat, Breakdown: bd, Deduplicated: true, PhysAddr: phys}
 	}
 	s.St.FPCacheMisses++
@@ -104,7 +104,7 @@ func (s *SHA1) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.WriteO
 		s.fpCache.Put(d.Short, phys)
 		mapLat := s.DedupHit(logical, phys, t)
 		bd.Metadata = mapLat
-		s.Env.Tel.OnWrite(s.Name(), telemetry.DecDupFPNVMM, logical, phys, true, at, t+mapLat, &bd)
+		s.Env.Tel.OnWrite(telemetry.DecDupFPNVMM, logical, phys, true, at, t+mapLat, &bd)
 		return memctrl.WriteOutcome{Done: t + mapLat, Breakdown: bd, Deduplicated: true, PhysAddr: phys}
 	}
 
@@ -122,7 +122,7 @@ func (s *SHA1) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.WriteO
 	bd.Media = wr.ServiceLatency
 	bd.Metadata = mapLat
 	done := wr.AcceptedAt + wr.ServiceLatency
-	s.Env.Tel.OnWrite(s.Name(), telemetry.DecUniqueFPMiss, logical, phys, false, at, done, &bd)
+	s.Env.Tel.OnWrite(telemetry.DecUniqueFPMiss, logical, phys, false, at, done, &bd)
 	return memctrl.WriteOutcome{
 		Done:      done,
 		Breakdown: bd,
@@ -158,7 +158,7 @@ func (s *SHA1) WriteBatch(ops []memctrl.BatchWrite) {
 			s.St.DupByCache++
 			mapLat := s.DedupHit(op.Logical, phys, t)
 			bd.Metadata = mapLat
-			s.Env.Tel.OnWrite(s.Name(), telemetry.DecDupFPCache, op.Logical, phys, true, op.At, t+mapLat, &bd)
+			s.Env.Tel.OnWrite(telemetry.DecDupFPCache, op.Logical, phys, true, op.At, t+mapLat, &bd)
 			op.Out = memctrl.WriteOutcome{Done: t + mapLat, Breakdown: bd, Deduplicated: true, PhysAddr: phys}
 			continue
 		}
@@ -173,7 +173,7 @@ func (s *SHA1) WriteBatch(ops []memctrl.BatchWrite) {
 			s.fpCache.Put(d.Short, phys)
 			mapLat := s.DedupHit(op.Logical, phys, t)
 			bd.Metadata = mapLat
-			s.Env.Tel.OnWrite(s.Name(), telemetry.DecDupFPNVMM, op.Logical, phys, true, op.At, t+mapLat, &bd)
+			s.Env.Tel.OnWrite(telemetry.DecDupFPNVMM, op.Logical, phys, true, op.At, t+mapLat, &bd)
 			op.Out = memctrl.WriteOutcome{Done: t + mapLat, Breakdown: bd, Deduplicated: true, PhysAddr: phys}
 			continue
 		}
@@ -198,7 +198,7 @@ func (s *SHA1) WriteBatch(ops []memctrl.BatchWrite) {
 		// The new fingerprint entry is persisted to NVMM off the critical
 		// path, once its data write has been accepted.
 		s.Env.Device.WriteMeta(s.Env.MetaLineFor(p.Aux), p.Wr.AcceptedAt)
-		s.Env.Tel.OnWrite(s.Name(), telemetry.DecUniqueFPMiss, p.Logical, p.Phys, false, op.At, op.Out.Done, &op.Out.Breakdown)
+		s.Env.Tel.OnWrite(telemetry.DecUniqueFPMiss, p.Logical, p.Phys, false, op.At, op.Out.Done, &op.Out.Breakdown)
 	}
 	s.def.Reset()
 }
@@ -206,7 +206,7 @@ func (s *SHA1) WriteBatch(ops []memctrl.BatchWrite) {
 // Read implements memctrl.Scheme.
 func (s *SHA1) Read(logical uint64, at sim.Time) memctrl.ReadOutcome {
 	out := s.ReadPath(logical, at)
-	s.Env.Tel.OnRead(s.Name(), logical, out.Hit, at, out.Done)
+	s.Env.Tel.OnRead(logical, out.Hit, at, out.Done)
 	return out
 }
 

@@ -158,9 +158,9 @@ func (c *Controller) Run(s trace.Stream) (*RunResult, error) {
 	var mediaEnergyBase float64
 	var energyBase stats.EnergyLedger
 	var lagBase sim.Time
-	c.env.Tel.OnRunMark("run-start", 0, c.scheme.Name())
+	c.env.Tel.OnRunMark(telemetry.KindRunStart, 0, c.scheme.Name())
 	if warmLeft == 0 {
-		c.env.Tel.OnRunMark("run-measure", 0, "no warmup")
+		c.env.Tel.OnRunMark(telemetry.KindRunMeasure, 0, "no warmup")
 	}
 	for {
 		rec, err := s.Next()
@@ -251,12 +251,12 @@ func (c *Controller) Run(s trace.Stream) (*RunResult, error) {
 				mediaEnergyBase = mst.MediaEnergy
 				energyBase = c.env.Energy
 				lagBase = lag
-				c.env.Tel.OnRunMark("run-measure", arrival, "warmup complete")
+				c.env.Tel.OnRunMark(telemetry.KindRunMeasure, arrival, "warmup complete")
 			}
 		}
 	}
 	idle := c.env.Device.Flush(last + lag)
-	c.env.Tel.OnRunMark("run-end", idle, c.scheme.Name())
+	c.env.Tel.OnRunMark(telemetry.KindRunEnd, idle, c.scheme.Name())
 	res.Elapsed = idle
 	res.Stall = lag - lagBase
 

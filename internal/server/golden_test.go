@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +18,7 @@ import (
 	"github.com/esdsim/esd/internal/xrand"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the exposition golden files in testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files in testdata/")
 
 // goldenStream sends a fixed mix of scalar and batch writes and reads from
 // one goroutine: duplicate-heavy content over a small footprint, so every
@@ -105,26 +107,68 @@ func TestExpositionGolden(t *testing.T) {
 			got.Write(stages)
 			got.WriteByte('\n')
 
-			path := filepath.Join("testdata", "exposition_"+strings.ReplaceAll(scheme, "+", "_")+".golden")
-			if *updateGolden {
-				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (generate with -update)", err)
-			}
-			if !bytes.Equal(got.Bytes(), want) {
-				gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-				for i := 0; i < len(gl) && i < len(wl); i++ {
-					if gl[i] != wl[i] {
-						t.Fatalf("exposition differs from %s at line %d:\n got  %s\n want %s", path, i+1, gl[i], wl[i])
-					}
-				}
-				t.Fatalf("exposition differs from %s: %d lines, want %d", path, len(gl), len(wl))
-			}
+			checkGolden(t, "exposition_"+strings.ReplaceAll(scheme, "+", "_")+".golden", got.Bytes())
 		})
+	}
+}
+
+// TestFlightRecorderGolden pins what a node's /debug/flightrecorder serves
+// after the golden stream: every record field, the node-minted trace IDs
+// and the simulated times, in small rings so the file stays short.
+// Rewrite it with -update when the record changes on purpose.
+func TestFlightRecorderGolden(t *testing.T) {
+	cfg := config.Default()
+	cfg.PCM.CapacityBytes = 1 << 28
+	e, err := shard.New(cfg, "esd", shard.Options{Shards: 4, Tracing: true, FlightSlots: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Close() })
+	s, err := New(e, Config{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+	goldenStream(t, e)
+
+	resp, err := http.Get(s.URL() + "/debug/flightrecorder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := json.Indent(&got, body, "", "  "); err != nil {
+		t.Fatalf("dump is not JSON: %v", err)
+	}
+	checkGolden(t, "flightrecorder.golden", got.Bytes())
+}
+
+// checkGolden compares got with testdata/name, line by line, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (generate with -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("%s differs at line %d:\n got  %s\n want %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%s differs: %d lines, want %d", path, len(gl), len(wl))
 	}
 }

@@ -86,7 +86,7 @@ func TestObservabilityEndpointsFresh(t *testing.T) {
 			}
 		}},
 		{"/debug/flightrecorder", http.StatusOK, func(t *testing.T, body string) {
-			var recs []telemetry.FlightRecord
+			var recs []telemetry.Record
 			if err := json.Unmarshal([]byte(body), &recs); err != nil {
 				t.Fatalf("flightrecorder not JSON: %v\n%s", err, body)
 			}
@@ -160,14 +160,14 @@ func TestObservabilityEndpointsAfterTraffic(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("flightrecorder = %d", code)
 	}
-	var recs []telemetry.FlightRecord
+	var recs []telemetry.Record
 	if err := json.Unmarshal([]byte(body), &recs); err != nil {
 		t.Fatalf("flightrecorder not JSON: %v", err)
 	}
 	if len(recs) != 9 { // 8 writes + 1 read
 		t.Fatalf("flight recorder has %d records, want 9", len(recs))
 	}
-	byTrace := make(map[uint64]telemetry.FlightRecord)
+	byTrace := make(map[uint64]telemetry.Record)
 	for _, r := range recs {
 		byTrace[r.Trace] = r
 	}
@@ -338,7 +338,7 @@ func TestSlowRequestLogging(t *testing.T) {
 // TestFlightRecorderDumpDecodable checks the SIGQUIT-style full dump:
 // after traffic (including a request abandoned mid-flight by its
 // deadline) every JSONL line after the header must decode back into a
-// FlightRecord.
+// telemetry.Record.
 func TestFlightRecorderDumpDecodable(t *testing.T) {
 	eng, s := testServer(t, shard.Options{Shards: 1, Tracing: true}, Config{})
 	c := NewHTTPClient(s.URL())
@@ -368,7 +368,7 @@ func TestFlightRecorderDumpDecodable(t *testing.T) {
 	}
 	decoded := 0
 	for _, ln := range lines[1:] {
-		var rec telemetry.FlightRecord
+		var rec telemetry.Record
 		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
 			t.Fatalf("undecodable dump line %q: %v", ln, err)
 		}

@@ -177,7 +177,7 @@ func (s *Server) mux() http.Handler {
 	mux.HandleFunc("/debug/flightrecorder", func(w http.ResponseWriter, r *http.Request) {
 		recs := s.eng.FlightRecords()
 		if recs == nil {
-			recs = []telemetry.FlightRecord{}
+			recs = []telemetry.Record{}
 		}
 		s.writeJSON(w, http.StatusOK, recs)
 	})
@@ -248,34 +248,26 @@ type DeviceStatus struct {
 	BytesSaved    uint64  `json:"dedup_bytes_saved"`
 }
 
-// StageStatus is one pipeline stage's latency summary in /statusz.
-type StageStatus struct {
-	Count  uint64  `json:"count"`
-	MeanNs float64 `json:"mean_ns"`
-	P50Ns  float64 `json:"p50_ns"`
-	P99Ns  float64 `json:"p99_ns"`
-}
-
 // StatuszResponse is the /statusz JSON document: the live serving state —
 // queue depths, shed counts, per-stage latency
 // percentiles — gathered without any engine barrier, so it answers even
 // while shards are wedged.
 type StatuszResponse struct {
-	Scheme          string                 `json:"scheme"`
-	Shards          int                    `json:"shards"`
-	Ready           bool                   `json:"ready"`
-	UptimeS         float64                `json:"uptime_s"`
-	QueueDepths     []int                  `json:"queue_depths"`
-	QueueCap        int                    `json:"queue_cap"`
-	Shed            uint64                 `json:"shed_requests"`
-	Tracing         bool                   `json:"tracing"`
-	SlowThresholdMs float64                `json:"slow_threshold_ms"`
-	SlowRequests    uint64                 `json:"slow_requests"`
-	FlightRecords   int                    `json:"flight_records"`
-	Rates           *RateStatus            `json:"rates,omitempty"`
-	Device          *DeviceStatus          `json:"device,omitempty"`
-	Hybrid          *HybridStatus          `json:"hybrid,omitempty"`
-	Stages          map[string]StageStatus `json:"stages,omitempty"`
+	Scheme          string                              `json:"scheme"`
+	Shards          int                                 `json:"shards"`
+	Ready           bool                                `json:"ready"`
+	UptimeS         float64                             `json:"uptime_s"`
+	QueueDepths     []int                               `json:"queue_depths"`
+	QueueCap        int                                 `json:"queue_cap"`
+	Shed            uint64                              `json:"shed_requests"`
+	Tracing         bool                                `json:"tracing"`
+	SlowThresholdMs float64                             `json:"slow_threshold_ms"`
+	SlowRequests    uint64                              `json:"slow_requests"`
+	FlightRecords   int                                 `json:"flight_records"`
+	Rates           *RateStatus                         `json:"rates,omitempty"`
+	Device          *DeviceStatus                       `json:"device,omitempty"`
+	Hybrid          *HybridStatus                       `json:"hybrid,omitempty"`
+	Stages          map[string]telemetry.LatencySummary `json:"stages,omitempty"`
 }
 
 // Statusz builds the /statusz document.
@@ -319,19 +311,7 @@ func (s *Server) Statusz() StatuszResponse {
 		resp.Hybrid = HybridFromStats(hs)
 	}
 	if hists, ok := s.eng.StageSnapshot(); ok {
-		resp.Stages = make(map[string]StageStatus, len(hists))
-		for i := range hists {
-			h := &hists[i]
-			if h.Count() == 0 {
-				continue
-			}
-			resp.Stages[telemetry.Stage(i).String()] = StageStatus{
-				Count:  h.Count(),
-				MeanNs: h.Mean().Nanoseconds(),
-				P50Ns:  h.Percentile(0.5).Nanoseconds(),
-				P99Ns:  h.Percentile(0.99).Nanoseconds(),
-			}
-		}
+		resp.Stages = telemetry.Summarize[telemetry.Stage](hists[:])
 	}
 	return resp
 }
@@ -399,7 +379,7 @@ func (s *Server) dumpFlight(reason string) {
 }
 
 // DumpFlightRecorder writes the full flight-recorder contents (every
-// shard's ring, oldest first) to w as JSONL — one FlightRecord per line,
+// shard's ring, oldest first) to w as JSONL — one telemetry.Record per line,
 // decodable with encoding/json. esdserve calls it on SIGQUIT.
 func (s *Server) DumpFlightRecorder(w io.Writer) {
 	recs := s.eng.FlightRecords()

@@ -168,7 +168,7 @@ func New(cfg config.Config, scheme string, opts Options) (*Engine, error) {
 			stages:   env.Tel.Stages(),
 		}
 		if opts.Tracing && s.stages == nil {
-			s.stages = new(telemetry.StageHistograms)
+			s.stages = telemetry.NewLatencySet(telemetry.NumStages)
 		}
 		s.nextTick = s.interval
 		e.shards = append(e.shards, s)
@@ -250,15 +250,15 @@ func (e *Engine) FlightLen() int {
 // then by record age. It is safe to call at any time — including with
 // shards wedged mid-request — because recording is wait-free and the dump
 // only reads published slots.
-func (e *Engine) FlightRecords() []telemetry.FlightRecord {
-	var out []telemetry.FlightRecord
+func (e *Engine) FlightRecords() []telemetry.Record {
+	var out []telemetry.Record
 	for _, s := range e.shards {
 		out = append(out, s.flight.Snapshot()...)
 	}
 	return out
 }
 
-// StageSnapshot merges every shard's per-stage write-latency histograms;
+// StageSnapshot merges every shard's stage latency sets;
 // ok is false when stage tracing is disabled. It takes no barrier: it
 // publishes first (see publish), then snapshots each published histogram
 // under its own mutex while the shards keep running.
@@ -269,10 +269,7 @@ func (e *Engine) StageSnapshot() ([telemetry.NumStages]stats.Histogram, bool) {
 	}
 	e.publish()
 	for _, s := range e.shards {
-		snap := s.stages.Snapshot()
-		for i := range out {
-			out[i].Merge(&snap[i])
-		}
+		s.stages.Snapshot(out[:])
 	}
 	return out, true
 }

@@ -100,14 +100,14 @@ type shard struct {
 	pubStats memctrl.SchemeStats
 
 	// flight is the shard's always-on black box: the last N requests with
-	// their stage vectors, recorded wait-free by the worker and snapshotted
+	// their stage vectors, recorded wait-free by the owner and snapshotted
 	// by dump endpoints at any time.
 	flight *telemetry.FlightRecorder
-	// stages holds the per-stage latency histograms behind /statusz's
-	// p50/p99 columns and the sink's stage family: the sink's own set
-	// with Options.Metrics, which the sink records into, a private one
-	// with only Options.Tracing, and nil with neither.
-	stages *telemetry.StageHistograms
+	// stages is the stage latency set behind /statusz's p50/p99 columns:
+	// the sink's own set with Options.Metrics, which the sink records into
+	// and publishes as its stage family, a private one with only
+	// Options.Tracing, and nil with neither.
+	stages *telemetry.LatencySet
 }
 
 // run is the worker loop: it blocks for one request, then drains up to
@@ -213,7 +213,7 @@ func (s *shard) exec(r *request) response {
 
 // recordWrite is the owner's bookkeeping for one completed write, shared
 // by every path that executes one: the clock catches up to the
-// completion, and the latency histogram, stage histograms and flight
+// completion, and the latency histogram, stage latency set and flight
 // recorder take the outcome. It returns the write's latency.
 func (s *shard) recordWrite(tc telemetry.TraceCtx, addr uint64, out *memctrl.WriteOutcome, at sim.Time) sim.Time {
 	if out.Done > s.now {
@@ -225,7 +225,7 @@ func (s *shard) recordWrite(tc telemetry.TraceCtx, addr uint64, out *memctrl.Wri
 	if s.env.Tel == nil {
 		// With metrics on, the sink's OnWrite has recorded st into this
 		// same set.
-		s.stages.Observe(&st)
+		s.stages.Record(&st)
 	}
 	s.flight.RecordWrite(s.id, tc, addr, out.PhysAddr, out.Deduplicated, at, lat, &st)
 	return lat
@@ -265,10 +265,14 @@ func (s *shard) publishStats() {
 	}
 }
 
-// publishTelemetry folds the sink's and the stage histograms' staged
-// samples into their published copies (owner only).
+// publishTelemetry folds the sink's and the stage set's staged samples
+// into their published copies (owner only). A sink publishes the stage
+// set it shares with the shard.
 func (s *shard) publishTelemetry() {
-	s.env.Tel.Publish()
+	if s.env.Tel != nil {
+		s.env.Tel.Publish()
+		return
+	}
 	s.stages.Publish()
 }
 

@@ -21,7 +21,7 @@ func TestFlightRecorderConcurrentRecordDump(t *testing.T) {
 	)
 	f := NewFlightRecorder(64)
 
-	checkRecords := func(recs []FlightRecord, stage string) {
+	checkRecords := func(recs []Record, stage string) {
 		lastSeq := uint64(0)
 		for _, r := range recs {
 			if r.Seq <= lastSeq {

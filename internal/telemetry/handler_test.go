@@ -85,7 +85,7 @@ func TestHandlerIntrospectionEndpoints(t *testing.T) {
 			name: "flightrecorder without hook is empty array",
 			path: "/debug/flightrecorder", wantCode: 200,
 			check: func(t *testing.T, body string) {
-				var recs []FlightRecord
+				var recs []Record
 				if err := json.Unmarshal([]byte(body), &recs); err != nil {
 					t.Fatalf("not JSON: %v (%q)", err, body)
 				}
@@ -99,7 +99,7 @@ func TestHandlerIntrospectionEndpoints(t *testing.T) {
 			opts: HandlerOptions{Flight: NewFlightRecorder(8).Snapshot},
 			path: "/debug/flightrecorder", wantCode: 200,
 			check: func(t *testing.T, body string) {
-				var recs []FlightRecord
+				var recs []Record
 				if err := json.Unmarshal([]byte(body), &recs); err != nil {
 					t.Fatalf("not JSON: %v (%q)", err, body)
 				}
@@ -113,7 +113,7 @@ func TestHandlerIntrospectionEndpoints(t *testing.T) {
 			opts: HandlerOptions{Flight: flight.Snapshot},
 			path: "/debug/flightrecorder", wantCode: 200,
 			check: func(t *testing.T, body string) {
-				var recs []FlightRecord
+				var recs []Record
 				if err := json.Unmarshal([]byte(body), &recs); err != nil {
 					t.Fatalf("not JSON: %v", err)
 				}

@@ -5,16 +5,25 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/esdsim/esd/internal/sim"
+	"github.com/esdsim/esd/internal/stats"
 )
 
-// Nil-receiver no-op audit: every HopRecorder and HopHistograms method
-// must be a safe no-op on a nil receiver, matching the Sink /
-// FlightRecorder / StageHistograms convention.
+// hopSnapshot copies a hop latency set's published histograms.
+func hopSnapshot(h *LatencySet) [NumHops]stats.Histogram {
+	var out [NumHops]stats.Histogram
+	h.Snapshot(out[:])
+	return out
+}
+
+// Nil-receiver no-op audit: recording a hop and observing its latency
+// must be safe no-ops on nil receivers, matching the Sink convention.
 func TestHopNilReceivers(t *testing.T) {
-	var r *HopRecorder
-	r.Record(HopAttempt, 1, 'W', "node0", 42, 0, 0, time.Now().UnixNano(), time.Millisecond)
+	var r *FlightRecorder
+	node := "node0"
+	r.RecordHop(HopAttempt, 1, 'W', &node, 42, 0, 0, time.Now().UnixNano(), time.Millisecond)
 	if got := r.Snapshot(); got != nil {
 		t.Errorf("nil recorder Snapshot = %v, want nil", got)
 	}
@@ -22,9 +31,9 @@ func TestHopNilReceivers(t *testing.T) {
 		t.Errorf("nil recorder Len/Cap = %d/%d, want 0/0", r.Len(), r.Cap())
 	}
 
-	var h *HopHistograms
-	h.Observe(HopRoute, time.Millisecond)
-	snap := h.Snapshot()
+	var h *LatencySet
+	h.Observe(int(HopRoute), sim.Millisecond)
+	snap := hopSnapshot(h)
 	for i := range snap {
 		if snap[i].Count() != 0 {
 			t.Errorf("nil histograms Snapshot[%d].Count = %d, want 0", i, snap[i].Count())
@@ -60,28 +69,53 @@ func TestHopStrings(t *testing.T) {
 	if got := Hop(200).String(); got != "unknown" {
 		t.Errorf("out-of-range hop String() = %q, want unknown", got)
 	}
+	for h, name := range want {
+		if got := hopKind(h).String(); got != name || !hopKind(h).router() {
+			t.Errorf("hopKind(%v) = %q (router %v), want the router kind %q", h, got, hopKind(h).router(), name)
+		}
+	}
+	for k := KindWrite; k < kindHop; k++ {
+		if k.router() || seen[k.String()] || k.String() == "unknown" {
+			t.Errorf("engine kind %d named %q", k, k.String())
+		}
+		seen[k.String()] = true
+	}
+}
+
+// TestRingSlotSize pins the cost of one record: a ring slot — the record,
+// its lock and its sequence — is what every shard write fills, so the
+// record must not grow past the shard's 120-byte write record.
+func TestRingSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(ringSlot[rec]{}); n > 136 {
+		t.Errorf("ring slot is %d bytes, want at most 136", n)
+	}
 }
 
 func TestHopRecorderRoundTrip(t *testing.T) {
-	r := NewHopRecorder(8)
+	r := NewFlightRecorder(8)
 	if r.Cap() != 8 {
 		t.Fatalf("Cap = %d, want 8", r.Cap())
 	}
-	at := time.Now().UnixNano()
-	r.Record(HopAttempt, 7, 'W', "node1", 42, 1, 0, at, 3*time.Millisecond)
-	r.Record(HopFailover, 7, 'R', "node2", 42, 0, 2, at+1, time.Millisecond)
+	const at = int64(1 << 40) // exact in a float64
+	n1, n2 := "node1", "node2"
+	r.RecordHop(HopAttempt, 7, 'W', &n1, 42, 1, 0, at, 3*time.Millisecond)
+	r.RecordHop(HopFailover, 7, 'R', &n2, 42, 0, 2, at+1, time.Millisecond)
+	r.RecordHop(HopRoute, 8, 'B', nil, 43, 3, 0, at+2, 0)
 	recs := r.Snapshot()
-	if len(recs) != 2 {
-		t.Fatalf("Snapshot len = %d, want 2", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("Snapshot len = %d, want 3", len(recs))
 	}
 	a := recs[0]
-	if a.Trace != 7 || a.Hop != "attempt" || a.Op != "write" || a.Node != "node1" ||
-		a.Addr != 42 || a.Attempt != 1 || !a.OK || a.AtUnixNs != at || a.LatNs != 3e6 {
+	if a.Trace != 7 || a.Layer != "router" || a.Clock != "wall" || a.Kind != "attempt" || a.Op != "write" ||
+		a.Node != "node1" || a.Addr != 42 || a.Attempt != 1 || a.Status != 0 || a.AtNs != float64(at) || a.LatNs != 3e6 {
 		t.Errorf("first record decoded wrong: %+v", a)
 	}
 	b := recs[1]
-	if b.Hop != "failover" || b.Op != "read" || b.Status != 2 || b.OK {
+	if b.Kind != "failover" || b.Op != "read" || b.Status != 2 {
 		t.Errorf("second record decoded wrong: %+v", b)
+	}
+	if c := recs[2]; c.Kind != "route" || c.Op != "write-batch" || c.Node != "" || c.Attempt != 3 {
+		t.Errorf("route record decoded wrong: %+v", c)
 	}
 	if b.Seq <= a.Seq {
 		t.Errorf("sequence not ascending: %d then %d", a.Seq, b.Seq)
@@ -90,9 +124,10 @@ func TestHopRecorderRoundTrip(t *testing.T) {
 
 // The ring must hold exactly the last Cap() records after wraparound.
 func TestHopRecorderWraparound(t *testing.T) {
-	r := NewHopRecorder(4)
+	r := NewFlightRecorder(4)
+	node := "n"
 	for i := 0; i < 11; i++ {
-		r.Record(HopAttempt, uint64(i+1), 'W', "n", uint64(i), 0, 0, int64(i), 0)
+		r.RecordHop(HopAttempt, uint64(i+1), 'W', &node, uint64(i), 0, 0, int64(i), 0)
 	}
 	recs := r.Snapshot()
 	if len(recs) != 4 {
@@ -111,19 +146,19 @@ func TestHopRecorderWraparound(t *testing.T) {
 // Recording and observing must not allocate: they sit on the router's
 // data path for every attempt of every routed request.
 func TestHopRecordingDoesNotAllocate(t *testing.T) {
-	r := NewHopRecorder(64)
-	var h HopHistograms
+	r := NewFlightRecorder(64)
+	h := NewLatencySet(NumHops)
 	node := "node0"
 	at := time.Now().UnixNano()
 	if n := testing.AllocsPerRun(200, func() {
-		r.Record(HopAttempt, 9, 'W', node, 7, 0, 0, at, time.Millisecond)
+		r.RecordHop(HopAttempt, 9, 'W', &node, 7, 0, 0, at, time.Millisecond)
 	}); n != 0 {
-		t.Errorf("HopRecorder.Record allocates %.1f/op, want 0", n)
+		t.Errorf("FlightRecorder.RecordHop allocates %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		h.Observe(HopAttempt, time.Millisecond)
+		h.Observe(int(HopAttempt), sim.Millisecond)
 	}); n != 0 {
-		t.Errorf("HopHistograms.Observe allocates %.1f/op, want 0", n)
+		t.Errorf("LatencySet.Observe allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -131,7 +166,8 @@ func TestHopRecordingDoesNotAllocate(t *testing.T) {
 // event's fields are derived from its trace ID, so a mixed record is
 // detectable. Run with -race.
 func TestHopRecorderConcurrentSnapshot(t *testing.T) {
-	r := NewHopRecorder(32)
+	r := NewFlightRecorder(32)
+	node := "n"
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -143,7 +179,7 @@ func TestHopRecorderConcurrentSnapshot(t *testing.T) {
 				return
 			default:
 			}
-			r.Record(HopAttempt, i, 'W', "n", i*3, int(i%5), byte(i%7), int64(i), time.Duration(i))
+			r.RecordHop(HopAttempt, i, 'W', &node, i*3, int(i%5), byte(i%7), int64(i), time.Duration(i))
 		}
 	}()
 	for k := 0; k < 50; k++ {
@@ -152,7 +188,7 @@ func TestHopRecorderConcurrentSnapshot(t *testing.T) {
 				continue
 			}
 			if rec.Addr != rec.Trace*3 || rec.Attempt != int(rec.Trace%5) ||
-				rec.Status != int(rec.Trace%7) || rec.AtUnixNs != int64(rec.Trace) {
+				rec.Status != int(rec.Trace%7) || rec.AtNs != float64(rec.Trace) {
 				t.Fatalf("torn record: %+v", rec)
 			}
 		}
@@ -162,12 +198,13 @@ func TestHopRecorderConcurrentSnapshot(t *testing.T) {
 }
 
 func TestHopHistogramsObserve(t *testing.T) {
-	var h HopHistograms
-	h.Observe(HopAttempt, 2*time.Millisecond)
-	h.Observe(HopAttempt, 4*time.Millisecond)
-	h.Observe(HopRoute, time.Millisecond)
-	h.Observe(Hop(250), time.Second) // out of range: dropped, not a panic
-	snap := h.Snapshot()
+	h := NewLatencySet(NumHops)
+	h.Observe(int(HopAttempt), 2*sim.Millisecond)
+	h.Observe(int(HopAttempt), 4*sim.Millisecond)
+	h.Observe(int(HopRoute), sim.Millisecond)
+	h.Observe(250, sim.Second) // out of range: dropped, not a panic
+	h.Observe(-1, sim.Second)
+	snap := hopSnapshot(h)
 	if snap[HopAttempt].Count() != 2 {
 		t.Errorf("attempt count = %d, want 2", snap[HopAttempt].Count())
 	}
@@ -175,7 +212,7 @@ func TestHopHistogramsObserve(t *testing.T) {
 		t.Errorf("route count = %d, want 1", snap[HopRoute].Count())
 	}
 	if ns := snap[HopRoute].Mean().Nanoseconds(); ns < 0.9e6 || ns > 1.1e6 {
-		t.Errorf("route mean = %v ns, want ~1e6 (wall→sim unit conversion)", ns)
+		t.Errorf("route mean = %v ns, want ~1e6", ns)
 	}
 	if snap[HopHedge].Count() != 0 {
 		t.Errorf("hedge count = %d, want 0", snap[HopHedge].Count())
@@ -188,12 +225,12 @@ func TestHopHistogramsObserve(t *testing.T) {
 // p99 from Percentile, which must report the samples, not the bucket's
 // bound, and the Prometheus exposition must count them only under +Inf.
 func TestHopHistogramAboveRange(t *testing.T) {
-	var h HopHistograms
-	h.Observe(HopAttempt, time.Microsecond)
+	h := NewLatencySet(NumHops)
+	h.Observe(int(HopAttempt), sim.Microsecond)
 	for i := 0; i < 5; i++ {
-		h.Observe(HopAttempt, 2*time.Second)
+		h.Observe(int(HopAttempt), 2*sim.Second)
 	}
-	snap := h.Snapshot()[HopAttempt]
+	snap := hopSnapshot(h)[HopAttempt]
 	for _, p := range []float64{0.5, 0.99} {
 		if got := snap.Percentile(p); got != 2*sim.Second {
 			t.Errorf("hop P%v = %v, want 2s", p*100, got)

@@ -1,8 +1,10 @@
 // Package telemetry is the simulator's observability substrate: a
 // metrics registry (counters, gauges and log-bucketed latency histograms)
-// with Prometheus text-format and expvar-style JSON exposition, a sampled
-// structured event tracer for the write path (JSONL and Chrome
-// trace_event export), and an opt-in HTTP server that serves the metrics
+// with Prometheus text-format and expvar-style JSON exposition; one record
+// type for what each layer did per request — shard and router flight
+// recorders, and the trace file a System renders from its records (JSONL
+// and Chrome trace_event export); one latency set for the write stages
+// and the router hops; and an opt-in HTTP server that serves the metrics
 // plus net/http/pprof.
 //
 // Hot paths do not write the registry. The per-layer hooks reach a

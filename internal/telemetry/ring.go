@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// ring is the lossy fixed-size record ring under both flight recorders
-// (FlightRecorder per shard, HopRecorder per router). It always holds the
+// ring is the lossy fixed-size record ring under every FlightRecorder
+// (one per shard, one per System, one per router). It always holds the
 // last N records and never blocks or allocates on the record path: a
 // writer claims the next sequence number with one atomic add, then
 // publishes the slot under a per-slot try-lock. Only a concurrent snapshot

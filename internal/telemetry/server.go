@@ -24,7 +24,7 @@ type HandlerOptions struct {
 	Status func() any
 	// Flight snapshots the flight recorder for /debug/flightrecorder; nil
 	// (or a drained recorder) serves an empty JSON array.
-	Flight func() []FlightRecord
+	Flight func() []Record
 	// Device builds the /debug/device payload (the device-health document:
 	// wear heatmap rows, energy split, dedup effectiveness); nil leaves the
 	// endpoint unmounted.
@@ -41,7 +41,7 @@ type ServerOptions struct {
 	// (see HandlerOptions).
 	Ready  func() bool
 	Status func() any
-	Flight func() []FlightRecord
+	Flight func() []Record
 	Device func() any
 }
 
@@ -103,7 +103,7 @@ func NewHandler(reg *Registry, opts HandlerOptions) http.Handler {
 		writeJSON(w, doc)
 	})
 	mux.HandleFunc("/debug/flightrecorder", func(w http.ResponseWriter, r *http.Request) {
-		recs := []FlightRecord{}
+		recs := []Record{}
 		if opts.Flight != nil {
 			if got := opts.Flight(); got != nil {
 				recs = got

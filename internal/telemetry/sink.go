@@ -84,11 +84,12 @@ func (d Decision) String() string {
 
 // Options configures a Sink.
 type Options struct {
-	// Tracer, when non-nil, receives sampled write/read events and every
-	// rare event; nil means counters/histograms only.
+	// Tracer, when non-nil, renders the sink's records into a trace file:
+	// a sample of its write and read records and every rare event; nil
+	// means counters/histograms only.
 	Tracer *Tracer
-	// SampleEvery emits one write/read event per N requests (default 1 =
-	// every request). Rare events (evictions, gap moves, counter
+	// SampleEvery renders one write/read record per N requests (default
+	// 1 = every request). Rare events (evictions, gap moves, counter
 	// overflows, crashes, run markers) are never sampled out.
 	SampleEvery int
 	// Registry, when non-nil, is where this sink registers its metrics
@@ -100,11 +101,11 @@ type Options struct {
 	// into every metric name this sink registers, distinguishing sinks
 	// that share a Registry.
 	Labels string
-	// Flight, when non-nil, receives one flight record per write/read the
-	// sink observes, staged like the metrics and moved into the recorder
-	// when the sink publishes, so a dump shows them after the next
-	// publication (the single-System wiring; the sharded engine records
-	// from its workers instead, so per-shard sinks leave this nil).
+	// Flight, when non-nil, receives one record per write/read the sink
+	// observes, staged like the metrics and moved into the recorder when
+	// the sink publishes, so a dump shows them after the next publication
+	// (the single-System wiring; the sharded engine records from its
+	// workers instead, so per-shard sinks leave this nil).
 	Flight *FlightRecorder
 }
 
@@ -124,10 +125,10 @@ func labeled(name, labels string) string {
 }
 
 // Sink is the per-System telemetry hub: the layers of the request path
-// call its hook methods, which stage counts and latencies and (when
-// tracing) emit sampled events. A nil *Sink is fully valid and makes every
-// hook a single-branch no-op — this is the only cost telemetry-off hot
-// paths pay.
+// call its hook methods, which stage counts, latencies and (with a flight
+// recorder or a tracer) one record per request. A nil *Sink is fully
+// valid and makes every hook a single-branch no-op — this is the only
+// cost telemetry-off hot paths pay.
 //
 // A sink has one owner at a time: the goroutine driving a System (under
 // the System's owner lock), the controller's replay loop, or whichever
@@ -143,28 +144,24 @@ type Sink struct {
 	// lines: the small fields first, then the latency histograms.
 	n  [numCounts]uint64 // staged counters, indexed by the c* slots
 	lv [numLevels]int64  // staged gauges, indexed by the l* slots
-	// stages is the stage vectors' staging set, published into stageLat.
-	// A shard engine shares it with the shard (Stages), so the shard's
-	// stage histograms and this family record each write once.
-	stages   *StageHistograms
+	// stages is the stage latency set, published into the registry's
+	// esd_stage_latency_ns family. A shard engine shares it with the
+	// shard (Stages), so each write's stages are recorded once.
+	stages   *LatencySet
 	flight   flightStage
-	tracer   *Tracer
 	cur      TraceCtx // current request's trace context
-	nSeen    uint64   // write/read events considered for sampling
-	sample   uint64
 	writeLat stats.Histogram
 	readLat  stats.Histogram
 
-	reg      *Registry
-	labels   string
-	pub      Publisher
-	ctr      [numCounts]*Counter
-	done     [numCounts]uint64 // n as last published
-	gauges   [numLevels]*Gauge
-	probes   []*CacheProbe
-	writeT   *TimeHistogram
-	readT    *TimeHistogram
-	stageLat [NumStages]*TimeHistogram
+	reg    *Registry
+	labels string
+	pub    Publisher
+	ctr    [numCounts]*Counter
+	done   [numCounts]uint64 // n as last published
+	gauges [numLevels]*Gauge
+	probes []*CacheProbe
+	writeT *TimeHistogram
+	readT  *TimeHistogram
 }
 
 // Staged counter slots of Sink.n.
@@ -223,17 +220,11 @@ func publishCounts(n, done []uint64, ctr []*Counter) {
 func NewSink(opts Options) *Sink {
 	s := &Sink{
 		reg:    opts.Registry,
-		tracer: opts.Tracer,
-		flight: newFlightStage(opts.Flight),
-		sample: uint64(opts.SampleEvery),
+		flight: newFlightStage(opts.Flight, opts.Tracer, opts.SampleEvery),
 		labels: opts.Labels,
-		stages: new(StageHistograms),
 	}
 	if s.reg == nil {
 		s.reg = NewRegistry()
-	}
-	if s.sample < 1 {
-		s.sample = 1
 	}
 	ctr := func(slot int, name, help string) {
 		s.ctr[slot] = s.reg.Counter(labeled(name, s.labels), help)
@@ -253,11 +244,9 @@ func NewSink(opts Options) *Sink {
 	}
 	s.writeT = histo("esd_write_latency_ns", "CPU-visible write latency (simulated)")
 	s.readT = histo("esd_read_latency_ns", "CPU-visible read latency (simulated)")
-	for st := Stage(0); int(st) < NumStages; st++ {
-		s.stageLat[st] = histo(
-			`esd_stage_latency_ns{stage="`+st.String()+`"}`,
-			"write latency by pipeline stage")
-	}
+	s.stages = newLatencySet(NumStages, func(i int) *TimeHistogram {
+		return histo(`esd_stage_latency_ns{stage="`+Stage(i).String()+`"}`, "write latency by pipeline stage")
+	})
 
 	ctr(cEFITInserts, "esd_efit_inserts_total", "fingerprint entries installed in the EFIT")
 	ctr(cEFITEvicts, "esd_efit_evictions_total", "EFIT entries displaced by the LRCU policy")
@@ -306,13 +295,15 @@ func NewSink(opts Options) *Sink {
 }
 
 // Publish folds everything the owner staged since the last publication
-// into the registry and the flight recorder, then releases readers
-// waiting for it (see Publisher). Owner only: call it where the hooks
-// are called, or through Await. Nil-safe.
+// into the registry, the flight recorder and the trace file, then
+// releases readers waiting for it (see Publisher). Owner only: call it
+// where the hooks are called, or through Await. Nil-safe.
 func (s *Sink) Publish() {
 	if s == nil {
 		return
 	}
+	s.flight.render()
+	s.n[cEvents] = s.flight.shown
 	publishCounts(s.n[:], s.done[:], s.ctr[:])
 	for _, p := range s.probes {
 		publishCounts(p.n[:], p.done[:], p.ctr[:])
@@ -322,9 +313,7 @@ func (s *Sink) Publish() {
 	}
 	s.writeT.store(&s.writeLat)
 	s.readT.store(&s.readLat)
-	for i := range s.stageLat {
-		s.stageLat[i].store(s.stages.settle(i))
-	}
+	s.stages.Publish()
 	s.flight.flush()
 	s.pub.Served()
 }
@@ -349,10 +338,10 @@ func (s *Sink) Await(own *sync.Mutex, deadline time.Time) bool {
 	return s.pub.Await(own, s.Publish, deadline)
 }
 
-// Stages returns the sink's stage-histogram set (nil-safe). A shard that
-// records stage vectors for its own histograms uses this set, so with
-// metrics on each write's stages are recorded once, by the sink.
-func (s *Sink) Stages() *StageHistograms {
+// Stages returns the sink's stage latency set (nil-safe). A shard uses
+// it as its own, so with metrics on each write's stages are recorded
+// once, by the sink.
+func (s *Sink) Stages() *LatencySet {
 	if s == nil {
 		return nil
 	}
@@ -367,12 +356,15 @@ func (s *Sink) Registry() *Registry {
 	return s.reg
 }
 
-// Tracer returns the attached tracer, if any.
-func (s *Sink) Tracer() *Tracer {
+// CloseTrace renders the records still staged for the trace file, then
+// closes the tracer (see Tracer.Close). Owner only; nil-safe, and a no-op
+// without a tracer.
+func (s *Sink) CloseTrace() error {
 	if s == nil {
 		return nil
 	}
-	return s.tracer
+	s.flight.render()
+	return s.flight.t.Close()
 }
 
 // Flight returns the attached flight recorder, if any (nil-safe). It
@@ -385,8 +377,8 @@ func (s *Sink) Flight() *FlightRecorder {
 }
 
 // BeginRequest installs the trace context of the request about to enter
-// the scheme; subsequent OnWrite/OnRead events and flight records carry
-// its trace ID. Called by the sink's owner, the layer that drives the
+// the scheme; the records of subsequent OnWrite/OnRead calls carry its
+// trace ID. Called by the sink's owner, the layer that drives the
 // scheme (System, the controller's replay loop, a shard's owner).
 func (s *Sink) BeginRequest(tc TraceCtx) {
 	if s == nil {
@@ -395,26 +387,9 @@ func (s *Sink) BeginRequest(tc TraceCtx) {
 	s.cur = tc
 }
 
-// emit forwards a non-sampled (rare) event to the tracer.
-func (s *Sink) emit(ev Event) {
-	if s.tracer == nil {
-		return
-	}
-	s.n[cEvents]++
-	s.tracer.Emit(ev)
-}
-
-// sampledTick reports whether the next write/read event falls on the
-// sampling grid (owner only).
-func (s *Sink) sampledTick() bool {
-	s.nSeen++
-	return s.nSeen%s.sample == 0
-}
-
 // OnWrite records one scheme write: decision counter, latency histogram,
-// per-stage attribution from the breakdown (may be nil), a flight record,
-// and (sampled) a structured trace event.
-func (s *Sink) OnWrite(scheme string, d Decision, logical, phys uint64, dedup bool, at, done sim.Time, bd *stats.Breakdown) {
+// per-stage attribution from the breakdown (may be nil) and its record.
+func (s *Sink) OnWrite(d Decision, logical, phys uint64, dedup bool, at, done sim.Time, bd *stats.Breakdown) {
 	if s == nil {
 		return
 	}
@@ -432,23 +407,15 @@ func (s *Sink) OnWrite(scheme string, d Decision, logical, phys uint64, dedup bo
 	s.lv[lSimNow] = int64(done)
 	if bd != nil {
 		st := StagesFromBreakdown(bd)
-		s.stages.Observe(&st)
-		s.flight.write(s.cur, logical, phys, dedup, at, done-at, &st)
+		s.stages.Record(&st)
+		s.flight.write(s.cur, d, logical, phys, dedup, at, done-at, &st)
 	} else {
-		s.flight.write(s.cur, logical, phys, dedup, at, done-at, nil)
-	}
-	if s.tracer != nil && s.sampledTick() {
-		s.n[cEvents]++
-		s.tracer.Emit(Event{
-			At: int64(at), Kind: "write", Scheme: scheme, Trace: s.cur.TraceID,
-			Decision: d.String(), Logical: logical, Phys: phys,
-			Dedup: dedup, Lat: int64(done - at),
-		})
+		s.flight.write(s.cur, d, logical, phys, dedup, at, done-at, nil)
 	}
 }
 
 // OnRead records one demand read.
-func (s *Sink) OnRead(scheme string, logical uint64, hit bool, at, done sim.Time) {
+func (s *Sink) OnRead(logical uint64, hit bool, at, done sim.Time) {
 	if s == nil {
 		return
 	}
@@ -456,17 +423,6 @@ func (s *Sink) OnRead(scheme string, logical uint64, hit bool, at, done sim.Time
 	s.readLat.Record(done - at)
 	s.lv[lSimNow] = int64(done)
 	s.flight.read(s.cur, logical, hit, at, done-at)
-	if s.tracer != nil && s.sampledTick() {
-		s.n[cEvents]++
-		detail := "miss"
-		if hit {
-			detail = "hit"
-		}
-		s.tracer.Emit(Event{
-			At: int64(at), Kind: "read", Scheme: scheme, Trace: s.cur.TraceID,
-			Logical: logical, Lat: int64(done - at), Detail: detail,
-		})
-	}
 }
 
 // OnEFITInsert records a fingerprint installation and the resulting entry
@@ -486,8 +442,9 @@ func (s *Sink) OnEFITEvict(fp uint64, ref int, at sim.Time) {
 		return
 	}
 	s.n[cEFITEvicts]++
-	s.emit(Event{At: int64(at), Kind: "efit-evict", Phys: fp,
-		Detail: "ref=" + itoa(ref)})
+	if s.flight.t != nil {
+		s.flight.emit(rec{kind: KindEFITEvict, phys: fp, n: uint16(ref), at: int64(at)})
+	}
 }
 
 // OnAMT records one AMT SRAM cache probe.
@@ -617,7 +574,9 @@ func (s *Sink) OnCrash(at sim.Time) {
 		return
 	}
 	s.n[cCrashes]++
-	s.emit(Event{At: int64(at), Kind: "crash"})
+	if s.flight.t != nil {
+		s.flight.emit(rec{kind: KindCrash, at: int64(at)})
+	}
 }
 
 // OnRunProgress is the controller's per-record hook (warm-up included).
@@ -629,13 +588,13 @@ func (s *Sink) OnRunProgress(lag sim.Time) {
 	s.lv[lRunStalled] = int64(lag)
 }
 
-// OnRunMark emits a run lifecycle marker ("run-start", "run-measure",
-// "run-end").
-func (s *Sink) OnRunMark(kind string, at sim.Time, detail string) {
-	if s == nil {
+// OnRunMark traces a run lifecycle marker (KindRunStart, KindRunMeasure,
+// KindRunEnd).
+func (s *Sink) OnRunMark(kind Kind, at sim.Time, detail string) {
+	if s == nil || s.flight.t == nil {
 		return
 	}
-	s.emit(Event{At: int64(at), Kind: kind, Detail: detail})
+	s.flight.emit(rec{kind: kind, at: int64(at), text: &detail})
 }
 
 // DeviceRead implements the nvm.Probe hook for media reads.
@@ -663,7 +622,9 @@ func (s *Sink) GapMove(from, to uint64, at sim.Time) {
 		return
 	}
 	s.n[cGapMoves]++
-	s.emit(Event{At: int64(at), Kind: "gap-move", Logical: from, Phys: to})
+	if s.flight.t != nil {
+		s.flight.emit(rec{kind: KindGapMove, addr: from, phys: to, at: int64(at)})
+	}
 }
 
 // CryptoEncrypt implements the crypto.Probe hook.
@@ -690,7 +651,9 @@ func (s *Sink) CounterOverflow(linesRekeyed int) {
 	}
 	s.n[cCtrOverflows]++
 	s.n[cReencrypts] += uint64(linesRekeyed)
-	s.emit(Event{Kind: "ctr-overflow", Detail: "lines=" + itoa(linesRekeyed)})
+	if s.flight.t != nil {
+		s.flight.emit(rec{kind: KindCtrOverflow, n: uint16(linesRekeyed)})
+	}
 }
 
 // CacheProbe is a per-cache instance of the cache.Probe hook interface,
@@ -728,26 +691,3 @@ func (p *CacheProbe) Miss() { p.n[1]++ }
 
 // Evict implements cache.Probe.
 func (p *CacheProbe) Evict() { p.n[2]++ }
-
-// itoa is a tiny strconv.Itoa for small non-negative values on hook paths.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}

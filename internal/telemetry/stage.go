@@ -81,16 +81,41 @@ func StagesFromBreakdown(bd *stats.Breakdown) StageTimes {
 	}
 }
 
-// StageHistograms is a per-stage latency histogram set, staged like the
-// Sink: its owner records with Observe into plain memory, Publish copies
-// that into the published set, and Snapshot reads the published set from
-// any goroutine. The zero value is ready to use.
-type StageHistograms struct {
+// LatencySet is one latency histogram per span kind of a layer: the
+// write-pipeline stages of an engine (NumStages of them) or the hops of a
+// router (NumHops). A set is filled in one of two ways, never both. An
+// owner — a shard, or a System's sink — stages each request's stage
+// vector in plain memory (Record) and folds it into the published
+// histograms when it publishes (Publish); writers that share a set, such
+// as the router's, record each sample straight into its published
+// histogram (Observe). Snapshot reads the published histograms from any
+// goroutine. A sink's set publishes into the registry's
+// esd_stage_latency_ns series. On a nil set every method is a no-op.
+type LatencySet struct {
+	n int // span kinds in use
 	// run and own are the owner's: own holds every sample but each
-	// stage's pending run.
-	run [NumStages]sampleRun
-	own [NumStages]stats.Histogram
-	pub [NumStages]TimeHistogram
+	// kind's pending run.
+	run [maxSpanKinds]sampleRun
+	own [maxSpanKinds]stats.Histogram
+	pub [maxSpanKinds]*TimeHistogram
+}
+
+// maxSpanKinds is the most span kinds a layer has.
+const maxSpanKinds = max(NumStages, NumHops)
+
+// NewLatencySet builds a set of n (at most NumHops) histograms of its own.
+func NewLatencySet(n int) *LatencySet {
+	return newLatencySet(n, func(int) *TimeHistogram { return new(TimeHistogram) })
+}
+
+// newLatencySet builds a set of n histograms that publishes span kind i
+// into pub(i).
+func newLatencySet(n int, pub func(i int) *TimeHistogram) *LatencySet {
+	l := &LatencySet{n: n}
+	for i := range n {
+		l.pub[i] = pub(i)
+	}
+	return l
 }
 
 // sampleRun is an owner-side run of equal latency samples, held back as a
@@ -123,47 +148,82 @@ func (r *sampleRun) settle(h *stats.Histogram) {
 	r.n = 0
 }
 
-// Observe records every non-zero stage of one request (owner only). Zero
-// stages are skipped: a scheme that never touches the NVMM fingerprint
-// index should show an empty fp-nvmm histogram, not a spike at zero.
-func (h *StageHistograms) Observe(st *StageTimes) {
-	if h == nil {
+// Record stages every non-zero stage of one request (owner only; a stage
+// set). Zero stages are skipped: a scheme that never touches the NVMM
+// fingerprint index should show an empty fp-nvmm histogram, not a spike
+// at zero.
+func (l *LatencySet) Record(st *StageTimes) {
+	if l == nil {
 		return
 	}
 	for i, d := range st {
 		if d > 0 {
-			h.run[i].add(d, &h.own[i])
+			l.run[i].add(d, &l.own[i])
 		}
 	}
 }
 
-// settle completes stage i's owner-side histogram and returns it (owner
-// only).
-func (h *StageHistograms) settle(i int) *stats.Histogram {
-	h.run[i].settle(&h.own[i])
-	return &h.own[i]
-}
-
-// Publish copies the owner's histograms into the published set (owner
-// only).
-func (h *StageHistograms) Publish() {
-	if h == nil {
+// Publish folds the owner's staged samples into the published histograms
+// (owner only).
+func (l *LatencySet) Publish() {
+	if l == nil {
 		return
 	}
-	for i := range h.pub {
-		h.pub[i].store(h.settle(i))
+	for i, p := range l.pub[:l.n] {
+		l.run[i].settle(&l.own[i])
+		p.store(&l.own[i])
 	}
 }
 
-// Snapshot copies the published histograms: the values of the last
-// Publish.
-func (h *StageHistograms) Snapshot() [NumStages]stats.Histogram {
-	var out [NumStages]stats.Histogram
-	if h == nil {
-		return out
+// Observe records one sample of span kind i straight into its published
+// histogram: the path for writers that share the set. Out-of-range kinds
+// are dropped. Allocation-free.
+func (l *LatencySet) Observe(i int, d sim.Time) {
+	if l == nil || i < 0 || i >= l.n {
+		return
 	}
-	for i := range h.pub {
-		out[i] = h.pub[i].Snapshot()
+	l.pub[i].Observe(d)
+}
+
+// Snapshot merges the published histograms into out, one per span kind.
+func (l *LatencySet) Snapshot(out []stats.Histogram) {
+	if l == nil {
+		return
+	}
+	for i := range out {
+		h := l.pub[i].Snapshot()
+		out[i].Merge(&h)
+	}
+}
+
+// LatencySummary is one span kind's latency distribution, as /statusz
+// serves it for a node's stages and a router's hops. Nanoseconds are on
+// the layer's clock: simulated for stages, wall for hops.
+type LatencySummary struct {
+	Count  uint64  `json:"count"`
+	MeanNs float64 `json:"mean_ns"`
+	P50Ns  float64 `json:"p50_ns"`
+	P99Ns  float64 `json:"p99_ns"`
+}
+
+// Summarize summarizes every histogram with samples, keyed by the name of
+// its span kind K (Stage or Hop): hists[i] is kind K(i).
+func Summarize[K interface {
+	~uint8
+	String() string
+}](hists []stats.Histogram) map[string]LatencySummary {
+	out := make(map[string]LatencySummary, len(hists))
+	for i := range hists {
+		h := &hists[i]
+		if h.Count() == 0 {
+			continue
+		}
+		out[K(i).String()] = LatencySummary{
+			Count:  h.Count(),
+			MeanNs: h.Mean().Nanoseconds(),
+			P50Ns:  h.Percentile(0.5).Nanoseconds(),
+			P99Ns:  h.Percentile(0.99).Nanoseconds(),
+		}
 	}
 	return out
 }
@@ -171,8 +231,8 @@ func (h *StageHistograms) Snapshot() [NumStages]stats.Histogram {
 // TraceCtx is the request-scoped trace context threaded from the serving
 // front end (internal/server assigns the trace ID as the request enters,
 // HTTP or TCP) through the shard into the scheme's telemetry hooks,
-// so trace events and flight-recorder entries produced deep in the write
-// path can be joined back to the network request that caused them.
+// so the records produced deep in the write path can be joined back to
+// the network request that caused them.
 //
 // It is a small value (no pointers, no allocation) carried by value through
 // the queues. A zero TraceCtx means "untraced" — internal traffic such as

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -43,16 +44,16 @@ func TestNilSinkHooksAreNoOps(t *testing.T) {
 	var s *Sink
 	bd := stats.Breakdown{Encrypt: 5}
 	s.BeginRequest(TraceCtx{TraceID: 1, Span: 1})
-	s.OnWrite("esd", DecDupFPCache, 1, 2, true, 0, 10, nil)
-	s.OnWrite("esd", DecDupFPCache, 1, 2, true, 0, 10, &bd)
-	s.OnRead("esd", 1, true, 0, 10)
+	s.OnWrite(DecDupFPCache, 1, 2, true, 0, 10, nil)
+	s.OnWrite(DecDupFPCache, 1, 2, true, 0, 10, &bd)
+	s.OnRead(1, true, 0, 10)
 	s.OnEFITInsert(3)
 	s.OnEFITEvict(1, 2, 0)
 	s.OnAMT(true)
 	s.OnAMTWriteback()
 	s.OnCrash(0)
 	s.OnRunProgress(0)
-	s.OnRunMark("run-start", 0, "")
+	s.OnRunMark(KindRunStart, 0, "")
 	s.DeviceRead(true)
 	s.DeviceWrite()
 	s.GapMove(0, 1, 0)
@@ -65,7 +66,10 @@ func TestNilSinkHooksAreNoOps(t *testing.T) {
 	if s.Await(new(sync.Mutex), time.Now()) {
 		t.Error("nil sink reported a publication")
 	}
-	if s.Registry() != nil || s.Tracer() != nil || s.Flight() != nil || s.Stages() != nil {
+	if err := s.CloseTrace(); err != nil {
+		t.Errorf("nil sink CloseTrace = %v", err)
+	}
+	if s.Registry() != nil || s.Flight() != nil || s.Stages() != nil {
 		t.Error("nil sink leaked non-nil accessors")
 	}
 	if p := s.CacheProbe("x"); p != nil {
@@ -73,8 +77,8 @@ func TestNilSinkHooksAreNoOps(t *testing.T) {
 	}
 }
 
-// TestNilFlightAndStagesAreNoOps covers the new tracing primitives the
-// same way: shard workers call these without checking whether tracing is
+// TestNilFlightAndStagesAreNoOps covers the tracing primitives the same
+// way: shard workers call these without checking whether tracing is
 // enabled, relying on nil receivers being no-ops.
 func TestNilFlightAndStagesAreNoOps(t *testing.T) {
 	var f *FlightRecorder
@@ -88,13 +92,14 @@ func TestNilFlightAndStagesAreNoOps(t *testing.T) {
 		t.Errorf("nil flight recorder snapshot = %v", recs)
 	}
 
-	var h *StageHistograms
-	h.Observe(&st)
+	var h *LatencySet
+	h.Record(&st)
 	h.Publish()
-	snap := h.Snapshot()
+	var snap [NumStages]stats.Histogram
+	h.Snapshot(snap[:])
 	for i := range snap {
 		if snap[i].Count() != 0 {
-			t.Errorf("nil stage histograms recorded stage %v", Stage(i))
+			t.Errorf("nil latency set recorded stage %v", Stage(i))
 		}
 	}
 }
@@ -204,27 +209,29 @@ func TestRegistryJSON(t *testing.T) {
 func TestTracerJSONLRoundTrip(t *testing.T) {
 	var sb strings.Builder
 	tr := NewTracer(&sb, FormatJSONL)
-	tr.Emit(Event{At: 100, Kind: "write", Scheme: "esd", Decision: "dup-fp-cache", Logical: 7, Phys: 9, Dedup: true, Lat: 5000})
-	tr.Emit(Event{At: 200, Kind: "run-end", Detail: "esd"})
+	var w rec
+	st := StageTimes{StageEFIT: 2 * sim.Nanosecond, StageAMT: 3 * sim.Nanosecond}
+	w.setWrite(0, TraceCtx{TraceID: 4}, DecDupFPCache, 7, 9, true, 100*sim.Nanosecond, 5500*sim.Picosecond, &st)
+	end := "esd"
+	tr.render(&w)
+	tr.render(&rec{kind: KindRunEnd, at: int64(200 * sim.Nanosecond), text: &end})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadEvents(strings.NewReader(sb.String()))
+	recs, err := ReadRecords(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 {
-		t.Fatalf("got %d events, want 2", len(events))
+	if len(recs) != 2 {
+		t.Fatalf("got %d records, want 2", len(recs))
 	}
-	if events[0].Seq != 1 || events[1].Seq != 2 {
-		t.Errorf("sequence numbers wrong: %d, %d", events[0].Seq, events[1].Seq)
+	want := Record{Seq: 1, Layer: "engine", Clock: "sim", Kind: "write", Trace: 4, Decision: "dup-fp-cache",
+		Addr: 7, Phys: 9, Dedup: true, AtNs: 100, LatNs: 5.5, StagesNs: map[string]float64{"efit": 2, "amt": 3}}
+	if !reflect.DeepEqual(recs[0], want) {
+		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", recs[0], want)
 	}
-	want := Event{Seq: 1, At: 100, Kind: "write", Scheme: "esd", Decision: "dup-fp-cache", Logical: 7, Phys: 9, Dedup: true, Lat: 5000}
-	if events[0] != want {
-		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", events[0], want)
-	}
-	if tr.Events() != 2 {
-		t.Errorf("Events() = %d", tr.Events())
+	if want := (Record{Seq: 2, Layer: "engine", Clock: "sim", Kind: "run-end", Detail: "esd", AtNs: 200}); !reflect.DeepEqual(recs[1], want) {
+		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", recs[1], want)
 	}
 	// Close is idempotent.
 	if err := tr.Close(); err != nil {
@@ -235,8 +242,10 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 func TestTracerChromeFormat(t *testing.T) {
 	var sb strings.Builder
 	tr := NewTracer(&sb, FormatChrome)
-	tr.Emit(Event{At: int64(2 * sim.Microsecond), Kind: "write", Scheme: "esd", Decision: "unique-fp-miss", Lat: int64(sim.Microsecond)})
-	tr.Emit(Event{At: 0, Kind: "efit-evict", Detail: "ref=1"})
+	var w rec
+	w.setWrite(0, TraceCtx{}, DecUniqueFPMiss, 1, 1, false, 2*sim.Microsecond, sim.Microsecond, nil)
+	tr.render(&w)
+	tr.render(&rec{kind: KindEFITEvict, n: 1})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +259,10 @@ func TestTracerChromeFormat(t *testing.T) {
 	if evs[0].Ph != "X" || evs[0].Ts != 2 || evs[0].Dur != 1 {
 		t.Errorf("complete event wrong: %+v", evs[0])
 	}
-	if evs[0].Name != "esd:write" || evs[0].Args["decision"] != "unique-fp-miss" {
+	if evs[0].Name != "write" || evs[0].Args["decision"] != "unique-fp-miss" {
 		t.Errorf("names/args wrong: %+v", evs[0])
 	}
-	if evs[1].Ph != "i" || evs[1].Name != "efit-evict" {
+	if evs[1].Ph != "i" || evs[1].Name != "efit-evict" || evs[1].Args["detail"] != "ref=1" {
 		t.Errorf("instant event wrong: %+v", evs[1])
 	}
 }
@@ -286,7 +295,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 func TestTracerStickyError(t *testing.T) {
 	tr := NewTracer(&failWriter{}, FormatJSONL)
 	for i := 0; i < 5000; i++ {
-		tr.Emit(Event{At: int64(i), Kind: "write"})
+		tr.render(&rec{kind: KindWrite, at: int64(i)})
 	}
 	if err := tr.Close(); err == nil {
 		t.Fatal("write error not surfaced by Close")
@@ -310,13 +319,13 @@ func TestSinkCountersAndSampling(t *testing.T) {
 	tr := NewTracer(&sb, FormatJSONL)
 	s := NewSink(Options{Tracer: tr, SampleEvery: 3})
 	for i := 0; i < 9; i++ {
-		s.OnWrite("esd", DecUniqueFPMiss, uint64(i), uint64(i), false, 0, sim.Time(100*(i+1)), nil)
+		s.OnWrite(DecUniqueFPMiss, uint64(i), uint64(i), false, 0, sim.Time(100*(i+1)), nil)
 	}
-	s.OnWrite("esd", DecDupFPCache, 9, 0, true, 0, 50, nil)
-	s.OnRead("esd", 1, true, 0, 200)
+	s.OnWrite(DecDupFPCache, 9, 0, true, 0, 50, nil)
+	s.OnRead(1, true, 0, 200)
 	s.OnEFITEvict(42, 1, 500) // rare: always traced regardless of sampling
 	s.OnCrash(1000)
-	if err := tr.Close(); err != nil {
+	if err := s.CloseTrace(); err != nil {
 		t.Fatal(err)
 	}
 	s.Publish() // the hooks stage; the owner publishes before a read
@@ -334,31 +343,34 @@ func TestSinkCountersAndSampling(t *testing.T) {
 	if got := get(`esd_write_decision_total{decision="unique-fp-miss"}`); got != 9 {
 		t.Errorf("decision counter = %d", got)
 	}
-	events, err := ReadEvents(strings.NewReader(sb.String()))
+	recs, err := ReadRecords(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var writes, rare int
-	for _, ev := range events {
-		switch ev.Kind {
+	for _, r := range recs {
+		switch r.Kind {
 		case "write", "read":
 			writes++
 		case "efit-evict", "crash":
 			rare++
 		}
 	}
-	// 11 sampled-class events at 1-in-3 → 3; both rare events always pass.
+	// 11 sampled-class records at 1-in-3 → 3; both rare events always pass.
 	if writes != 3 {
-		t.Errorf("sampled events = %d, want 3", writes)
+		t.Errorf("sampled records = %d, want 3", writes)
 	}
 	if rare != 2 {
-		t.Errorf("rare events = %d, want 2", rare)
+		t.Errorf("rare records = %d, want 2", rare)
+	}
+	if got := get("esd_trace_events_total"); got != 5 {
+		t.Errorf("trace events = %d, want 5", got)
 	}
 }
 
 func TestSinkHistogramExposition(t *testing.T) {
 	s := NewSink(Options{})
-	s.OnWrite("esd", DecBaseline, 0, 0, false, 0, 150*sim.Nanosecond, nil)
+	s.OnWrite(DecBaseline, 0, 0, false, 0, 150*sim.Nanosecond, nil)
 	s.Publish()
 	var sb strings.Builder
 	if err := s.Registry().WritePrometheus(&sb); err != nil {
@@ -392,7 +404,7 @@ func TestCacheProbeLabels(t *testing.T) {
 
 func TestServerEndpoints(t *testing.T) {
 	s := NewSink(Options{})
-	s.OnWrite("esd", DecBaseline, 1, 1, false, 0, 100, nil)
+	s.OnWrite(DecBaseline, 1, 1, false, 0, 100, nil)
 	s.Publish()
 	srv, err := NewServer(s.Registry(), ServerOptions{Addr: "127.0.0.1:0", Pprof: true})
 	if err != nil {
@@ -469,7 +481,7 @@ func TestDecisionStrings(t *testing.T) {
 // that recording every sample builds, for a stream with long runs, short
 // runs and zero stages.
 func TestStagedHistogramsMatchPerSample(t *testing.T) {
-	var staged StageHistograms
+	staged := NewLatencySet(NumStages)
 	var want [NumStages]stats.Histogram
 	s := NewSink(Options{})
 	var wantWrite stats.Histogram
@@ -481,14 +493,14 @@ func TestStagedHistogramsMatchPerSample(t *testing.T) {
 			Queue:        sim.Time((i*7919)%13) * sim.Nanosecond,   // no runs
 		}
 		st := StagesFromBreakdown(&bd)
-		staged.Observe(&st)
+		staged.Record(&st)
 		for j, d := range st {
 			if d > 0 {
 				want[j].Record(d)
 			}
 		}
 		lat := bd.Total()
-		s.OnWrite("esd", DecUniqueFPMiss, 0, 0, false, 0, lat, &bd)
+		s.OnWrite(DecUniqueFPMiss, 0, 0, false, 0, lat, &bd)
 		wantWrite.Record(lat)
 		if i%1000 == 999 {
 			staged.Publish() // publication mid-run must not perturb the result
@@ -497,7 +509,8 @@ func TestStagedHistogramsMatchPerSample(t *testing.T) {
 	}
 	staged.Publish()
 	s.Publish()
-	got := staged.Snapshot()
+	var got [NumStages]stats.Histogram
+	staged.Snapshot(got[:])
 	for j := range got {
 		if got[j] != want[j] {
 			t.Errorf("stage %v: staged histogram differs from per-sample recording", Stage(j))
@@ -524,13 +537,16 @@ func TestSinkFlightStagedMatchesDirect(t *testing.T) {
 		s.BeginRequest(tc)
 		at, lat := sim.Time(i)*sim.Nanosecond, sim.Time(100+i%7)*sim.Nanosecond
 		if i%3 == 2 {
-			s.OnRead("esd", uint64(i), i%2 == 0, at, at+lat)
+			s.OnRead(uint64(i), i%2 == 0, at, at+lat)
 			direct.RecordRead(0, tc, uint64(i), i%2 == 0, at, lat)
 		} else {
 			bd := stats.Breakdown{Encrypt: 40 * sim.Nanosecond, Media: lat - 40*sim.Nanosecond}
 			st := StagesFromBreakdown(&bd)
-			s.OnWrite("esd", DecUniqueFPMiss, uint64(i), uint64(1000+i), i%4 == 0, at, at+lat, &bd)
-			direct.RecordWrite(0, tc, uint64(i), uint64(1000+i), i%4 == 0, at, lat, &st)
+			s.OnWrite(DecUniqueFPMiss, uint64(i), uint64(1000+i), i%4 == 0, at, at+lat, &bd)
+			if r := direct.ring.claim(); r != nil { // RecordWrite with the sink's decision
+				r.rec.setWrite(0, tc, DecUniqueFPMiss, uint64(i), uint64(1000+i), i%4 == 0, at, lat, &st)
+				r.mu.Unlock()
+			}
 		}
 		if !publishAfter[i] {
 			continue

@@ -7,50 +7,19 @@ import (
 	"fmt"
 	"io"
 	"sync"
-
-	"github.com/esdsim/esd/internal/sim"
 )
-
-// Event is one structured write-path trace event. Events are flat and
-// JSON-friendly so a trace is greppable line by line; a zero field is
-// omitted from the encoding.
-type Event struct {
-	// Seq is the event's sequence number within its tracer.
-	Seq uint64 `json:"seq"`
-	// At is the simulated timestamp in picoseconds.
-	At int64 `json:"at_ps"`
-	// Kind classifies the event: "write", "read", "efit-evict",
-	// "gap-move", "ctr-overflow", "crash", "run-start", "run-measure",
-	// "run-end".
-	Kind string `json:"kind"`
-	// Trace is the originating request's trace ID (0 when the traffic was
-	// not request-scoped, e.g. trace replay without a serving front end).
-	Trace uint64 `json:"trace,omitempty"`
-	// Scheme is the emitting scheme's name (write/read events).
-	Scheme string `json:"scheme,omitempty"`
-	// Decision is the write-path verdict (see Decision constants).
-	Decision string `json:"decision,omitempty"`
-	Logical  uint64 `json:"logical,omitempty"`
-	Phys     uint64 `json:"phys,omitempty"`
-	// Dedup reports whether the write was eliminated.
-	Dedup bool `json:"dedup,omitempty"`
-	// Lat is the request's CPU-visible latency in picoseconds.
-	Lat int64 `json:"lat_ps,omitempty"`
-	// Detail carries event-specific context (e.g. evicted ref count).
-	Detail string `json:"detail,omitempty"`
-}
 
 // Format selects the tracer's on-disk encoding.
 type Format int
 
 // Trace encodings.
 const (
-	// FormatJSONL writes one JSON object per line; ReadEvents decodes it.
+	// FormatJSONL writes one Record per line; ReadRecords decodes it.
 	FormatJSONL Format = iota
 	// FormatChrome writes a Chrome trace_event JSON array loadable in
-	// chrome://tracing / Perfetto: write and read events become complete
+	// chrome://tracing / Perfetto: write and read records become complete
 	// ("X") slices on one timeline, everything else becomes an instant
-	// ("i") event, with the simulated picosecond clock mapped onto the
+	// ("i") event, with the simulated nanosecond clock mapped onto the
 	// trace's microsecond axis.
 	FormatChrome
 )
@@ -67,11 +36,13 @@ func ParseFormat(s string) (Format, error) {
 	}
 }
 
-// Tracer encodes events to a writer. Emit is called by the simulation
-// thread only; Close may be called once from any goroutine after the run.
+// Tracer renders a System's records into a trace file. The sink's owner
+// hands it records (see flightStage.render); Close may be called once
+// from any goroutine after the run.
 type Tracer struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
+	enc    *json.Encoder
 	format Format
 	seq    uint64
 	opened bool
@@ -82,93 +53,72 @@ type Tracer struct {
 // NewTracer returns a tracer writing the given format to w. The caller
 // owns w; Close flushes but does not close it.
 func NewTracer(w io.Writer, format Format) *Tracer {
-	return &Tracer{w: bufio.NewWriterSize(w, 1<<16), format: format}
+	t := &Tracer{w: bufio.NewWriterSize(w, 1<<16), format: format}
+	t.enc = json.NewEncoder(t.w)
+	return t
 }
 
-// Emit appends one event, assigning its sequence number. Encoding errors
-// are sticky and surfaced by Close.
-func (t *Tracer) Emit(ev Event) {
-	if t == nil {
-		return
-	}
+// render appends raw record r, numbering it with the tracer's sequence.
+// Encoding errors are sticky and surfaced by Close.
+func (t *Tracer) render(r *rec) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed || t.err != nil {
 		return
 	}
 	t.seq++
-	ev.Seq = t.seq
-	switch t.format {
-	case FormatChrome:
-		t.emitChrome(ev)
-	default:
-		b, err := json.Marshal(ev)
-		if err != nil {
-			t.err = err
-			return
-		}
-		if _, err := t.w.Write(b); err != nil {
-			t.err = err
-			return
-		}
-		t.err = t.w.WriteByte('\n')
+	out := r.decode(t.seq)
+	if t.format == FormatChrome {
+		t.renderChrome(&out)
+		return
 	}
+	t.err = t.enc.Encode(&out)
 }
 
 // chromeEvent is the trace_event JSON shape chrome://tracing loads.
 type chromeEvent struct {
-	Name string                 `json:"name"`
-	Ph   string                 `json:"ph"`
-	Ts   float64                `json:"ts"` // microseconds
-	Dur  float64                `json:"dur,omitempty"`
-	Pid  int                    `json:"pid"`
-	Tid  int                    `json:"tid"`
-	Args map[string]interface{} `json:"args"`
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"` // microseconds
+	Dur  float64        `json:"dur,omitempty"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	Args map[string]any `json:"args"`
 }
 
-func (t *Tracer) emitChrome(ev Event) {
+func (t *Tracer) renderChrome(r *Record) {
+	sep := ",\n"
 	if !t.opened {
-		t.opened = true
-		if _, err := t.w.WriteString("[\n"); err != nil {
-			t.err = err
-			return
-		}
-	} else {
-		if _, err := t.w.WriteString(",\n"); err != nil {
-			t.err = err
-			return
-		}
+		t.opened, sep = true, "[\n"
 	}
-	const psPerUs = float64(sim.Microsecond)
+	if _, err := t.w.WriteString(sep); err != nil {
+		t.err = err
+		return
+	}
 	ce := chromeEvent{
-		Name: ev.Kind,
+		Name: r.Kind,
 		Ph:   "i",
-		Ts:   float64(ev.At) / psPerUs,
+		Ts:   r.AtNs / 1000,
 		Pid:  1,
 		Tid:  1,
-		Args: map[string]interface{}{"seq": ev.Seq},
+		Args: map[string]any{"seq": r.Seq},
 	}
-	if ev.Kind == "write" || ev.Kind == "read" {
+	if r.Trace != 0 {
+		ce.Args["trace"] = r.Trace
+	}
+	if r.Decision != "" {
+		ce.Args["decision"] = r.Decision
+	}
+	if r.Kind == "write" || r.Kind == "read" {
 		ce.Ph = "X"
-		ce.Dur = float64(ev.Lat) / psPerUs
+		ce.Dur = r.LatNs / 1000
+		ce.Args["addr"] = r.Addr
+		ce.Args["phys"] = r.Phys
+		ce.Args["dedup"] = r.Dedup
+		ce.Args["hit"] = r.Hit
 	}
-	if ev.Trace != 0 {
-		ce.Args["trace"] = ev.Trace
-	}
-	if ev.Scheme != "" {
-		ce.Name = ev.Scheme + ":" + ev.Kind
-		ce.Args["scheme"] = ev.Scheme
-	}
-	if ev.Decision != "" {
-		ce.Args["decision"] = ev.Decision
-	}
-	if ev.Kind == "write" || ev.Kind == "read" {
-		ce.Args["logical"] = ev.Logical
-		ce.Args["phys"] = ev.Phys
-		ce.Args["dedup"] = ev.Dedup
-	}
-	if ev.Detail != "" {
-		ce.Args["detail"] = ev.Detail
+	if r.Detail != "" {
+		ce.Args["detail"] = r.Detail
 	}
 	b, err := json.Marshal(ce)
 	if err != nil {
@@ -176,16 +126,6 @@ func (t *Tracer) emitChrome(ev Event) {
 		return
 	}
 	_, t.err = t.w.Write(b)
-}
-
-// Events reports how many events have been emitted.
-func (t *Tracer) Events() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
 }
 
 // Close terminates the encoding (for Chrome, the closing bracket) and
@@ -204,13 +144,11 @@ func (t *Tracer) Close() error {
 		return t.err
 	}
 	if t.format == FormatChrome {
+		end := "\n]\n"
 		if !t.opened {
-			if _, err := t.w.WriteString("["); err != nil {
-				t.err = err
-				return t.err
-			}
+			end = "[\n]\n"
 		}
-		if _, err := t.w.WriteString("\n]\n"); err != nil {
+		if _, err := t.w.WriteString(end); err != nil {
 			t.err = err
 			return t.err
 		}
@@ -219,20 +157,20 @@ func (t *Tracer) Close() error {
 	return t.err
 }
 
-// ReadEvents decodes a JSONL event trace back into events — the round-trip
+// ReadRecords decodes a JSONL trace back into records — the round-trip
 // counterpart of FormatJSONL. Decoding stops with an error at the first
 // malformed line.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	var out []Event
+func ReadRecords(r io.Reader) ([]Record, error) {
+	var out []Record
 	dec := json.NewDecoder(r)
 	for {
-		var ev Event
-		if err := dec.Decode(&ev); err != nil {
+		var rec Record
+		if err := dec.Decode(&rec); err != nil {
 			if errors.Is(err, io.EOF) {
 				return out, nil
 			}
-			return out, fmt.Errorf("telemetry: event %d: %w", len(out)+1, err)
+			return out, fmt.Errorf("telemetry: record %d: %w", len(out)+1, err)
 		}
-		out = append(out, ev)
+		out = append(out, rec)
 	}
 }

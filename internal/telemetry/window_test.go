@@ -215,9 +215,9 @@ func TestHybridHealthGauges(t *testing.T) {
 func TestDedupEffectivenessGauges(t *testing.T) {
 	s := NewSink(Options{})
 	// 3 writes: 2 dedup hits, 1 unique; 2 byte-compares, 1 mismatch.
-	s.OnWrite("esd", DecDupFPCache, 1, 1, true, 0, 100, nil)
-	s.OnWrite("esd", DecDupFPCache, 2, 1, true, 0, 100, nil)
-	s.OnWrite("esd", DecUniqueCollision, 3, 3, false, 0, 100, nil)
+	s.OnWrite(DecDupFPCache, 1, 1, true, 0, 100, nil)
+	s.OnWrite(DecDupFPCache, 2, 1, true, 0, 100, nil)
+	s.OnWrite(DecUniqueCollision, 3, 3, false, 0, 100, nil)
 	s.OnCompare(false)
 	s.OnCompare(true)
 	s.Publish() // the hooks stage; the owner publishes before a read

@@ -3,6 +3,7 @@ package esd
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"runtime"
 	"slices"
 	"strconv"
@@ -108,4 +109,69 @@ func counterValue(t *testing.T, exposition []byte, name string) uint64 {
 	}
 	t.Fatalf("%s missing from the exposition", name)
 	return 0
+}
+
+// TestTraceRendersEveryStagedRecord drives a System through more than ten
+// times its stage's size between two publications, then crashes it, at
+// sampling 1. The trace must hold every write and read exactly once, in
+// order and numbered with strictly increasing seq, and the crash after
+// them: the stage renders before it wraps, so a renderer that saw only
+// what the stage held at a publication would lose all but the last
+// stage's worth of requests.
+func TestTraceRendersEveryStagedRecord(t *testing.T) {
+	var buf bytes.Buffer
+	sys, err := NewSystem(smallConfig(), SchemeESD, WithEventTrace(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.WriteMetrics(io.Discard); err != nil { // a publication
+		t.Fatal(err)
+	}
+	const ops, footprint = 11 * telemetry.DefaultFlightSlots, 700
+	var line Line
+	for i := 0; i < ops; i++ {
+		if i%3 == 2 {
+			sys.Read(uint64(i % footprint))
+			continue
+		}
+		line.SetWord(0, uint64(i%97))
+		sys.Write(uint64(i%footprint), line)
+	}
+	sys.Crash()
+	if err := sys.WriteMetrics(io.Discard); err != nil { // the next publication
+		t.Fatal(err)
+	}
+	if err := sys.CloseTrace(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadTraceEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs int
+	var lastSeq uint64
+	crashed := false
+	for _, r := range recs {
+		if r.Seq <= lastSeq {
+			t.Fatalf("seq %d after %d", r.Seq, lastSeq)
+		}
+		lastSeq = r.Seq
+		switch r.Kind {
+		case "write", "read":
+			want := "write"
+			if reqs%3 == 2 {
+				want = "read"
+			}
+			if crashed || r.Kind != want || r.Trace != uint64(reqs+1) || r.Addr != uint64(reqs%footprint) {
+				t.Fatalf("request %d: got %+v (after the crash: %v), want a %s of line %d, trace %d",
+					reqs+1, r, crashed, want, reqs%footprint, reqs+1)
+			}
+			reqs++
+		case "crash":
+			crashed = true
+		}
+	}
+	if reqs != ops || !crashed {
+		t.Fatalf("trace holds %d of %d requests, crash %v", reqs, ops, crashed)
+	}
 }

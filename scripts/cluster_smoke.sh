@@ -79,6 +79,28 @@ assert dev and dev["media_writes"] > 0, dev
 print("cluster-smoke: fleet view OK — %d/%d members, %d shards, %d media writes"
       % (cs["reachable_members"], len(cs["members"]), cs["shards"], dev["media_writes"]))
 EOF
+
+  # One routed write, stitched across the fleet: the router's records are
+  # on the wall clock, and with R=2 both replicas' engine records carry
+  # the same trace ID.
+  echo "cluster-smoke: esdtrace of a routed write"
+  curl -s -o "$BIN/router_flight.out" "http://127.0.0.1:$ROUTER_HTTP/debug/flightrecorder"
+  TRACE=$(python3 - "$BIN/router_flight.out" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    recs = json.load(f)
+assert recs and all(r["layer"] == "router" and r["clock"] == "wall" for r in recs), recs[:3]
+routes = [r for r in recs if r["kind"] == "route" and r.get("op") == "write" and r.get("trace")]
+assert routes, "no routed write in the router's flight recorder"
+print(routes[-1]["trace"])
+EOF
+)
+  "$BIN/esdrouter" esdtrace -router "http://127.0.0.1:$ROUTER_HTTP" -trace "$TRACE" >"$BIN/esdtrace.out"
+  if ! grep -q "trace seen on 2 of 3 reachable nodes" "$BIN/esdtrace.out"; then
+    echo "cluster-smoke: esdtrace did not find trace $TRACE on both replicas:" >&2
+    cat "$BIN/esdtrace.out" >&2
+    exit 1
+  fi
 else
   echo "cluster-smoke: curl/python3 not found, skipping /statusz/cluster check"
 fi

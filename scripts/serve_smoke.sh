@@ -68,7 +68,8 @@ assert st["rates"]["window_s"] > 0, st.get("rates")
 with open(sys.argv[2]) as f:
     recs = json.load(f)
 assert isinstance(recs, list) and recs, "flight recorder empty after load"
-assert all(r["kind"] in ("write", "read") for r in recs), recs[:3]
+assert all(r["kind"] in ("write", "read") and r["layer"] == "engine" and r["clock"] == "sim"
+           for r in recs), recs[:3]
 with open(sys.argv[3]) as f:
     dev = json.load(f)
 assert dev["shards"] == 4 and dev["media_writes"] > 0, dev
