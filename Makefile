@@ -20,10 +20,14 @@ test:
 # when the owner is idle, or by asking the owner to publish — so the race
 # detector is the gate for any Sink/Registry/publication change. A
 # shard's state is reached from its worker and from callers that run
-# inline on an idle shard, so the shard package runs ten times over.
+# inline on an idle shard, so the shard package runs ten times over. A
+# router wave shares one pooled connection per node across its frames,
+# and concurrent callers pass those connections through the pools, so
+# the wave tests run ten times over too.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/shard
+	$(GO) test -race -count=10 -run Wave ./internal/cluster
 
 # Within-run telemetry overhead gate (TestTelemetryOverheadGate): three
 # Systems — telemetry off, metrics, metrics plus the flight recorder —

@@ -12,10 +12,12 @@ import (
 
 // Batched routing: a client batch frame is split by replica set, and each
 // group's sub-batch goes to its replicas as one frame per node — every
-// frame of the batch is sent in one wave before any reply is read.
-// Sub-batches preserve the client's op order within each node;
-// cross-node ordering is unordered, exactly as concurrent scalar writes
-// would be.
+// frame of the batch is sent in one wave before any reply is read, and
+// the frames one node gets share one connection and one push. Sub-batches
+// preserve the client's op order within each node; cross-node ordering is
+// unordered, exactly as concurrent scalar writes would be. A node serves
+// its frames one by one, in group order, so each sub-batch stays one
+// arrival group on its shards, as it would on a connection of its own.
 //
 // Replication semantics match the scalar paths: a write sub-batch fans
 // to every healthy replica of its set and the primary-most per-op success
@@ -45,19 +47,16 @@ type batchFrame struct {
 	rres   []server.BatchReadResult
 }
 
-// setKey identifies a replica set by its primary-first node names; unused
-// slots stay empty. As a comparable array it keys a map without a
-// per-insert allocation.
-type setKey [2 * maxReplicas]string
-
 // batchScratch is the per-call working memory of WriteBatchTraced and
 // ReadBatchTraced, recycled through batchScratchPool so a steady stream of
 // batches does not allocate in the router.
 type batchScratch struct {
 	done   []bool
 	index  map[setKey]int
+	states []*nodeState // routeView's cache
 	groups []batchGroup // groups[:n] are live; the rest keep their buffers
 	frames []batchFrame // likewise
+	conns  []waveConn   // the wave's connections, one per node it can reach
 
 	// Backing arrays the groups' sub-batches and the frames' result
 	// buffers are carved from, so a refilled scratch grows one array of
@@ -88,7 +87,20 @@ func (sc *batchScratch) release() {
 		sc.frames[i].nodeFrame = nodeFrame{}
 	}
 	clear(sc.index)
+	clear(sc.states)
+	clear(sc.conns)
 	batchScratchPool.Put(sc)
+}
+
+// waveConns returns room for one wave connection per node
+// groupByReplicaSet numbered.
+func (sc *batchScratch) waveConns() []waveConn {
+	n := len(sc.states)
+	if cap(sc.conns) < n {
+		sc.conns = make([]waveConn, n)
+	}
+	sc.conns = sc.conns[:n]
+	return sc.conns
 }
 
 // carve takes the next n elements of *buf, which the caller has grown to
@@ -113,18 +125,22 @@ func (sc *batchScratch) frame(gi, ri int, st *nodeState) *batchFrame {
 	return f
 }
 
-// groupByReplicaSet buckets ops [0,n) by their (deduplicated,
-// primary-first) replica set, in first-touch order. addrOf maps an op
-// index to its address.
-func (r *Router) groupByReplicaSet(sc *batchScratch, addrOf func(i int) uint64, n int, forWrite bool) []batchGroup {
-	groups := sc.groups[:0]
+// groupByReplicaSet buckets ops [0,n) by their candidate set as
+// routeSet gives it, in first-touch order. It reads the rings under one
+// read lock for the whole batch, keys groups by ring indices and resolves
+// each node's state once. addrOf maps an op index to its address. It
+// reports whether a migration was in flight, in which case a write's
+// sets include the next ring's replicas.
+func (r *Router) groupByReplicaSet(sc *batchScratch, addrOf func(i int) uint64, n int, forWrite bool) (groups []batchGroup, migrating bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	v := routeView{r: r, ring: r.ring, next: r.next}
+	sc.states = append(sc.states[:0], make([]*nodeState, v.nodes())...)
+	v.states = sc.states
+	groups = sc.groups[:0]
 	var buf [2 * maxReplicas]*nodeState
 	for i := 0; i < n; i++ {
-		k := r.routeSet(addrOf(i), forWrite, buf[:])
-		var key setKey
-		for j := 0; j < k; j++ {
-			key[j] = buf[j].node.Name
-		}
+		k, key := v.set(addrOf(i), forWrite, buf[:])
 		gi, ok := sc.index[key]
 		if !ok {
 			gi = len(groups)
@@ -141,7 +157,7 @@ func (r *Router) groupByReplicaSet(sc *batchScratch, addrOf func(i int) uint64, 
 		groups[gi].idxs = append(groups[gi].idxs, i)
 	}
 	sc.groups = groups
-	return groups
+	return groups, v.next != nil
 }
 
 // WriteBatch routes a batch of writes. While a reshard migration is in
@@ -185,21 +201,26 @@ func (r *Router) WriteBatchTraced(trace uint64, ops []server.BatchWriteOp, res [
 	sc := getBatchScratch(len(ops))
 	defer sc.release()
 	done := sc.done
-	groups := r.groupByReplicaSet(sc, func(i int) uint64 { return ops[i].Addr }, len(ops), true)
+	groups, migrating := r.groupByReplicaSet(sc, func(i int) uint64 { return ops[i].Addr }, len(ops), true)
+	if migrating {
+		// A reshard began after the Resharding check, so the groups
+		// dual-write: mark every address dirty before any frame goes out,
+		// so the replay cannot clobber them (see reshard.go).
+		for i := range ops {
+			r.markDirty(ops[i].Addr)
+		}
+	}
 	nres := 0
 	for gi := range groups {
 		nres += len(groups[gi].idxs) * len(groups[gi].set)
 	}
 	sc.ops = slices.Grow(sc.ops[:0], len(ops))
 	sc.wres = slices.Grow(sc.wres[:0], nres)
+	w := wave{r: r, trace: trace, op: server.OpWriteBatch, conns: sc.waveConns()}
 	for gi := range groups {
 		g := &groups[gi]
 		g.ops = carve(&sc.ops, len(g.idxs))
 		for j, i := range g.idxs {
-			// A reshard may begin while this batch is in flight; marking
-			// dirty (a no-op outside migrations) keeps the replay from
-			// clobbering these addresses in that window.
-			r.markDirty(ops[i].Addr)
 			g.ops[j] = ops[i]
 		}
 		for ri, st := range g.set {
@@ -208,15 +229,16 @@ func (r *Router) WriteBatchTraced(trace uint64, ops []server.BatchWriteOp, res [
 			}
 			f := sc.frame(gi, ri, st)
 			f.wres = carve(&sc.wres, len(g.ops))
-			r.start(&f.nodeFrame, trace, server.OpWriteBatch, g.ops[0].Addr, func(c *server.TCPClient) error {
+			w.send(&f.nodeFrame, g.ops[0].Addr, func(c *server.TCPClient) error {
 				return c.SendWriteBatch(trace, g.ops)
 			})
 		}
 	}
+	w.push()
 	for k := range sc.frames {
 		f := &sc.frames[k]
 		g := &groups[f.gi]
-		err := r.settle(&f.nodeFrame, trace, server.OpWriteBatch, g.ops[0].Addr,
+		err := w.settle(&f.nodeFrame, g.ops[0].Addr,
 			func(c *server.TCPClient) error { return c.SendWriteBatch(trace, g.ops) },
 			func(c *server.TCPClient) error {
 				_, err := c.RecvWriteBatch(f.wres)
@@ -285,9 +307,10 @@ func (r *Router) ReadBatchTraced(trace uint64, addrs []uint64, res []server.Batc
 	sc := getBatchScratch(len(addrs))
 	defer sc.release()
 	done := sc.done
-	groups := r.groupByReplicaSet(sc, func(i int) uint64 { return addrs[i] }, len(addrs), false)
+	groups, _ := r.groupByReplicaSet(sc, func(i int) uint64 { return addrs[i] }, len(addrs), false)
 	sc.addrs = slices.Grow(sc.addrs[:0], len(addrs))
 	sc.rres = slices.Grow(sc.rres[:0], len(addrs))
+	w := wave{r: r, trace: trace, op: server.OpReadBatch, conns: sc.waveConns()}
 	for gi := range groups {
 		g := &groups[gi]
 		g.addrs = carve(&sc.addrs, len(g.idxs))
@@ -300,12 +323,13 @@ func (r *Router) ReadBatchTraced(trace uint64, addrs []uint64, res []server.Batc
 			}
 			f := sc.frame(gi, ri, st)
 			f.rres = carve(&sc.rres, len(g.addrs))
-			r.start(&f.nodeFrame, trace, server.OpReadBatch, g.addrs[0], func(c *server.TCPClient) error {
+			w.send(&f.nodeFrame, g.addrs[0], func(c *server.TCPClient) error {
 				return c.SendReadBatch(trace, g.addrs)
 			})
 			break
 		}
 	}
+	w.push()
 	for k := range sc.frames {
 		f := &sc.frames[k]
 		g := &groups[f.gi]
@@ -319,14 +343,14 @@ func (r *Router) ReadBatchTraced(trace uint64, addrs []uint64, res []server.Batc
 			st := g.set[ri]
 			if ri > f.ri {
 				// Ops the wave left unanswered walk the followers one
-				// frame at a time.
+				// frame at a time, each on a connection of its own.
 				if !st.up.Load() {
 					continue
 				}
 				f.nodeFrame = nodeFrame{st: st}
-				r.start(&f.nodeFrame, trace, server.OpReadBatch, g.addrs[0], send)
+				w.send(&f.nodeFrame, g.addrs[0], send)
 			}
-			if r.settle(&f.nodeFrame, trace, server.OpReadBatch, g.addrs[0], send, recv) != nil {
+			if w.settle(&f.nodeFrame, g.addrs[0], send, recv) != nil {
 				continue
 			}
 			answered := uint64(0)

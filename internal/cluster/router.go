@@ -236,41 +236,92 @@ func (r *Router) logf(format string, args ...interface{}) {
 	}
 }
 
-// routeSet collects the candidate nodes for one request: the replica set
-// under the current ring, plus — for writes during a migration — the
-// replica set under the next ring (dual-write), deduplicated, in
-// primary-first order.
+// routeSet collects the candidate nodes for one request (see
+// routeView.set).
 func (r *Router) routeSet(addr uint64, forWrite bool, buf []*nodeState) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	v := routeView{r: r, ring: r.ring, next: r.next}
+	n, _ := v.set(addr, forWrite, buf)
+	return n
+}
+
+// setKey identifies a replica set by the ring index of each member, plus
+// one (0 marks an unused slot); next-ring members are numbered after the
+// current ring's nodes. It keys a map without hashing node names.
+type setKey [2 * maxReplicas]uint16
+
+// routeView resolves replica sets against the rings as they stand while
+// the caller holds r.mu's read lock.
+type routeView struct {
+	r          *Router
+	ring, next *Ring
+	// states caches each ring index's node state, next-ring nodes after
+	// the current ring's (see nodes); nil entries are not resolved yet,
+	// and a nil slice caches nothing.
+	states []*nodeState
+}
+
+// nodes is how many ring indices the view numbers.
+func (v *routeView) nodes() int {
+	n := len(v.ring.nodes)
+	if v.next != nil {
+		n += len(v.next.nodes)
+	}
+	return n
+}
+
+func (v *routeView) state(i int) *nodeState {
+	if i < len(v.states) && v.states[i] != nil {
+		return v.states[i]
+	}
+	name := ""
+	if n := len(v.ring.nodes); i < n {
+		name = v.ring.nodes[i].Name
+	} else {
+		name = v.next.nodes[i-n].Name
+	}
+	st := v.r.state[name]
+	if i < len(v.states) {
+		v.states[i] = st
+	}
+	return st
+}
+
+// set writes addr's candidate nodes into buf and returns how many, with
+// the set's key: the replica set under the current ring, plus — for
+// writes during a migration — the replica set under the next ring
+// (dual-write), deduplicated, in primary-first order.
+func (v *routeView) set(addr uint64, forWrite bool, buf []*nodeState) (int, setKey) {
+	var key setKey
 	var idx [maxReplicas]int
 	n := 0
-	add := func(node Node) {
-		st := r.state[node.Name]
+	add := func(i int) {
+		st := v.state(i)
 		if st == nil {
 			return
 		}
-		for i := 0; i < n; i++ {
-			if buf[i] == st {
+		for j := 0; j < n; j++ {
+			if buf[j] == st {
 				return
 			}
 		}
 		if n < len(buf) {
-			buf[n] = st
+			buf[n], key[n] = st, uint16(i+1)
 			n++
 		}
 	}
-	k := r.ring.ReplicasInto(addr, r.cfg.Replication, idx[:])
+	k := v.ring.ReplicasInto(addr, v.r.cfg.Replication, idx[:])
 	for i := 0; i < k; i++ {
-		add(r.ring.Node(idx[i]))
+		add(idx[i])
 	}
-	if forWrite && r.next != nil {
-		k = r.next.ReplicasInto(addr, r.cfg.Replication, idx[:])
+	if forWrite && v.next != nil {
+		k = v.next.ReplicasInto(addr, v.r.cfg.Replication, idx[:])
 		for i := 0; i < k; i++ {
-			add(r.next.Node(idx[i]))
+			add(len(v.ring.nodes) + idx[i])
 		}
 	}
-	return n
+	return n, key
 }
 
 // retryable reports whether an error is worth a fresh attempt on the
@@ -299,18 +350,6 @@ func (r *Router) doNode(st *nodeState, f func(c *server.TCPClient) error) error 
 	return r.doNodeCtx(st, 0, 0, 0, f)
 }
 
-// startWave starts attempt 0 of one frame per healthy node of set, in
-// set order, before any reply is read; frames[i] stays empty for a node
-// that is down. The caller settles the started frames in the same order.
-func (r *Router) startWave(frames []nodeFrame, set []*nodeState, trace uint64, op byte, addr uint64, send func(c *server.TCPClient) error) {
-	for i, st := range set {
-		if st.up.Load() {
-			frames[i] = nodeFrame{st: st}
-			r.start(&frames[i], trace, op, addr, send)
-		}
-	}
-}
-
 // Write routes one write to every healthy replica of addr (including the
 // next ring's replicas while a reshard migrates). It succeeds when at
 // least one replica accepted the write; the first (most-primary)
@@ -330,7 +369,9 @@ func (r *Router) WriteTraced(trace uint64, addr uint64, line ecc.Line) (server.W
 	n := r.routeSet(addr, true, set[:])
 	send := func(c *server.TCPClient) error { return c.SendWrite(trace, addr, line) }
 	var frames [2 * maxReplicas]nodeFrame
-	r.startWave(frames[:n], set[:n], trace, server.OpWrite, addr, send)
+	var conns [2 * maxReplicas]waveConn
+	w := wave{r: r, trace: trace, op: server.OpWrite, conns: conns[:]}
+	w.start(frames[:n], set[:n], addr, send)
 	var resp server.WriteResponse
 	var lastErr error
 	ok := false
@@ -341,7 +382,7 @@ func (r *Router) WriteTraced(trace uint64, addr uint64, line ecc.Line) (server.W
 			continue
 		}
 		var out server.WriteResponse
-		err := r.settle(f, trace, server.OpWrite, addr, send, func(c *server.TCPClient) error {
+		err := w.settle(f, addr, send, func(c *server.TCPClient) error {
 			var err error
 			out, err = c.RecvWrite()
 			return err
@@ -532,7 +573,9 @@ func (r *Router) readRepair(trace uint64, addr uint64, set []*nodeState) (server
 	}
 	send := func(c *server.TCPClient) error { return c.SendRead(trace, addr) }
 	var frames [2 * maxReplicas]nodeFrame
-	r.startWave(frames[:len(set)], set, trace, server.OpRead, addr, send)
+	var conns [2 * maxReplicas]waveConn
+	w := wave{r: r, trace: trace, op: server.OpRead, conns: conns[:]}
+	w.start(frames[:len(set)], set, addr, send)
 	var oks []got
 	for i := range set {
 		f := &frames[i]
@@ -540,7 +583,7 @@ func (r *Router) readRepair(trace uint64, addr uint64, set []*nodeState) (server
 			continue
 		}
 		var resp server.ReadResponse
-		err := r.settle(f, trace, server.OpRead, addr, send, func(c *server.TCPClient) error {
+		err := w.settle(f, addr, send, func(c *server.TCPClient) error {
 			var err error
 			resp, err = c.RecvRead()
 			return err

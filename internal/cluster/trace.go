@@ -72,99 +72,224 @@ func nodeName(st *nodeState) *string {
 }
 
 // nodeFrame is one frame bound for one node, with the state of its
-// current attempt. A wave (WriteTraced, the batch paths, read repair)
-// starts attempt 0 of every frame before it settles any; doNodeCtx starts
-// and settles each attempt in turn.
+// current attempt.
 type nodeFrame struct {
-	st   *nodeState
-	a    int               // current attempt, 0-based
-	c    *server.TCPClient // the attempt's connection; nil if checkout failed
-	sent time.Time         // when the attempt's send began
-	err  error             // the checkout's or the send's error, then the attempt's
+	st *nodeState
+	a  int // current attempt, 0-based
+	// conn is the attempt's connection: an index into the wave's conns,
+	// or -1 for own, the connection of a retry or of a frame sent after
+	// the wave's push.
+	conn int
+	own  waveConn
+	sent time.Time // when the attempt's send began
+	err  error     // the attempt's error
 }
 
-// start begins attempt f.a: past the first attempt it counts and records
-// a retry; then it checks out a pooled connection (checkout hop), sets
-// the request deadline and sends the frame.
-func (r *Router) start(f *nodeFrame, trace uint64, op byte, addr uint64, send func(c *server.TCPClient) error) {
-	if f.a > 0 {
-		r.retries.Add(1)
-		r.hopNow(telemetry.HopRetry, trace, op, f.st, addr, f.a, server.StatusOf(f.err))
+// waveConn is one pooled connection a wave holds to one node. Attempt 0
+// of every frame the wave sends the node is buffered on it back to back,
+// the connection is pushed once, and the replies are read in send order.
+// A transport error fails attempt 0 of every frame not yet read from it;
+// a status reply leaves it clean for the frames behind it. It goes back
+// to the pool, or is discarded, once its last frame settles.
+type waveConn struct {
+	st   *nodeState
+	c    *server.TCPClient // nil if the checkout failed
+	err  error             // the checkout's error, or the first transport error
+	left int               // frames sent on c and not yet settled
+}
+
+// wave is one request's frames in flight. Every data path routes through
+// one: WriteTraced and read repair send one frame per replica, the batch
+// paths one sub-batch frame per replica set and replica, and doNodeCtx
+// one round trip. send buffers attempt 0 of each frame on the wave's
+// connection to its node, push writes every connection out once, and
+// settle reads each frame's reply, in send order, spending the node's
+// retry budget one attempt at a time, each on a connection of its own.
+type wave struct {
+	r     *Router
+	trace uint64
+	op    byte
+	// conns has room for one connection per node the wave can reach;
+	// conns[:n] are checked out.
+	conns  []waveConn
+	n      int
+	pushed bool // frames sent from now on go out at once, each on its own connection
+}
+
+// conn returns f's connection.
+func (w *wave) conn(f *nodeFrame) *waveConn {
+	if f.conn < 0 {
+		return &f.own
 	}
+	return &w.conns[f.conn]
+}
+
+// send starts attempt f.a of a frame: past the first attempt it counts
+// and records a retry. Attempt 0 of a frame sent before the push shares
+// the wave's connection to f's node, checked out by the node's first
+// frame; any later attempt, or a frame sent after the push, checks out
+// its own and is pushed at once.
+func (w *wave) send(f *nodeFrame, addr uint64, send func(c *server.TCPClient) error) {
+	if f.a > 0 {
+		w.r.retries.Add(1)
+		w.r.hopNow(telemetry.HopRetry, w.trace, w.op, f.st, addr, f.a, server.StatusOf(f.err))
+	}
+	f.conn = -1
+	if f.a == 0 && !w.pushed {
+		for i := 0; i < w.n && f.conn < 0; i++ {
+			if w.conns[i].st == f.st {
+				f.conn = i
+			}
+		}
+		if f.conn < 0 {
+			f.conn = w.n
+			w.n++
+			w.checkout(&w.conns[f.conn], f.st, addr, 0)
+		}
+	} else {
+		w.checkout(&f.own, f.st, addr, f.a)
+	}
+	wc := w.conn(f)
+	wc.left++
+	f.sent, f.err = time.Now(), nil
+	if wc.c == nil || wc.err != nil {
+		return // finish fails the attempt with wc.err
+	}
+	if err := send(wc.c); err != nil {
+		if isStatusErr(err) {
+			f.err = err // a round trip's status reply: the connection is clean
+		} else {
+			wc.err = err
+		}
+	}
+	if w.pushed {
+		wc.push()
+	}
+}
+
+// checkout borrows a pooled connection to st into wc for attempt a
+// (checkout hop) and arms the request deadline.
+func (w *wave) checkout(wc *waveConn, st *nodeState, addr uint64, a int) {
+	*wc = waveConn{st: st}
 	t0 := time.Now()
-	c, err := f.st.pool.Get()
+	c, err := st.pool.Get()
 	if err != nil {
-		f.c, f.err = nil, err
-		f.st.errs.Add(1)
+		wc.err = err
+		st.errs.Add(1)
 		return
 	}
-	r.hop(telemetry.HopCheckout, trace, op, f.st, addr, f.a, 0, t0)
-	_ = c.SetDeadline(time.Now().Add(r.cfg.RequestTimeout))
-	f.c, f.sent = c, time.Now()
-	f.err = send(c)
+	w.r.hop(telemetry.HopCheckout, w.trace, w.op, st, addr, a, 0, t0)
+	_ = c.SetDeadline(time.Now().Add(w.r.cfg.RequestTimeout))
+	wc.c = c
 }
 
-// finish ends attempt f.a: unless the checkout or the send failed, it
-// receives the reply (recv nil means send did the whole round trip),
-// records the attempt hop and returns the connection to the pool, or
-// discards it when its framing is broken. It reports whether the node's
-// retry budget allows another attempt; when the budget is spent, or the
-// node is draining, the node is marked down.
-func (r *Router) finish(f *nodeFrame, trace uint64, op byte, addr uint64, recv func(c *server.TCPClient) error) (retry bool) {
-	if c := f.c; c != nil {
-		f.c = nil
+// push writes out the frames buffered on wc.
+func (wc *waveConn) push() {
+	if wc.c != nil && wc.err == nil {
+		wc.err = wc.c.Push()
+	}
+}
+
+// push writes out every connection of the wave, once each, before any
+// reply is read.
+func (w *wave) push() {
+	for i := range w.conns[:w.n] {
+		w.conns[i].push()
+	}
+	w.pushed = true
+}
+
+// start sends attempt 0 of one frame per healthy node of set, in set
+// order, and pushes them before any reply is read; frames[i] stays empty
+// for a node that is down. The caller settles the started frames in the
+// same order.
+func (w *wave) start(frames []nodeFrame, set []*nodeState, addr uint64, send func(c *server.TCPClient) error) {
+	for i, st := range set {
+		if st.up.Load() {
+			frames[i] = nodeFrame{st: st}
+			w.send(&frames[i], addr, send)
+		}
+	}
+	w.push()
+}
+
+// finish ends attempt f.a: unless the checkout, the send or an earlier
+// frame on the connection failed, it receives the reply (recv nil means
+// send did the whole round trip), records the attempt hop, and releases
+// the connection when this was its last frame. It reports whether the
+// node's retry budget allows another attempt; when the budget is spent,
+// or the node is draining, the node is marked down.
+func (w *wave) finish(f *nodeFrame, addr uint64, recv func(c *server.TCPClient) error) (retry bool) {
+	r := w.r
+	wc := w.conn(f)
+	wc.left--
+	if wc.c == nil {
+		// The checkout failed (already counted); a retry re-dials.
+		f.err = wc.err
+	} else {
+		if f.err == nil {
+			f.err = wc.err
+		}
 		if f.err == nil && recv != nil {
-			// The deadline was set at send. Re-arm it: a reply read late
+			// The deadline was set at checkout. Re-arm it: a reply read late
 			// because earlier frames of the wave were settled first is not
 			// a wedged node.
-			_ = c.SetDeadline(time.Now().Add(r.cfg.RequestTimeout))
-			f.err = recv(c)
+			_ = wc.c.SetDeadline(time.Now().Add(r.cfg.RequestTimeout))
+			if f.err = recv(wc.c); f.err != nil && !isStatusErr(f.err) {
+				wc.err = f.err // the framing is lost for every frame behind
+			}
 		}
-		r.hop(telemetry.HopAttempt, trace, op, f.st, addr, f.a, server.StatusOf(f.err), f.sent)
+		r.hop(telemetry.HopAttempt, w.trace, w.op, f.st, addr, f.a, server.StatusOf(f.err), f.sent)
+		if wc.left == 0 {
+			if wc.err == nil {
+				f.st.pool.Put(wc.c)
+			} else {
+				f.st.pool.Discard(wc.c)
+			}
+			wc.c = nil
+		}
 		if f.err == nil {
-			f.st.pool.Put(c)
 			return false
 		}
 		f.st.errs.Add(1)
-		if isStatusErr(f.err) {
-			f.st.pool.Put(c) // frame completed; connection still clean
-		} else {
-			f.st.pool.Discard(c)
-		}
 		if errors.Is(f.err, server.ErrClosing) {
-			r.markDownTr(f.st, f.err, trace, op, addr)
+			r.markDownTr(f.st, f.err, w.trace, w.op, addr)
 			return false
 		}
 		if !retryable(f.err) && isStatusErr(f.err) {
 			return false
 		}
-	} // else the checkout failed (already counted); a retry re-dials
+	}
 	if f.a < r.cfg.RetriesPerNode {
 		return true
 	}
-	r.markDownTr(f.st, f.err, trace, op, addr)
+	r.markDownTr(f.st, f.err, w.trace, w.op, addr)
 	return false
 }
 
 // settle finishes f's attempt in flight, then spends the rest of the
 // node's retry budget one attempt at a time, and returns the last
 // attempt's error (nil on success).
-func (r *Router) settle(f *nodeFrame, trace uint64, op byte, addr uint64, send, recv func(c *server.TCPClient) error) error {
-	for r.finish(f, trace, op, addr, recv) {
+func (w *wave) settle(f *nodeFrame, addr uint64, send, recv func(c *server.TCPClient) error) error {
+	for w.finish(f, addr, recv) {
 		f.a++
-		r.start(f, trace, op, addr, send)
+		w.send(f, addr, send)
 	}
 	return f.err
 }
 
 // doNodeCtx is doNode with trace context: it runs one round trip f
-// against one node under the per-node retry budget, recording checkout,
-// attempt, retry and markDown hops as it goes. op is the protocol op byte
-// the caller is routing ('W', 'R', 'B', 'b'; 0 for control traffic).
+// against one node under the per-node retry budget — a wave of one frame
+// — recording checkout, attempt, retry and markDown hops as it goes. op
+// is the protocol op byte the caller is routing ('W', 'R', 'B', 'b'; 0
+// for control traffic).
 func (r *Router) doNodeCtx(st *nodeState, trace uint64, op byte, addr uint64, f func(c *server.TCPClient) error) error {
+	var conns [1]waveConn
+	w := wave{r: r, trace: trace, op: op, conns: conns[:]}
 	nf := nodeFrame{st: st}
-	r.start(&nf, trace, op, addr, f)
-	return r.settle(&nf, trace, op, addr, f, nil)
+	w.send(&nf, addr, f)
+	w.push()
+	return w.settle(&nf, addr, f, nil)
 }
 
 // markDownTr is markDown carrying the trace context of the failure that

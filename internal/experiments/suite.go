@@ -104,18 +104,22 @@ func DefaultOptions() Options {
 }
 
 // effectiveCfg applies FPCacheScale to the fingerprint caches.
-func (o Options) effectiveCfg() config.Config {
-	cfg := o.Cfg
-	if o.FPCacheScale > 1 {
-		cfg.Meta.EFITCacheBytes /= o.FPCacheScale
+func (o Options) effectiveCfg() config.Config { return ScaleFPCaches(o.Cfg, o.FPCacheScale) }
+
+// ScaleFPCaches divides cfg's fingerprint caches (EFIT, the SHA-1 and
+// DeWrite fingerprint caches) by scale, keeping at least one entry each;
+// a scale of 1 or less returns cfg unchanged. See Options.FPCacheScale.
+func ScaleFPCaches(cfg config.Config, scale int) config.Config {
+	if scale > 1 {
+		cfg.Meta.EFITCacheBytes /= scale
 		if cfg.Meta.EFITCacheBytes < cfg.Meta.EFITEntryBytes {
 			cfg.Meta.EFITCacheBytes = cfg.Meta.EFITEntryBytes
 		}
-		cfg.SHA1.FPCacheBytes /= o.FPCacheScale
+		cfg.SHA1.FPCacheBytes /= scale
 		if cfg.SHA1.FPCacheBytes < cfg.SHA1.FPEntryBytes {
 			cfg.SHA1.FPCacheBytes = cfg.SHA1.FPEntryBytes
 		}
-		cfg.DeWrite.FPCacheBytes /= o.FPCacheScale
+		cfg.DeWrite.FPCacheBytes /= scale
 		if cfg.DeWrite.FPCacheBytes < cfg.DeWrite.FPEntryBytes {
 			cfg.DeWrite.FPCacheBytes = cfg.DeWrite.FPEntryBytes
 		}

@@ -142,22 +142,24 @@ type BatchReadResult struct {
 }
 
 // TCPClient speaks the binary protocol over one connection. NOT safe for
-// concurrent use (frames strictly alternate); esdload opens one per
-// worker.
+// concurrent use; esdload opens one per worker.
 //
 // Each data frame has a send half and a receive half (SendWrite and
-// RecvWrite, and so on); the round-trip methods call the two back to
-// back. A caller holding several connections — the cluster router — can
-// send a frame on each before it reads any reply. Between the halves a
-// connection carries exactly one request in flight, and the receive half
-// must match the frame sent.
+// RecvWrite, and so on). A send half only buffers its request; Push
+// writes every buffered request out in one go. The round-trip methods
+// send, push and receive in one call. A connection may carry several
+// requests in flight, and the server answers them in request order: a
+// caller that sends k frames and pushes once reads the k replies in send
+// order, each with the receive half matching its frame. The cluster
+// router sends all of a wave's frames for one node this way, and holds a
+// connection to each node of the wave before it reads any reply.
+//
+// The buffers hold any frame, and one node's share of a routed batch wave
+// (connBufSize): requests are built and replies decoded in place.
 type TCPClient struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
-
-	// batchBuf is the reusable request/response scratch (see grow).
-	batchBuf []byte
 }
 
 // DialTCP connects a binary-protocol client to addr.
@@ -166,7 +168,11 @@ func DialTCP(addr string) (*TCPClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: dial %s: %w", addr, err)
 	}
-	return &TCPClient{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}, nil
+	return &TCPClient{
+		conn: conn,
+		br:   bufio.NewReaderSize(conn, connBufSize),
+		bw:   bufio.NewWriterSize(conn, connBufSize),
+	}, nil
 }
 
 func statusErr(st byte) error {
@@ -184,12 +190,36 @@ func statusErr(st byte) error {
 	}
 }
 
-// send writes one request frame and flushes it.
+// frame returns n bytes of the write buffer's free space to build one
+// request frame in, flushing the requests already buffered first when
+// they leave too little room; queue then appends the frame.
+func (c *TCPClient) frame(n int) ([]byte, error) {
+	if c.bw.Available() < n {
+		if err := c.bw.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return c.bw.AvailableBuffer()[:n], nil
+}
+
+// queue appends a frame built in the write buffer's free space (see
+// frame) to the buffered requests.
+func (c *TCPClient) queue(frame []byte) error {
+	_, err := c.bw.Write(frame)
+	return err
+}
+
+// Push writes every buffered request out. The round-trip methods push
+// for themselves; a caller of the send halves pushes once after its last
+// frame, then reads the replies in send order.
+func (c *TCPClient) Push() error { return c.bw.Flush() }
+
+// send writes one request frame and pushes it.
 func (c *TCPClient) send(frame []byte) error {
 	if _, err := c.bw.Write(frame); err != nil {
 		return err
 	}
-	return c.bw.Flush()
+	return c.Push()
 }
 
 // recvStatus reads a response's status byte and maps a non-OK status to
@@ -236,17 +266,6 @@ func (c *TCPClient) ReadBatch(addrs []uint64, res []BatchReadResult) error {
 	return err
 }
 
-// grow returns c.batchBuf resized to n bytes. Every send half builds its
-// request frame here and every receive half reads its response payload
-// here (the frame is flushed before the send half returns), so the client
-// path does not allocate per call.
-func (c *TCPClient) grow(n int) []byte {
-	if cap(c.batchBuf) < n {
-		c.batchBuf = make([]byte, n)
-	}
-	return c.batchBuf[:n]
-}
-
 // WriteTraced sends one 'W' frame under the caller's trace ID (0 asks the
 // server to mint one) and reads its response. The response's Trace is the
 // ID the write ran under.
@@ -254,17 +273,23 @@ func (c *TCPClient) WriteTraced(trace, addr uint64, line ecc.Line) (WriteRespons
 	if err := c.SendWrite(trace, addr, line); err != nil {
 		return WriteResponse{}, err
 	}
+	if err := c.Push(); err != nil {
+		return WriteResponse{}, err
+	}
 	return c.RecvWrite()
 }
 
-// SendWrite is the send half of WriteTraced.
+// SendWrite is the send half of WriteTraced: it buffers the frame.
 func (c *TCPClient) SendWrite(trace, addr uint64, line ecc.Line) error {
-	frame := c.grow(1 + traceLen + writeReqLen)
+	frame, err := c.frame(1 + traceLen + writeReqLen)
+	if err != nil {
+		return err
+	}
 	frame[0] = OpWrite
 	putU64(frame[1:], trace)
 	putU64(frame[1+traceLen:], addr)
 	copy(frame[1+traceLen+8:], line[:])
-	return c.send(frame)
+	return c.queue(frame)
 }
 
 // RecvWrite is the receive half of WriteTraced.
@@ -272,8 +297,8 @@ func (c *TCPClient) RecvWrite() (WriteResponse, error) {
 	if err := c.recvStatus(); err != nil {
 		return WriteResponse{}, err
 	}
-	payload := c.grow(writeBatchRecLen - 1 + traceLen)
-	if err := readFull(c.br, payload); err != nil {
+	payload, err := take(c.br, writeBatchRecLen-1+traceLen)
+	if err != nil {
 		return WriteResponse{}, err
 	}
 	return WriteResponse{
@@ -289,16 +314,22 @@ func (c *TCPClient) ReadTraced(trace, addr uint64) (ReadResponse, error) {
 	if err := c.SendRead(trace, addr); err != nil {
 		return ReadResponse{}, err
 	}
+	if err := c.Push(); err != nil {
+		return ReadResponse{}, err
+	}
 	return c.RecvRead()
 }
 
-// SendRead is the send half of ReadTraced.
+// SendRead is the send half of ReadTraced: it buffers the frame.
 func (c *TCPClient) SendRead(trace, addr uint64) error {
-	frame := c.grow(1 + traceLen + readReqLen)
+	frame, err := c.frame(1 + traceLen + readReqLen)
+	if err != nil {
+		return err
+	}
 	frame[0] = OpRead
 	putU64(frame[1:], trace)
 	putU64(frame[1+traceLen:], addr)
-	return c.send(frame)
+	return c.queue(frame)
 }
 
 // RecvRead is the receive half of ReadTraced.
@@ -306,8 +337,8 @@ func (c *TCPClient) RecvRead() (ReadResponse, error) {
 	if err := c.recvStatus(); err != nil {
 		return ReadResponse{}, err
 	}
-	payload := c.grow(readBatchRecLen - 1 + traceLen)
-	if err := readFull(c.br, payload); err != nil {
+	payload, err := take(c.br, readBatchRecLen-1+traceLen)
+	if err != nil {
 		return ReadResponse{}, err
 	}
 	return ReadResponse{
@@ -340,8 +371,8 @@ func (c *TCPClient) recvBatchHead(n int) (uint64, error) {
 	if err := c.recvStatus(); err != nil {
 		return 0, err
 	}
-	head := c.grow(2 + traceLen)
-	if err := readFull(c.br, head); err != nil {
+	head, err := take(c.br, batchHeadLen-1)
+	if err != nil {
 		return 0, err
 	}
 	if got := int(binary.LittleEndian.Uint16(head)); got != n {
@@ -363,15 +394,22 @@ func (c *TCPClient) WriteBatchTraced(trace uint64, ops []BatchWriteOp, res []Bat
 	if err := c.SendWriteBatch(trace, ops); err != nil {
 		return 0, err
 	}
+	if err := c.Push(); err != nil {
+		return 0, err
+	}
 	return c.RecvWriteBatch(res)
 }
 
-// SendWriteBatch is the send half of WriteBatchTraced.
+// SendWriteBatch is the send half of WriteBatchTraced: it buffers the
+// frame.
 func (c *TCPClient) SendWriteBatch(trace uint64, ops []BatchWriteOp) error {
 	if err := checkCount(len(ops)); err != nil {
 		return err
 	}
-	frame := c.grow(1 + traceLen + 2 + len(ops)*writeReqLen)
+	frame, err := c.frame(batchHeadLen + len(ops)*writeReqLen)
+	if err != nil {
+		return err
+	}
 	frame[0] = OpWriteBatch
 	putU64(frame[1:], trace)
 	binary.LittleEndian.PutUint16(frame[1+traceLen:], uint16(len(ops)))
@@ -380,7 +418,7 @@ func (c *TCPClient) SendWriteBatch(trace uint64, ops []BatchWriteOp) error {
 		putU64(rec, ops[i].Addr)
 		copy(rec[8:], ops[i].Line[:])
 	}
-	return c.send(frame)
+	return c.queue(frame)
 }
 
 // RecvWriteBatch is the receive half of WriteBatchTraced: res must have
@@ -390,8 +428,8 @@ func (c *TCPClient) RecvWriteBatch(res []BatchWriteResult) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	payload := c.grow(len(res) * writeBatchRecLen)
-	if err := readFull(c.br, payload); err != nil {
+	payload, err := take(c.br, len(res)*writeBatchRecLen)
+	if err != nil {
 		return 0, err
 	}
 	for i := range res {
@@ -419,22 +457,29 @@ func (c *TCPClient) ReadBatchTraced(trace uint64, addrs []uint64, res []BatchRea
 	if err := c.SendReadBatch(trace, addrs); err != nil {
 		return 0, err
 	}
+	if err := c.Push(); err != nil {
+		return 0, err
+	}
 	return c.RecvReadBatch(res)
 }
 
-// SendReadBatch is the send half of ReadBatchTraced.
+// SendReadBatch is the send half of ReadBatchTraced: it buffers the
+// frame.
 func (c *TCPClient) SendReadBatch(trace uint64, addrs []uint64) error {
 	if err := checkCount(len(addrs)); err != nil {
 		return err
 	}
-	frame := c.grow(1 + traceLen + 2 + len(addrs)*readReqLen)
+	frame, err := c.frame(batchHeadLen + len(addrs)*readReqLen)
+	if err != nil {
+		return err
+	}
 	frame[0] = OpReadBatch
 	putU64(frame[1:], trace)
 	binary.LittleEndian.PutUint16(frame[1+traceLen:], uint16(len(addrs)))
 	for i, a := range addrs {
 		putU64(frame[1+traceLen+2+i*readReqLen:], a)
 	}
-	return c.send(frame)
+	return c.queue(frame)
 }
 
 // RecvReadBatch is the receive half of ReadBatchTraced (see
@@ -444,8 +489,8 @@ func (c *TCPClient) RecvReadBatch(res []BatchReadResult) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	payload := c.grow(len(res) * readBatchRecLen)
-	if err := readFull(c.br, payload); err != nil {
+	payload, err := take(c.br, len(res)*readBatchRecLen)
+	if err != nil {
 		return 0, err
 	}
 	for i := range res {

@@ -14,7 +14,7 @@ func ServeStream(h Handler, stream []byte) []byte {
 	c := &frameCodec{br: bufio.NewReader(bytes.NewReader(stream)), bw: bufio.NewWriter(&out), h: h}
 	for {
 		op, err := c.br.ReadByte()
-		if err != nil || !c.serve(op) || c.bw.Flush() != nil {
+		if err != nil || !c.next(op) {
 			break
 		}
 	}

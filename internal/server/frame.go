@@ -56,7 +56,10 @@ func StatusOf(err error) byte {
 
 // FrameServer serves the binary protocol on one listener: it accepts
 // connections, runs each through the frame codec against a Handler, and
-// drains them on Shutdown.
+// drains them on Shutdown. A connection's requests run one at a time, in
+// arrival order. Replies are buffered and written out once no request
+// bytes remain buffered, so k frames a client pipelined in one push are
+// answered in request order with one write.
 type FrameServer struct {
 	ln       net.Listener
 	h        Handler
@@ -76,9 +79,15 @@ func ListenFrames(addr string, h Handler, draining <-chan struct{}) (*FrameServe
 	if err != nil {
 		return nil, err
 	}
+	return ServeFrames(ln, h, draining), nil
+}
+
+// ServeFrames is ListenFrames on a listener the caller opened; Shutdown
+// closes it.
+func ServeFrames(ln net.Listener, h Handler, draining <-chan struct{}) *FrameServer {
 	fs := &FrameServer{ln: ln, h: h, draining: draining, accepting: make(chan struct{}), conns: make(map[net.Conn]struct{})}
 	go fs.accept()
-	return fs, nil
+	return fs
 }
 
 // Addr returns the bound listen address.
@@ -156,7 +165,7 @@ func (fs *FrameServer) serveConn(conn net.Conn) {
 		}
 		// A frame has begun: finish it even while draining.
 		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if !c.serve(op) || c.bw.Flush() != nil {
+		if !c.next(op) {
 			return
 		}
 	}
@@ -169,7 +178,9 @@ const readRespLen = 1 + 1 + ecc.LineSize + 8 + traceLen
 // frameCodec decodes request frames from br, executes them through h and
 // encodes the responses to bw. There is one per connection: requests are
 // read straight out of br's buffer and responses are built in out, so
-// neither direction allocates per frame.
+// neither direction allocates per frame. Both buffers are connBufSize,
+// so a full batch frame, or the frames one routed wave sends a node, is
+// read in one go and answered with one write.
 type frameCodec struct {
 	br  *bufio.Reader
 	bw  *bufio.Writer
@@ -178,7 +189,18 @@ type frameCodec struct {
 }
 
 func newFrameCodec(conn net.Conn, h Handler) *frameCodec {
-	return &frameCodec{br: bufio.NewReader(conn), bw: bufio.NewWriter(conn), h: h}
+	return &frameCodec{br: bufio.NewReaderSize(conn, connBufSize), bw: bufio.NewWriterSize(conn, connBufSize), h: h}
+}
+
+// next serves the frame whose op byte was just read, then flushes the
+// buffered replies unless more request bytes are already buffered: those
+// belong to frames the client pipelined, whose replies join this one. It
+// reports whether the connection stays open.
+func (c *frameCodec) next(op byte) bool {
+	if !c.serve(op) {
+		return false
+	}
+	return c.br.Buffered() > 0 || c.bw.Flush() == nil
 }
 
 // batchScratch holds one batch frame's decoded requests and results. It
@@ -194,15 +216,10 @@ type batchScratch struct {
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// take consumes the next n request bytes and returns them straight out of
-// br's buffer; the slice is valid until the next read from br.
+// take consumes the next n request bytes (see the package-level take).
 func (c *frameCodec) take(n int) ([]byte, bool) {
-	b, err := c.br.Peek(n)
-	if err != nil {
-		return nil, false
-	}
-	_, _ = c.br.Discard(n) // cannot fail: Peek just buffered n bytes
-	return b, true
+	b, err := take(c.br, n)
+	return b, err == nil
 }
 
 func (c *frameCodec) write(b []byte) bool {

@@ -10,12 +10,12 @@ import (
 var ErrPoolClosed = errors.New("server: pool closed")
 
 // Pool maintains reusable binary-protocol connections to one backend
-// address. A TCPClient is single-owner (frames strictly alternate), so
-// concurrent callers each borrow a connection with Get and return it with
-// Put; the pool keeps up to MaxIdle returned connections around and dials
-// on demand when the idle list is empty. Connections idle for longer than
-// IdleTimeout are closed — lazily on Get/Put and explicitly via Reap —
-// so a quiet pool does not pin file descriptors on the backend forever.
+// address. A TCPClient is single-owner, so concurrent callers each borrow
+// a connection with Get and return it with Put; the pool keeps up to
+// MaxIdle returned connections around and dials on demand when the idle
+// list is empty. Connections idle for longer than IdleTimeout are closed
+// — lazily on Get/Put and explicitly via Reap — so a quiet pool does not
+// pin file descriptors on the backend forever.
 //
 // The cluster router holds one Pool per backend node; N router
 // connections fan out over N×MaxIdle backend connections at most.

@@ -12,6 +12,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -19,8 +20,9 @@ import (
 	"github.com/esdsim/esd/internal/ecc"
 )
 
-// Binary protocol ops (one request per frame, one response per frame,
-// strictly alternating per connection).
+// Binary protocol ops (one request per frame, one response per frame).
+// A connection may carry several requests in flight; the server answers
+// them in request order.
 //
 // Request frames:
 //
@@ -67,6 +69,18 @@ const (
 // MaxBatchOps caps the operations one batch frame may carry; it bounds
 // the per-connection buffering a frame can demand on either side.
 const MaxBatchOps = 256
+
+// connBufSize sizes the buffered reader and writer at both ends of a
+// connection. Any single frame fits (the largest is a full read-batch
+// response), and so does one node's share of a routed batch wave in
+// either direction: a MaxBatchOps client frame sends each op to a node at
+// most once, in at most MaxBatchOps sub-batch frames of batchHeadLen
+// bytes of head each.
+const connBufSize = MaxBatchOps * (batchHeadLen + readBatchRecLen)
+
+// batchHeadLen is a batch frame's head: the op (or status) byte, the
+// count and the trace ID.
+const batchHeadLen = 1 + 2 + traceLen
 
 // Per-op response record sizes inside batch frames.
 const (
@@ -122,4 +136,16 @@ func getU64(b []byte) uint64    { return binary.LittleEndian.Uint64(b) }
 func readFull(r io.Reader, b []byte) error {
 	_, err := io.ReadFull(r, b)
 	return err
+}
+
+// take consumes the next n bytes of br and returns them straight out of
+// its buffer, which holds any frame (connBufSize); the slice is valid
+// until the next read from br.
+func take(br *bufio.Reader, n int) ([]byte, error) {
+	b, err := br.Peek(n)
+	if err != nil {
+		return nil, err
+	}
+	_, _ = br.Discard(n) // cannot fail: Peek just buffered n bytes
+	return b, nil
 }

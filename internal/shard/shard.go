@@ -158,6 +158,7 @@ func New(cfg config.Config, scheme string, opts Options) (*Engine, error) {
 		}
 		s := &shard{
 			id:       i,
+			shards:   opts.Shards,
 			env:      env,
 			sch:      sch,
 			reqs:     make(chan request, opts.QueueDepth),

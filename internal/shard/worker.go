@@ -61,8 +61,9 @@ func (r *response) readResult() ReadResult {
 // (env.Tel) and stages stage their samples in owner memory; a reader gets
 // them published through pub (Engine.publish).
 type shard struct {
-	id   int
-	reqs chan request
+	id     int
+	shards int // the engine's shard count: with id, maps local addresses back to logical ones
+	reqs   chan request
 	// pending counts requests submitted to reqs and not yet executed: it
 	// rises before the send and falls after the worker's batch. A caller
 	// may run inline only while it is zero, so no request overtakes one
@@ -227,8 +228,15 @@ func (s *shard) recordWrite(tc telemetry.TraceCtx, addr uint64, out *memctrl.Wri
 		// same set.
 		s.stages.Record(&st)
 	}
-	s.flight.RecordWrite(s.id, tc, addr, out.PhysAddr, out.Deduplicated, at, lat, &st)
+	s.flight.RecordWrite(s.id, tc, s.logical(addr), out.PhysAddr, out.Deduplicated, at, lat, &st)
 	return lat
+}
+
+// logical maps a shard-local line address back to the logical address
+// callers use (Engine.localAddr's inverse), so flight records match the
+// router's hop records and the slow-request log.
+func (s *shard) logical(local uint64) uint64 {
+	return local*uint64(s.shards) + uint64(s.id)
 }
 
 // read runs one read on the shard's scheme: the body of both a scalar
@@ -242,7 +250,7 @@ func (s *shard) read(addr uint64, tc telemetry.TraceCtx) (memctrl.ReadOutcome, s
 	}
 	lat := out.Done - at
 	s.readHist.Record(lat)
-	s.flight.RecordRead(s.id, tc, addr, out.Hit, at, lat)
+	s.flight.RecordRead(s.id, tc, s.logical(addr), out.Hit, at, lat)
 	return out, lat
 }
 
