@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet overhead-check bench bench-smoke bench-compare bench-ab bench-check bench-all figures examples serve-smoke cluster-smoke check check-migrate check-cluster fuzz-smoke clean
+.PHONY: all build test race vet overhead-check bench-ab bench-check figures examples serve-smoke cluster-smoke check check-migrate check-cluster fuzz-smoke clean
 
 all: build vet test
 
@@ -43,41 +43,17 @@ overhead-check:
 test-log:
 	$(GO) test ./... 2>&1 | tee test_output.txt
 
-# Perf-regression harness: kernel micro-benchmarks + sharded throughput,
-# emitted as a machine-readable BENCH_<label>.json trajectory point.
-# Override with BENCH_LABEL=PR4 / BENCHTIME=100ms as needed.
-bench:
-	sh scripts/bench.sh
-
-# One-iteration smoke of the same harness; CI runs this to catch build
-# and metric breakage without paying for a full measurement.
-bench-smoke:
-	BENCHTIME=1x BENCH_OUT=/tmp/bench_smoke.json sh scripts/bench.sh
-
-# Diff a fresh trajectory point against the committed baseline: exits
-# nonzero when any benchmark regressed ns/op by more than 10% or started
-# allocating. Override the baseline with BENCH_BASE=BENCH_PR3.json.
-# PR10 re-measured the whole suite on the current runner (the PR8 point
-# predates a hardware-state change that shifted even untouched kernels
-# +25-35%); the hybrid-media interface cost itself measured +4.5% median
-# on SystemWriteESD in an interleaved A/B against the PR9 tree. The PR10
-# point used BENCHTIME=300ms BENCHCOUNT=5 — on a runner whose clock
-# wanders on a minutes scale, compare against it with the same settings
-# so both sides' samples cluster in time.
-BENCH_BASE ?= BENCH_PR10.json
-bench-compare:
-	BENCH_LABEL=compare BENCH_OUT=/tmp/bench_compare.json sh scripts/bench.sh
-	$(GO) run ./cmd/benchjson compare $(BENCH_BASE) /tmp/bench_compare.json
-
-# Interleaved A/B of the end-to-end benchmark: BASE (a git revision)
-# against the working tree on one workload, PAIRS pairs on seeds SEED...,
-# judged by `bench/run.sh compare` (scripts/bench_ab.sh). A pair takes
-# about a minute, so it is not a CI step.
+# Interleaved A/B of BASE (a git revision) against the working tree, PAIRS
+# pairs (scripts/bench_ab.sh): the end-to-end benchmark on one workload,
+# on seeds SEED..., judged by `bench/run.sh compare` (a pair takes about a
+# minute, so it is not a CI step); or the BENCH microbenchmarks of the
+# package in PKG, judged by the same rule.
 #   make bench-ab BASE=HEAD~1 WORKLOAD=namd-batch64
+#   make bench-ab BASE=HEAD~1 BENCH='^BenchmarkEncodeWord$' PKG=./internal/ecc
 PAIRS ?= 10
 SEED ?= 101
 bench-ab:
-	BASE=$(BASE) WORKLOAD=$(WORKLOAD) PAIRS=$(PAIRS) SEED=$(SEED) bash scripts/bench_ab.sh
+	BASE=$(BASE) WORKLOAD=$(WORKLOAD) BENCH='$(BENCH)' PKG=$(PKG) PAIRS=$(PAIRS) SEED=$(SEED) bash scripts/bench_ab.sh
 
 # Vet and test the end-to-end benchmark in bench/. It is a nested module,
 # so the root `go test ./...` never builds it, yet it compiles against the
@@ -85,10 +61,6 @@ bench-ab:
 bench-check:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
-
-# Every benchmark in the repo, including the per-figure campaign.
-bench-all:
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 # Regenerate every paper figure into results/ (the run recorded in
 # EXPERIMENTS.md used exactly this invocation).
@@ -151,4 +123,4 @@ examples:
 	$(GO) run ./examples/flightrecorder
 
 clean:
-	rm -rf results/ test_output.txt bench_output.txt
+	rm -rf results/ test_output.txt

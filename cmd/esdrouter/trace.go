@@ -127,21 +127,25 @@ func runTrace(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// stageSummary renders a write's per-stage decomposition inline, sorted
-// by stage name for stable output.
-func stageSummary(stages map[string]float64) string {
-	if len(stages) == 0 {
+// stageSummary renders a write's nonzero stages inline, in the record's
+// stage-name order.
+func stageSummary(s *telemetry.StageNs) string {
+	if s == nil {
 		return ""
 	}
-	names := make([]string, 0, len(stages))
-	for name := range stages {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var b strings.Builder
 	b.WriteString("  stages:")
-	for _, name := range names {
-		fmt.Fprintf(&b, " %s=%.0fns", name, stages[name])
+	for _, st := range []struct {
+		stage telemetry.Stage
+		ns    float64
+	}{
+		{telemetry.StageAMT, s.AMT}, {telemetry.StageEFIT, s.EFIT}, {telemetry.StageEncrypt, s.Encrypt},
+		{telemetry.StageFingerprint, s.Fingerprint}, {telemetry.StageFPNVMM, s.FPNVMM},
+		{telemetry.StageMedia, s.Media}, {telemetry.StageNVMVerify, s.NVMVerify}, {telemetry.StageQueue, s.Queue},
+	} {
+		if st.ns != 0 {
+			fmt.Fprintf(&b, " %s=%.0fns", st.stage, st.ns)
+		}
 	}
 	return b.String()
 }

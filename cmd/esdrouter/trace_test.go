@@ -24,7 +24,7 @@ func TestEsdtraceStitchesTimeline(t *testing.T) {
 		_ = json.NewEncoder(w).Encode([]telemetry.Record{
 			{Seq: 7, Layer: "engine", Clock: "sim", Trace: 999, Kind: "read", Shard: 0, Addr: 5},
 			{Seq: 8, Layer: "engine", Clock: "sim", Trace: trace, Kind: "write", Shard: 1, Addr: 42, Dedup: true,
-				LatNs: 180, StagesNs: map[string]float64{"efit": 90, "media": 60}},
+				LatNs: 180, StagesNs: &telemetry.StageNs{EFIT: 90, Media: 60}},
 		})
 	})
 	node := httptest.NewServer(nodeMux)

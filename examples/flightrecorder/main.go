@@ -64,7 +64,9 @@ func main() {
 		}
 		b := int(r.Phys % uint64(banks))
 		cnt[b]++
-		media[b] += r.StagesNs["media"]
+		if r.StagesNs != nil {
+			media[b] += r.StagesNs.Media
+		}
 		total[b] += r.LatNs
 	}
 	fmt.Printf("\n%-6s %8s %14s %14s\n", "bank", "writes", "mean media", "mean total")

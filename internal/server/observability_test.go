@@ -179,7 +179,7 @@ func TestObservabilityEndpointsAfterTraffic(t *testing.T) {
 		if r.Kind != "write" || r.LatNs <= 0 {
 			t.Errorf("trace %d record = %+v", tr, r)
 		}
-		if len(r.StagesNs) == 0 {
+		if r.StagesNs == nil {
 			t.Errorf("trace %d write record has no stage breakdown", tr)
 		}
 	}

@@ -155,9 +155,24 @@ type Record struct {
 	// Unix time for a router record (a float64, so exact to 256 ns).
 	AtNs  float64 `json:"at_ns"`
 	LatNs float64 `json:"lat_ns"`
-	// StagesNs is a write's per-stage latency decomposition (zero stages
-	// omitted).
-	StagesNs map[string]float64 `json:"stages_ns,omitempty"`
+	// StagesNs is a write's per-stage latency decomposition (nil when
+	// every stage is zero).
+	StagesNs *StageNs `json:"stages_ns,omitempty"`
+}
+
+// StageNs is a write's latency per Stage, in nanoseconds on the record's
+// clock. The fields run in stage-name order and zero stages are omitted,
+// so the JSON is what a map keyed by Stage.String() encodes to, without
+// the map encoder's per-record key sort.
+type StageNs struct {
+	AMT         float64 `json:"amt,omitempty"`
+	EFIT        float64 `json:"efit,omitempty"`
+	Encrypt     float64 `json:"encrypt,omitempty"`
+	Fingerprint float64 `json:"fingerprint,omitempty"`
+	FPNVMM      float64 `json:"fp-nvmm,omitempty"`
+	Media       float64 `json:"media,omitempty"`
+	NVMVerify   float64 `json:"nvm-verify,omitempty"`
+	Queue       float64 `json:"queue,omitempty"`
 }
 
 // decode turns raw record r, numbered seq, into its Record: the one place
@@ -181,13 +196,12 @@ func (r *rec) decode(seq uint64) Record {
 		if r.dec != DecNone {
 			out.Decision = r.dec.String()
 		}
-		for j, d := range r.stages {
-			if d > 0 {
-				if out.StagesNs == nil {
-					out.StagesNs = make(map[string]float64, NumStages)
-				}
-				out.StagesNs[Stage(j).String()] = d.Nanoseconds()
-			}
+		ns := func(st Stage) float64 { return max(r.stages[st], 0).Nanoseconds() }
+		stages := StageNs{AMT: ns(StageAMT), EFIT: ns(StageEFIT), Encrypt: ns(StageEncrypt),
+			Fingerprint: ns(StageFingerprint), FPNVMM: ns(StageFPNVMM), Media: ns(StageMedia),
+			NVMVerify: ns(StageNVMVerify), Queue: ns(StageQueue)}
+		if stages != (StageNs{}) {
+			out.StagesNs = &stages
 		}
 	case KindRead:
 		out.Shard, out.Hit = int(r.n), r.flag

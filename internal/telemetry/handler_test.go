@@ -120,8 +120,8 @@ func TestHandlerIntrospectionEndpoints(t *testing.T) {
 				if len(recs) != 1 || recs[0].Trace != 7 || recs[0].Kind != "write" {
 					t.Fatalf("records = %+v", recs)
 				}
-				if recs[0].StagesNs["encrypt"] <= 0 {
-					t.Errorf("stage breakdown = %v", recs[0].StagesNs)
+				if s := recs[0].StagesNs; s == nil || s.Encrypt <= 0 {
+					t.Errorf("stage breakdown = %+v", s)
 				}
 			},
 		},

@@ -226,7 +226,7 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("got %d records, want 2", len(recs))
 	}
 	want := Record{Seq: 1, Layer: "engine", Clock: "sim", Kind: "write", Trace: 4, Decision: "dup-fp-cache",
-		Addr: 7, Phys: 9, Dedup: true, AtNs: 100, LatNs: 5.5, StagesNs: map[string]float64{"efit": 2, "amt": 3}}
+		Addr: 7, Phys: 9, Dedup: true, AtNs: 100, LatNs: 5.5, StagesNs: &StageNs{EFIT: 2, AMT: 3}}
 	if !reflect.DeepEqual(recs[0], want) {
 		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", recs[0], want)
 	}
@@ -236,6 +236,37 @@ func TestTracerJSONLRoundTrip(t *testing.T) {
 	// Close is idempotent.
 	if err := tr.Close(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTracerWriteRecordBytes pins a trace line byte for byte for a write
+// whose eight stages are all nonzero: stage names in sorted order, and
+// fractional, large and picosecond-sized values as encoding/json writes
+// them.
+func TestTracerWriteRecordBytes(t *testing.T) {
+	var sb strings.Builder
+	tr := NewTracer(&sb, FormatJSONL)
+	st := StageTimes{
+		StageQueue:       sim.Picosecond,
+		StageFingerprint: 321 * sim.Nanosecond,
+		StageEFIT:        2 * sim.Nanosecond,
+		StageFPNVMM:      150 * sim.Nanosecond,
+		StageNVMVerify:   75250 * sim.Picosecond,
+		StageEncrypt:     40 * sim.Nanosecond,
+		StageMedia:       1234567 * sim.Nanosecond,
+		StageAMT:         3 * sim.Nanosecond,
+	}
+	var w rec
+	w.setWrite(3, TraceCtx{TraceID: 4}, DecUniqueFPMiss, 7, 9, false, 100*sim.Nanosecond, 1234958251*sim.Picosecond, &st)
+	tr.render(&w)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"seq":1,"layer":"engine","clock":"sim","kind":"write","trace":4,"shard":3,"addr":7,"phys":9,` +
+		`"decision":"unique-fp-miss","at_ns":100,"lat_ns":1234958.251,"stages_ns":{"amt":3,"efit":2,"encrypt":40,` +
+		`"fingerprint":321,"fp-nvmm":150,"media":1234567,"nvm-verify":75.25,"queue":0.001}}` + "\n"
+	if sb.String() != want {
+		t.Errorf("trace line:\n got %s\nwant %s", sb.String(), want)
 	}
 }
 
