@@ -23,11 +23,14 @@ test:
 # inline on an idle shard, so the shard package runs ten times over. A
 # router wave shares one pooled connection per node across its frames,
 # and concurrent callers pass those connections through the pools, so
-# the wave tests run ten times over too.
+# the wave tests run ten times over too. So do the node's timing-bound
+# tests: a request queued past RequestTimeout, and the idle poll and
+# frame deadlines a connection arms lazily around drain and split frames.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/shard
 	$(GO) test -race -count=10 -run Wave ./internal/cluster
+	$(GO) test -race -count=10 -run 'Timeout|Drain|Split' ./internal/server
 
 # Within-run telemetry overhead gate (TestTelemetryOverheadGate): three
 # Systems — telemetry off, metrics, metrics plus the flight recorder —

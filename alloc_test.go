@@ -2,10 +2,17 @@ package esd
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
 	"testing"
+	"time"
 
+	"github.com/esdsim/esd/internal/cluster"
 	"github.com/esdsim/esd/internal/crypto"
 	"github.com/esdsim/esd/internal/ecc"
+	"github.com/esdsim/esd/internal/server"
 	"github.com/esdsim/esd/internal/shard"
 )
 
@@ -271,5 +278,196 @@ func TestKernelAllocs(t *testing.T) {
 		eng.DecryptInPlace(7, &line)
 	}); avg != 0 {
 		t.Errorf("crypto in-place encrypt/decrypt: %v allocs/op, want 0", avg)
+	}
+}
+
+// Served-path gates. A raw-frame client builds each request in a buffer
+// it owns and reads the reply into another, so every allocation these
+// gates count is the serving side's (TCPClient.RecvRead, by contrast,
+// copies each read's line into a fresh slice). testing.AllocsPerRun
+// counts the whole process, serving goroutines included, and each round
+// trip is answered before the next is sent. The nodes run like the
+// benchmark's: four shards, metrics and stage tracing on.
+
+// Reply sizes of the frames the gates send (internal/server/proto.go).
+const (
+	rawWriteReply = 1 + 1 + 8 + 8 + 8
+	rawReadReply  = 1 + 1 + ecc.LineSize + 8 + 8
+	rawBatchHead  = 1 + 2 + 8
+	rawWriteRec   = 1 + 1 + 8 + 8
+	rawReadRec    = 1 + 1 + ecc.LineSize + 8
+	rawAddrs      = 512
+	rawBatchOps   = 64
+)
+
+// rawFrames is a binary-protocol client that allocates nothing per frame.
+type rawFrames struct {
+	t    *testing.T
+	conn net.Conn
+	req  []byte
+	resp []byte
+	n    uint64 // ops sent, which picks the next address and line
+}
+
+func dialFrames(t *testing.T, addr string) *rawFrames {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	size := rawBatchHead + rawBatchOps*rawReadRec
+	return &rawFrames{t: t, conn: conn, req: make([]byte, 0, size), resp: make([]byte, size)}
+}
+
+// head starts a request frame: the op and trace 0, which the server
+// replaces with one it mints.
+func (c *rawFrames) head(op byte) {
+	c.req = append(c.req[:0], op)
+	c.req = binary.LittleEndian.AppendUint64(c.req, 0)
+}
+
+// op appends the next address, and the next line for a write.
+func (c *rawFrames) op(write bool) {
+	c.req = binary.LittleEndian.AppendUint64(c.req, c.n%rawAddrs)
+	if write {
+		var line Line
+		line[0], line[1] = byte(c.n%8), 1
+		c.req = append(c.req, line[:]...)
+	}
+	c.n++
+}
+
+// exchange sends the frame in req and reads an n-byte reply, whose status
+// byte must be OK, and so must those of its recs batch records of rec
+// bytes each.
+func (c *rawFrames) exchange(n, recs, rec int) {
+	if _, err := c.conn.Write(c.req); err != nil {
+		c.t.Fatal(err)
+	}
+	b := c.resp[:n]
+	if _, err := io.ReadFull(c.conn, b); err != nil {
+		c.t.Fatal(err)
+	}
+	if b[0] != server.StatusOK {
+		c.t.Fatalf("frame %q: status %d", c.req[0], b[0])
+	}
+	for i := 0; i < recs; i++ {
+		if st := b[rawBatchHead+i*rec]; st != server.StatusOK {
+			c.t.Fatalf("frame %q op %d: status %d", c.req[0], i, st)
+		}
+	}
+}
+
+func (c *rawFrames) write() {
+	c.head(server.OpWrite)
+	c.op(true)
+	c.exchange(rawWriteReply, 0, 0)
+}
+
+func (c *rawFrames) read() {
+	c.head(server.OpRead)
+	c.op(false)
+	c.exchange(rawReadReply, 0, 0)
+}
+
+func (c *rawFrames) batch(op byte) {
+	c.head(op)
+	c.req = binary.LittleEndian.AppendUint16(c.req, rawBatchOps)
+	for i := 0; i < rawBatchOps; i++ {
+		c.op(op == server.OpWriteBatch)
+	}
+	rec := rawReadRec
+	if op == server.OpWriteBatch {
+		rec = rawWriteRec
+	}
+	c.exchange(rawBatchHead+rawBatchOps*rec, rawBatchOps, rec)
+}
+
+// servedNode boots a node serving TCP on loopback.
+func servedNode(t *testing.T) *server.Server {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.PCM.CapacityBytes = 1 << 26
+	eng, err := shard.New(cfg, SchemeESD, shard.Options{Shards: 4, Metrics: true, Tracing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(eng, server.Config{Addr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0"})
+	if err != nil {
+		_ = eng.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		_ = eng.Close()
+	})
+	return srv
+}
+
+// gateFrames warms each path over the working set, then requires it to
+// allocate nothing per frame.
+func gateFrames(t *testing.T, paths map[string]func()) {
+	t.Helper()
+	for name, f := range paths {
+		for i := 0; i < 4*rawAddrs; i++ {
+			f()
+		}
+		if avg := testing.AllocsPerRun(500, f); avg != 0 {
+			t.Errorf("%s: %v allocs/frame, want 0", name, avg)
+		}
+	}
+}
+
+// TestServedFrameAllocs pins a node's four frame paths over loopback:
+// the request's deadline rides in its trace context, and a request that
+// finds its shard idle runs inline, so none arms a timer or allocates.
+func TestServedFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random; this gate runs without -race")
+	}
+	c := dialFrames(t, servedNode(t).TCPAddr())
+	gateFrames(t, map[string]func(){
+		"write":       c.write,
+		"read":        c.read,
+		"write-batch": func() { c.batch(server.OpWriteBatch) },
+		"read-batch":  func() { c.batch(server.OpReadBatch) },
+	})
+}
+
+// TestRoutedFrameAllocs pins a scalar write and read routed through a
+// router's front to one node (R=1) and to two (R=2): the router's waves
+// keep their frames and connections on the stack, and its hop to the
+// node decodes a read's line in place.
+func TestRoutedFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random; this gate runs without -race")
+	}
+	for _, rf := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", rf), func(t *testing.T) {
+			var nodes []cluster.Node
+			for i := 0; i < rf; i++ {
+				srv := servedNode(t)
+				nodes = append(nodes, cluster.Node{Name: fmt.Sprintf("n%d", i), TCPAddr: srv.TCPAddr(), HTTPAddr: srv.Addr()})
+			}
+			r, err := cluster.NewRouter(cluster.Config{Nodes: nodes, Replication: rf, ProbeInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(r.Close)
+			front, err := cluster.NewServer(r, cluster.ServeConfig{TCPAddr: "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				_ = front.Shutdown(ctx)
+			})
+			c := dialFrames(t, front.TCPAddr())
+			gateFrames(t, map[string]func(){"write": c.write, "read": c.read})
+		})
 	}
 }

@@ -162,7 +162,7 @@ func (r *Router) snapshotMoved(cur, next *Ring, space uint64, rep *ReshardReport
 		var rec trace.Record
 		rec.Op = trace.OpWrite
 		rec.Addr = addr
-		copy(rec.Data[:], resp.Data)
+		rec.Data = resp.Data
 		for _, d := range dests {
 			streams[d] = append(streams[d], rec)
 		}
@@ -171,7 +171,7 @@ func (r *Router) snapshotMoved(cur, next *Ring, space uint64, rep *ReshardReport
 }
 
 // readFromOld reads addr from the first healthy old replica.
-func (r *Router) readFromOld(cur *Ring, replicas []int, addr uint64) (server.ReadResponse, error) {
+func (r *Router) readFromOld(cur *Ring, replicas []int, addr uint64) (server.BatchReadResult, error) {
 	var lastErr error
 	for _, ni := range replicas {
 		name := cur.Node(ni).Name
@@ -191,7 +191,7 @@ func (r *Router) readFromOld(cur *Ring, replicas []int, addr uint64) (server.Rea
 	if lastErr == nil {
 		lastErr = ErrNoReplica
 	}
-	return server.ReadResponse{}, lastErr
+	return server.BatchReadResult{}, lastErr
 }
 
 // replayOnto writes a snapshot stream onto one destination node. Each

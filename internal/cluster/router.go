@@ -446,16 +446,23 @@ func (r *Router) Read(addr uint64) (server.ReadResponse, error) {
 
 // ReadTraced is Read under a caller-supplied trace ID (see WriteTraced).
 func (r *Router) ReadTraced(trace uint64, addr uint64) (server.ReadResponse, error) {
-	began := time.Now()
-	resp, err := r.readRouted(trace, addr)
-	if err == nil {
-		resp.Trace = trace
+	res, err := r.readLine(trace, addr)
+	if err != nil {
+		return server.ReadResponse{}, err
 	}
-	r.hop(telemetry.HopRoute, trace, server.OpRead, nil, addr, 0, server.StatusOf(err), began)
-	return resp, err
+	return server.ReadResponse{Hit: res.Hit, Data: append([]byte(nil), res.Data[:]...), LatencyNs: res.LatencyNs, Trace: trace}, nil
 }
 
-func (r *Router) readRouted(trace uint64, addr uint64) (server.ReadResponse, error) {
+// readLine is ReadTraced with the line kept by value, from the node's
+// reply to the caller: the front's scalar read path allocates nothing.
+func (r *Router) readLine(trace uint64, addr uint64) (server.BatchReadResult, error) {
+	began := time.Now()
+	res, err := r.readRouted(trace, addr)
+	r.hop(telemetry.HopRoute, trace, server.OpRead, nil, addr, 0, server.StatusOf(err), began)
+	return res, err
+}
+
+func (r *Router) readRouted(trace uint64, addr uint64) (server.BatchReadResult, error) {
 	var set [2 * maxReplicas]*nodeState
 	n := r.routeSet(addr, false, set[:])
 
@@ -491,14 +498,19 @@ func (r *Router) readRouted(trace uint64, addr uint64) (server.ReadResponse, err
 	if lastErr == nil {
 		lastErr = ErrNoReplica
 	}
-	return server.ReadResponse{}, fmt.Errorf("%w (addr=%d): %v", ErrNoReplica, addr, lastErr)
+	return server.BatchReadResult{}, fmt.Errorf("%w (addr=%d): %v", ErrNoReplica, addr, lastErr)
 }
 
-func (r *Router) readNode(st *nodeState, trace uint64, addr uint64) (server.ReadResponse, error) {
-	var out server.ReadResponse
+func (r *Router) readNode(st *nodeState, trace uint64, addr uint64) (server.BatchReadResult, error) {
+	var out server.BatchReadResult
 	err := r.doNodeCtx(st, trace, server.OpRead, addr, func(c *server.TCPClient) error {
-		var err error
-		out, err = c.ReadTraced(trace, addr)
+		if err := c.SendRead(trace, addr); err != nil {
+			return err
+		}
+		if err := c.Push(); err != nil {
+			return err
+		}
+		_, err := c.RecvReadLine(&out)
 		return err
 	})
 	if err == nil {
@@ -512,10 +524,10 @@ func (r *Router) readNode(st *nodeState, trace uint64, addr uint64) (server.Read
 // connection returns to the pool through the normal path), which is what
 // puts the propagated trace ID in BOTH nodes' flight recorders — the
 // winner's and the loser's — for esdtrace to stitch.
-func (r *Router) readHedged(trace uint64, addr uint64, primary, follower *nodeState) (server.ReadResponse, error) {
+func (r *Router) readHedged(trace uint64, addr uint64, primary, follower *nodeState) (server.BatchReadResult, error) {
 	type result struct {
 		from *nodeState
-		resp server.ReadResponse
+		resp server.BatchReadResult
 		err  error
 	}
 	ch := make(chan result, 2)
@@ -546,7 +558,7 @@ func (r *Router) readHedged(trace uint64, addr uint64, primary, follower *nodeSt
 					r.hopNow(telemetry.HopFailover, trace, server.OpRead, follower, addr, 1, 0)
 					return r.readNode(follower, trace, addr)
 				}
-				return server.ReadResponse{}, res.err
+				return server.BatchReadResult{}, res.err
 			}
 		case <-timer.C:
 			r.hedges.Add(1)
@@ -566,26 +578,26 @@ func (r *Router) readHedged(trace uint64, addr uint64, primary, follower *nodeSt
 // propagated, and when both hold different bytes the primary
 // (write-order owner) wins. done=false means no replica could serve the
 // read and the caller should fall back to the normal path.
-func (r *Router) readRepair(trace uint64, addr uint64, set []*nodeState) (server.ReadResponse, bool) {
+func (r *Router) readRepair(trace uint64, addr uint64, set []*nodeState) (server.BatchReadResult, bool) {
 	type got struct {
 		st   *nodeState
-		resp server.ReadResponse
+		resp server.BatchReadResult
 	}
 	send := func(c *server.TCPClient) error { return c.SendRead(trace, addr) }
 	var frames [2 * maxReplicas]nodeFrame
 	var conns [2 * maxReplicas]waveConn
 	w := wave{r: r, trace: trace, op: server.OpRead, conns: conns[:]}
 	w.start(frames[:len(set)], set, addr, send)
-	var oks []got
+	var okBuf [2 * maxReplicas]got
+	oks := okBuf[:0]
 	for i := range set {
 		f := &frames[i]
 		if f.st == nil {
 			continue
 		}
-		var resp server.ReadResponse
+		var resp server.BatchReadResult
 		err := w.settle(f, addr, send, func(c *server.TCPClient) error {
-			var err error
-			resp, err = c.RecvRead()
+			_, err := c.RecvReadLine(&resp)
 			return err
 		})
 		if err != nil {
@@ -595,14 +607,13 @@ func (r *Router) readRepair(trace uint64, addr uint64, set []*nodeState) (server
 		oks = append(oks, got{f.st, resp})
 	}
 	if len(oks) == 0 {
-		return server.ReadResponse{}, false
+		return server.BatchReadResult{}, false
 	}
 	auth := oks[0] // primary-most successful replica is authoritative
 	if auth.resp.Hit {
-		var line ecc.Line
-		copy(line[:], auth.resp.Data)
+		line := auth.resp.Data
 		for _, g := range oks[1:] {
-			if g.resp.Hit && string(g.resp.Data) == string(auth.resp.Data) {
+			if g.resp.Hit && g.resp.Data == line {
 				continue
 			}
 			r.repairs.Add(1)

@@ -131,12 +131,10 @@ func (f front) Write(trace, addr uint64, line ecc.Line) (server.BatchWriteResult
 
 func (f front) Read(trace, addr uint64) (server.BatchReadResult, uint64) {
 	trace = f.mint(trace)
-	out, err := f.r.ReadTraced(trace, addr)
+	res, err := f.r.readLine(trace, addr)
 	if err != nil {
 		return server.BatchReadResult{Err: err}, trace
 	}
-	res := server.BatchReadResult{Hit: out.Hit, LatencyNs: out.LatencyNs}
-	copy(res.Data[:], out.Data)
 	return res, trace
 }
 

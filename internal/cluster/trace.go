@@ -231,10 +231,11 @@ func (w *wave) finish(f *nodeFrame, addr uint64, recv func(c *server.TCPClient) 
 			f.err = wc.err
 		}
 		if f.err == nil && recv != nil {
-			// The deadline was set at checkout. Re-arm it: a reply read late
-			// because earlier frames of the wave were settled first is not
-			// a wedged node.
-			_ = wc.c.SetDeadline(time.Now().Add(r.cfg.RequestTimeout))
+			// The deadline was set at checkout. Re-arm the read side: a
+			// reply read late because earlier frames of the wave were
+			// settled first is not a wedged node. Every frame has been
+			// written by now.
+			_ = wc.c.SetReadDeadline(time.Now().Add(r.cfg.RequestTimeout))
 			if f.err = recv(wc.c); f.err != nil && !isStatusErr(f.err) {
 				wc.err = f.err // the framing is lost for every frame behind
 			}

@@ -332,21 +332,33 @@ func (c *TCPClient) SendRead(trace, addr uint64) error {
 	return c.queue(frame)
 }
 
-// RecvRead is the receive half of ReadTraced.
+// RecvRead is the receive half of ReadTraced. Its Data is a fresh copy
+// of the line; RecvReadLine decodes without one.
 func (c *TCPClient) RecvRead() (ReadResponse, error) {
-	if err := c.recvStatus(); err != nil {
-		return ReadResponse{}, err
-	}
-	payload, err := take(c.br, readBatchRecLen-1+traceLen)
+	var res BatchReadResult
+	trace, err := c.RecvReadLine(&res)
 	if err != nil {
 		return ReadResponse{}, err
 	}
-	return ReadResponse{
-		Hit:       payload[0] == 1,
-		Data:      append([]byte(nil), payload[1:1+ecc.LineSize]...),
-		LatencyNs: float64(getU64(payload[1+ecc.LineSize : 1+ecc.LineSize+8])),
-		Trace:     getU64(payload[1+ecc.LineSize+8:]),
-	}, nil
+	return ReadResponse{Hit: res.Hit, Data: append([]byte(nil), res.Data[:]...), LatencyNs: res.LatencyNs, Trace: trace}, nil
+}
+
+// RecvReadLine is RecvRead decoding the reply into res in place, the line
+// by value, so it allocates nothing; it returns the echoed trace ID. A
+// status reply leaves res untouched.
+func (c *TCPClient) RecvReadLine(res *BatchReadResult) (uint64, error) {
+	if err := c.recvStatus(); err != nil {
+		return 0, err
+	}
+	payload, err := take(c.br, readBatchRecLen-1+traceLen)
+	if err != nil {
+		return 0, err
+	}
+	res.Err = nil
+	res.Hit = payload[0] == 1
+	copy(res.Data[:], payload[1:1+ecc.LineSize])
+	res.LatencyNs = float64(getU64(payload[1+ecc.LineSize : 1+ecc.LineSize+8]))
+	return getU64(payload[1+ecc.LineSize+8:]), nil
 }
 
 // checkCount bounds a batch frame's op count.
@@ -551,5 +563,9 @@ func (c *TCPClient) Stats() (StatsResponse, error) {
 // expired deadline the connection's framing is unusable and it must be
 // discarded, not reused.
 func (c *TCPClient) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
+
+// SetReadDeadline is SetDeadline for the receive halves alone: it moves
+// the bound on reading replies and leaves the write deadline as it is.
+func (c *TCPClient) SetReadDeadline(t time.Time) error { return c.conn.SetReadDeadline(t) }
 
 func (c *TCPClient) Close() error { return c.conn.Close() }

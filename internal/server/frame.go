@@ -137,6 +137,14 @@ func (fs *FrameServer) accept() {
 	}
 }
 
+// pollInterval bounds how long an idle connection reads before it checks
+// whether the server is draining; frameTimeout bounds the wait for the
+// rest of a frame that has begun.
+const (
+	pollInterval = 500 * time.Millisecond
+	frameTimeout = 10 * time.Second
+)
+
 func (fs *FrameServer) serveConn(conn net.Conn) {
 	defer func() {
 		fs.connMu.Lock()
@@ -146,10 +154,19 @@ func (fs *FrameServer) serveConn(conn net.Conn) {
 		fs.inflight.Done()
 	}()
 	c := newFrameCodec(conn, fs.h)
+	// poll is when the idle read deadline runs out; zero forces a re-arm.
+	var poll time.Time
 	for {
 		// Between frames the connection idles; poll the read with a short
-		// deadline so draining connections notice Shutdown promptly.
-		_ = conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+		// deadline so draining connections notice Shutdown within one
+		// interval. Only a read that may wait needs it, and it is re-armed
+		// only once less than half of it is left, not per frame.
+		if c.br.Buffered() == 0 {
+			if now := time.Now(); poll.Sub(now) < pollInterval/2 {
+				poll = now.Add(pollInterval)
+				_ = conn.SetReadDeadline(poll)
+			}
+		}
 		op, err := c.br.ReadByte()
 		if err != nil {
 			var ne net.Error
@@ -158,13 +175,18 @@ func (fs *FrameServer) serveConn(conn net.Conn) {
 				case <-fs.draining:
 					return
 				default:
-					continue
+					continue // the expired poll is re-armed above
 				}
 			}
 			return // EOF or broken connection
 		}
-		// A frame has begun: finish it even while draining.
-		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		// A frame has begun: finish it even while draining. Unless its
+		// rest is already buffered, it gets the long deadline, and the
+		// short poll is re-armed before the connection idles again.
+		if !c.frameBuffered(op) {
+			_ = conn.SetReadDeadline(time.Now().Add(frameTimeout))
+			poll = time.Time{}
+		}
 		if !c.next(op) {
 			return
 		}
@@ -201,6 +223,33 @@ func (c *frameCodec) next(op byte) bool {
 		return false
 	}
 	return c.br.Buffered() > 0 || c.bw.Flush() == nil
+}
+
+// frameBuffered reports whether the rest of the frame whose op byte was
+// just read is already buffered, so that serving it reads no socket. A
+// batch frame's count is peeked only once it is buffered.
+func (c *frameCodec) frameBuffered(op byte) bool {
+	n := c.br.Buffered()
+	var per int
+	switch op {
+	case OpWrite:
+		return n >= traceLen+writeReqLen
+	case OpRead:
+		return n >= traceLen+readReqLen
+	case OpWriteBatch:
+		per = writeReqLen
+	case OpReadBatch:
+		per = readReqLen
+	default:
+		return true // flush, stats and unknown ops have no body
+	}
+	if n < traceLen+2 {
+		return false
+	}
+	head, _ := c.br.Peek(traceLen + 2) // cannot fail: the head is buffered
+	count := int(binary.LittleEndian.Uint16(head[traceLen:]))
+	// An oversized count ends the frame at its head (see count).
+	return count > MaxBatchOps || n >= len(head)+count*per
 }
 
 // batchScratch holds one batch frame's decoded requests and results. It

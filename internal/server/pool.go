@@ -19,6 +19,11 @@ var ErrPoolClosed = errors.New("server: pool closed")
 //
 // The cluster router holds one Pool per backend node; N router
 // connections fan out over N×MaxIdle backend connections at most.
+//
+// A connection comes back from Put with the deadlines its last borrower
+// armed, possibly long expired: every borrower arms its own before its
+// first round trip, so clearing them on the way in would only add a
+// timer update per checkout.
 type Pool struct {
 	addr        string
 	maxIdle     int
@@ -74,14 +79,13 @@ func (p *Pool) Get() (*TCPClient, error) {
 	return DialTCP(p.addr)
 }
 
-// Put returns a healthy connection to the idle list. Over-cap and
-// post-Close returns close the connection instead. The read deadline is
-// cleared so a stale per-request deadline cannot poison the next borrower.
+// Put returns a healthy connection to the idle list, deadlines as they
+// stand (see Pool). Over-cap and post-Close returns close the connection
+// instead.
 func (p *Pool) Put(c *TCPClient) {
 	if c == nil {
 		return
 	}
-	_ = c.SetDeadline(time.Time{})
 	now := time.Now()
 	p.mu.Lock()
 	p.reapLocked(now)

@@ -12,8 +12,10 @@ import (
 )
 
 // nodeHandler executes binary-protocol frames on the node's engine: every
-// data op runs under its own RequestTimeout deadline and the slow-request
-// policy, exactly like the HTTP handlers.
+// data op runs under the RequestTimeout bound and the slow-request policy,
+// exactly like the HTTP handlers. The bound travels as the trace
+// context's deadline rather than as a context per op: the engine arms a
+// timer for it only when the op queues behind a busy shard.
 type nodeHandler struct{ s *Server }
 
 // batchOpsPool and readOpsPool recycle the engine-side op buffer of one
@@ -34,7 +36,7 @@ var (
 
 // frameTrace builds a request's trace context: a nonzero wire ID (the
 // cluster router minted it at the fleet edge) is adopted, 0 mints a fresh
-// node-local ID.
+// node-local ID. The request's deadline is RequestTimeout after its start.
 func (s *Server) frameTrace(trace uint64) telemetry.TraceCtx {
 	var tc telemetry.TraceCtx
 	if trace != 0 {
@@ -43,6 +45,7 @@ func (s *Server) frameTrace(trace uint64) telemetry.TraceCtx {
 		tc = s.eng.NewTrace()
 	}
 	tc.StartNs = time.Now().UnixNano()
+	tc.Deadline = tc.StartNs + int64(s.cfg.RequestTimeout)
 	return tc
 }
 
@@ -66,20 +69,16 @@ func readResult(res shard.ReadResult, err error) BatchReadResult {
 
 func (h nodeHandler) Write(trace, addr uint64, line ecc.Line) (BatchWriteResult, uint64) {
 	s := h.s
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
-	defer cancel()
 	tc := s.frameTrace(trace)
-	out, err := s.eng.TryWriteTraced(ctx, addr, line, tc)
+	out, err := s.eng.TryWriteTraced(context.Background(), addr, line, tc)
 	s.noteRequest("tcp", "write", tc, addr, time.Since(time.Unix(0, tc.StartNs)), err)
 	return writeResult(out, err), tc.TraceID
 }
 
 func (h nodeHandler) Read(trace, addr uint64) (BatchReadResult, uint64) {
 	s := h.s
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
-	defer cancel()
 	tc := s.frameTrace(trace)
-	res, err := s.eng.TryReadTraced(ctx, addr, tc)
+	res, err := s.eng.TryReadTraced(context.Background(), addr, tc)
 	s.noteRequest("tcp", "read", tc, addr, time.Since(time.Unix(0, tc.StartNs)), err)
 	return readResult(res, err), tc.TraceID
 }
@@ -88,8 +87,6 @@ func (h nodeHandler) Read(trace, addr uint64) (BatchReadResult, uint64) {
 // control lands in the records and the frame itself always succeeds.
 func (h nodeHandler) WriteBatch(trace uint64, ops []BatchWriteOp, res []BatchWriteResult) (uint64, error) {
 	s := h.s
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
-	defer cancel()
 	opsp := batchOpsPool.Get().(*[]shard.WriteBatchOp)
 	defer batchOpsPool.Put(opsp)
 	sops := (*opsp)[:len(ops)]
@@ -97,7 +94,7 @@ func (h nodeHandler) WriteBatch(trace uint64, ops []BatchWriteOp, res []BatchWri
 		sops[i] = shard.WriteBatchOp{Addr: ops[i].Addr, Line: ops[i].Line}
 	}
 	tc := s.frameTrace(trace)
-	err := s.eng.TryWriteBatchTraced(ctx, sops, tc)
+	err := s.eng.TryWriteBatchTraced(context.Background(), sops, tc)
 	s.noteBatch("tcp", "write-batch", tc, sops, nil, time.Since(time.Unix(0, tc.StartNs)), err)
 	for i := range sops {
 		res[i] = writeResult(sops[i].Out, sops[i].Err)
@@ -108,8 +105,6 @@ func (h nodeHandler) WriteBatch(trace uint64, ops []BatchWriteOp, res []BatchWri
 // ReadBatch submits the whole frame as one engine batch, like WriteBatch.
 func (h nodeHandler) ReadBatch(trace uint64, addrs []uint64, res []BatchReadResult) (uint64, error) {
 	s := h.s
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
-	defer cancel()
 	opsp := readOpsPool.Get().(*[]shard.ReadBatchOp)
 	defer readOpsPool.Put(opsp)
 	sops := (*opsp)[:len(addrs)]
@@ -117,7 +112,7 @@ func (h nodeHandler) ReadBatch(trace uint64, addrs []uint64, res []BatchReadResu
 		sops[i].Addr = a
 	}
 	tc := s.frameTrace(trace)
-	err := s.eng.TryReadBatchTraced(ctx, sops, tc)
+	err := s.eng.TryReadBatchTraced(context.Background(), sops, tc)
 	s.noteBatch("tcp", "read-batch", tc, nil, addrs, time.Since(time.Unix(0, tc.StartNs)), err)
 	for i := range sops {
 		res[i] = readResult(sops[i].Res, sops[i].Err)

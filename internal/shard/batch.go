@@ -122,10 +122,13 @@ func (p *batchPlan) sub(sh int) *subBatch {
 // an idle shard, one after another, queued on a busy one — then waits for
 // the queued ones in submission order. A nil ctx blocks on full queues
 // and waits for every sub-batch; otherwise a full queue fails that
-// sub-batch alone with ErrOverloaded, and ctx expiring abandons the waits
-// still pending. It returns the first ErrClosed or context error.
+// sub-batch alone with ErrOverloaded, and ctx expiring or tc's deadline
+// passing abandons the waits still pending. The deadline's timer is armed
+// only when a sub-batch queued. It returns the first ErrClosed or context
+// error.
 func (e *Engine) dispatch(ctx context.Context, p *batchPlan, k kind, tc telemetry.TraceCtx) error {
 	var firstErr error
+	queued := false
 	for _, sh := range p.used {
 		_, ch, err := e.start(sh, request{kind: k, tc: tc, batch: p.subs[sh]}, ctx == nil)
 		if err == ErrClosed && firstErr == nil {
@@ -133,35 +136,34 @@ func (e *Engine) dispatch(ctx context.Context, p *batchPlan, k kind, tc telemetr
 		}
 		p.chans = append(p.chans, ch)
 		p.errs = append(p.errs, err)
+		queued = queued || ch != nil
+	}
+	if !queued {
+		return firstErr
 	}
 
-	var ctxDone <-chan struct{}
-	if ctx != nil {
-		ctxDone = ctx.Done()
-	}
-	abandoned := false
+	w := startWait(ctx, tc.Deadline)
+	defer w.stop()
+	var abandon error
 	for j, ch := range p.chans {
 		if ch == nil {
 			continue
 		}
-		if !abandoned {
-			select {
-			case <-ch:
+		if abandon == nil {
+			if _, abandon = w.recv(ch); abandon == nil {
 				putRespChan(ch)
 				p.chans[j] = nil
 				continue
-			case <-ctxDone:
-				abandoned = true
-				if firstErr == nil {
-					firstErr = ctx.Err()
-				}
+			}
+			if firstErr == nil {
+				firstErr = abandon
 			}
 		}
 		// Abandoned: the worker still executes this sub-batch and sends
 		// into ch later, so neither the channel nor the buffer may be
 		// recycled. The channel stays in p.chans to mark the buffer as
 		// the worker's.
-		p.errs[j] = ctx.Err()
+		p.errs[j] = abandon
 	}
 	return firstErr
 }
@@ -206,10 +208,10 @@ func (e *Engine) TryWriteBatch(ctx context.Context, ops []WriteBatchOp) error {
 
 // TryWriteBatchTraced is WriteBatch with shedding and a deadline: ops
 // owned by a shard whose queue is full fail individually with
-// ErrOverloaded (the rest proceed), and ctx expiring while sub-batches
-// are in flight abandons the wait — the shards still execute the writes;
-// the abandoned ops report the context error. tc tags every op of the
-// batch with one shared trace context.
+// ErrOverloaded (the rest proceed), and ctx expiring or tc.Deadline
+// passing while sub-batches are in flight abandons the wait — the shards
+// still execute the writes; the abandoned ops report the context error.
+// tc tags every op of the batch with one shared trace context.
 func (e *Engine) TryWriteBatchTraced(ctx context.Context, ops []WriteBatchOp, tc telemetry.TraceCtx) error {
 	if ctx == nil {
 		ctx = context.Background()

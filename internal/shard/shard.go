@@ -367,21 +367,66 @@ func (e *Engine) start(sh int, r request, block bool) (response, chan response, 
 }
 
 // call runs r on shard sh and waits for its response. With block set a
-// full queue blocks; otherwise it fails with ErrOverloaded. ctx expiring
-// abandons only a queued wait: the shard still executes r.
+// full queue blocks; otherwise it fails with ErrOverloaded. ctx expiring,
+// or r's deadline passing, abandons only a queued wait: the shard still
+// executes r.
 func (e *Engine) call(ctx context.Context, sh int, r request, block bool) (response, error) {
 	resp, done, err := e.start(sh, r, block)
 	if done == nil {
 		return resp, err
 	}
-	select {
-	case resp = <-done:
-		putRespChan(done)
-		return resp, nil
-	case <-ctx.Done():
+	w := startWait(ctx, r.tc.Deadline)
+	defer w.stop()
+	if resp, err = w.recv(done); err != nil {
 		// Abandoned: the shard still executes the request and sends
 		// into done, so the channel cannot be recycled.
-		return response{}, ctx.Err()
+		return response{}, err
+	}
+	putRespChan(done)
+	return resp, nil
+}
+
+// queuedWait bounds a caller's wait for requests it queued behind a busy
+// shard, the one place a caller waits: it ends when ctx is done or when
+// the request's deadline (TraceCtx.Deadline) passes. Its timer is armed
+// only once something has queued, so a request run inline arms none.
+type queuedWait struct {
+	ctx   context.Context // nil: no cancellation
+	timer *time.Timer     // nil: no deadline
+}
+
+func startWait(ctx context.Context, deadline int64) queuedWait {
+	w := queuedWait{ctx: ctx}
+	if deadline != 0 {
+		w.timer = time.NewTimer(time.Duration(deadline - time.Now().UnixNano()))
+	}
+	return w
+}
+
+// recv waits for ch's response, or returns the error that ended the wait
+// first: ctx's, or context.DeadlineExceeded for the deadline.
+func (w *queuedWait) recv(ch chan response) (response, error) {
+	var cancel <-chan struct{}
+	if w.ctx != nil {
+		cancel = w.ctx.Done()
+	}
+	var expire <-chan time.Time
+	if w.timer != nil {
+		expire = w.timer.C
+	}
+	select {
+	case resp := <-ch:
+		return resp, nil
+	case <-cancel:
+		return response{}, w.ctx.Err()
+	case <-expire:
+		return response{}, context.DeadlineExceeded
+	}
+}
+
+func (w *queuedWait) stop() {
+	if w.timer != nil {
+		w.timer.Stop()
 	}
 }
 
@@ -415,7 +460,8 @@ func (e *Engine) TryWrite(ctx context.Context, addr uint64, line ecc.Line) (memc
 // TryWriteTraced is TryWrite carrying a request trace context (from
 // NewTrace): the shard threads it into the scheme's telemetry hooks
 // and the flight recorder, so the write's stage events can be joined back
-// to the network request.
+// to the network request. A nonzero tc.Deadline bounds a queued wait like
+// ctx's deadline does, without a context per request.
 func (e *Engine) TryWriteTraced(ctx context.Context, addr uint64, line ecc.Line, tc telemetry.TraceCtx) (memctrl.WriteOutcome, error) {
 	resp, err := e.call(ctx, e.ShardOf(addr), request{kind: kWrite, addr: e.localAddr(addr), line: line, tc: tc}, false)
 	return resp.write, err

@@ -250,4 +250,9 @@ type TraceCtx struct {
 	// clock lives in the events themselves; StartNs anchors them to wall
 	// time for slow-request logs.
 	StartNs int64
+	// Deadline is the wall-clock UnixNano by which the caller stops
+	// waiting for the request (0: no deadline). The shard engine arms a
+	// timer for it only if the request queues behind a busy shard; a run
+	// on an idle shard never waits, so it never reads it.
+	Deadline int64
 }
