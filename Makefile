@@ -26,11 +26,15 @@ test:
 # the wave tests run ten times over too. So do the node's timing-bound
 # tests: a request queued past RequestTimeout, and the idle poll and
 # frame deadlines a connection arms lazily around drain and split frames.
+# So do the device's wear tests: scrapes read wear under the health lock
+# while the simulation thread moves a line's count from its 16-bit slot
+# to the side map.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/shard
 	$(GO) test -race -count=10 -run Wave ./internal/cluster
 	$(GO) test -race -count=10 -run 'Timeout|Drain|Split' ./internal/server
+	$(GO) test -race -count=10 -run Wear ./internal/nvm
 
 # Within-run telemetry overhead gate (TestTelemetryOverheadGate): three
 # Systems — telemetry off, metrics, metrics plus the flight recorder —

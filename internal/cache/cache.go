@@ -81,12 +81,13 @@ type Probe interface {
 // It is not safe for concurrent use.
 //
 // Way i of set s lives at flat index s*ways+i across the parallel arrays.
+// A way is live iff its last is non-zero: every insert and hit stores a
+// tick of at least 1, and clearSlot zeroes it.
 type Cache[V any] struct {
 	keys   []uint64
 	vals   []V
-	valid  []bool
-	last   []uint64 // tick of last touch (LRU ordering)
-	born   []uint64 // tick of insertion (FIFO ordering)
+	last   []uint64 // tick of last touch (LRU ordering; 0 = free way)
+	born   []uint64 // tick of insertion (FIFO ordering; nil under LRU, LRCU)
 	ref    []int32  // reference count (LRCU ordering)
 	ways   int
 	nsets  uint64
@@ -114,17 +115,19 @@ func New[V any](capacity, ways int, policy Policy) *Cache[V] {
 		numSets = 1
 	}
 	n := numSets * ways
-	return &Cache[V]{
+	c := &Cache[V]{
 		keys:   make([]uint64, n),
 		vals:   make([]V, n),
-		valid:  make([]bool, n),
 		last:   make([]uint64, n),
-		born:   make([]uint64, n),
 		ref:    make([]int32, n),
 		ways:   ways,
 		nsets:  uint64(numSets),
 		policy: policy,
 	}
+	if policy == FIFO {
+		c.born = make([]uint64, n)
+	}
+	return c
 }
 
 // Capacity returns the total number of entries the cache can hold.
@@ -163,7 +166,7 @@ func (c *Cache[V]) setBase(key uint64) int {
 func (c *Cache[V]) find(key uint64) int {
 	base := c.setBase(key)
 	for i := base; i < base+c.ways; i++ {
-		if c.keys[i] == key && c.valid[i] {
+		if c.keys[i] == key && c.last[i] != 0 {
 			return i
 		}
 	}
@@ -223,8 +226,8 @@ func (c *Cache[V]) Peek(key uint64) (V, bool) {
 }
 
 // Prefetch reads key's set the way a probe and the update after it will —
-// the tag, validity, value and recency lines and, under LRCU, the
-// reference counts — without scanning it or changing anything: no
+// the tag, value and recency lines and, under LRCU, the reference
+// counts — without scanning it or changing anything: no
 // statistic, recency tick or probe callback moves. A batch calls it for
 // every op before deciding any, so the sets' host cache misses overlap
 // instead of stalling op by op; with no scan there is no branch on a load
@@ -234,9 +237,6 @@ func (c *Cache[V]) Peek(key uint64) (V, bool) {
 func (c *Cache[V]) Prefetch(key uint64) (V, uint64) {
 	base := c.setBase(key)
 	sum := c.keys[base] + c.last[base]
-	if c.valid[base] {
-		sum++
-	}
 	if c.policy == LRCU {
 		sum += uint64(c.ref[base])
 	}
@@ -292,11 +292,13 @@ func (c *Cache[V]) PutWithRef(key uint64, value V, ref int) (ev Evicted[V], evic
 	c.tick++
 	// One pass finds the existing entry, the first free way, and — under
 	// LRU, the policy of the per-write AMT cache — the eviction victim, so
-	// a full-set insert does not rescan the set's recency line.
+	// a full-set insert does not rescan the set's recency line. The victim
+	// is used only when the set is full, when every way it compares is
+	// live.
 	free := -1
 	lru := base
 	for i := base; i < base+c.ways; i++ {
-		if !c.valid[i] {
+		if c.last[i] == 0 {
 			if free < 0 {
 				free = i
 			}
@@ -307,7 +309,7 @@ func (c *Cache[V]) PutWithRef(key uint64, value V, ref int) (ev Evicted[V], evic
 			c.last[i] = c.tick
 			return ev, false
 		}
-		if c.last[i] < c.last[lru] || !c.valid[lru] {
+		if c.last[i] < c.last[lru] {
 			lru = i
 		}
 	}
@@ -330,17 +332,12 @@ func (c *Cache[V]) PutWithRef(key uint64, value V, ref int) (ev Evicted[V], evic
 	}
 	c.keys[i] = key
 	c.vals[i] = value
-	c.valid[i] = true
 	c.last[i] = c.tick
-	// born orders FIFO replacement and ref orders LRCU replacement; under
-	// the other policies neither is ever read, and skipping the stores
-	// keeps two cold arrays out of the insert path's cache footprint.
-	// (Reference counts are therefore only meaningful under LRCU.)
-	if c.policy == FIFO {
+	// Every policy's entry starts at its own count: GetRef, Touch and Ref
+	// read it under all three, and an evicted way still holds its victim's.
+	c.ref[i] = int32(ref)
+	if c.born != nil {
 		c.born[i] = c.tick
-	}
-	if c.policy == LRCU {
-		c.ref[i] = int32(ref)
 	}
 	return ev, evicted
 }
@@ -399,10 +396,11 @@ func (c *Cache[V]) clearSlot(i int) {
 	var zero V
 	c.keys[i] = 0
 	c.vals[i] = zero
-	c.valid[i] = false
 	c.last[i] = 0
-	c.born[i] = 0
 	c.ref[i] = 0
+	if c.born != nil {
+		c.born[i] = 0
+	}
 }
 
 // DecayAll subtracts delta from every entry's reference count (floor 0).
@@ -412,7 +410,7 @@ func (c *Cache[V]) DecayAll(delta int) {
 	d := int32(delta)
 	// Only slots with a positive count change; skipping the rest keeps the
 	// sweep read-mostly (no stores re-dirtying lines full of zero counts,
-	// no touch of the validity array — cleared slots hold ref 0).
+	// no touch of the recency array — cleared slots hold ref 0).
 	for i := range c.ref {
 		if r := c.ref[i]; r > 0 {
 			r -= d
@@ -428,7 +426,7 @@ func (c *Cache[V]) DecayAll(delta int) {
 // order is unspecified but deterministic.
 func (c *Cache[V]) Range(fn func(key uint64, value V, ref int) bool) {
 	for i := range c.keys {
-		if c.valid[i] {
+		if c.last[i] != 0 {
 			if !fn(c.keys[i], c.vals[i], int(c.ref[i])) {
 				return
 			}
@@ -439,7 +437,7 @@ func (c *Cache[V]) Range(fn func(key uint64, value V, ref int) bool) {
 // Clear removes all entries and resets statistics.
 func (c *Cache[V]) Clear() {
 	for i := range c.keys {
-		if c.valid[i] {
+		if c.last[i] != 0 {
 			c.clearSlot(i)
 		}
 	}

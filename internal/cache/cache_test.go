@@ -170,7 +170,8 @@ func TestPeekHasNoSideEffects(t *testing.T) {
 // TestPrefetchIsInert runs twin caches through one random schedule of
 // probes, touches, inserts and deletes, prefetching every key of one twin
 // first. The twins must end with the same statistics, probe callbacks,
-// recency clock, contents and replacement state: a prefetch moves none.
+// recency clock, contents and replacement state (last also says which
+// ways are live): a prefetch moves none.
 func TestPrefetchIsInert(t *testing.T) {
 	for _, pol := range []Policy{LRU, FIFO, LRCU} {
 		plain, pre := New[uint64](64, 4, pol), New[uint64](64, 4, pol)
@@ -202,7 +203,7 @@ func TestPrefetchIsInert(t *testing.T) {
 				pol, plain.Stats, pre.Stats, plain.tick, pre.tick, hits)
 		}
 		if !slices.Equal(plain.keys, pre.keys) || !slices.Equal(plain.vals, pre.vals) ||
-			!slices.Equal(plain.valid, pre.valid) || !slices.Equal(plain.last, pre.last) ||
+			!slices.Equal(plain.last, pre.last) ||
 			!slices.Equal(plain.born, pre.born) || !slices.Equal(plain.ref, pre.ref) {
 			t.Fatalf("%v: prefetch moved the cache's contents or replacement state", pol)
 		}
@@ -215,6 +216,54 @@ type countProbe struct{ hits *int }
 func (p *countProbe) Hit()   { *p.hits++ }
 func (p *countProbe) Miss()  {}
 func (p *countProbe) Evict() {}
+
+// TestInsertStartsItsOwnRefCount evicts a key touched five times and
+// checks that the entry taking its way starts at the count it was put
+// with, under every policy: ESD's referH check reads GetRef under LRU too.
+func TestInsertStartsItsOwnRefCount(t *testing.T) {
+	for _, pol := range []Policy{LRU, FIFO, LRCU} {
+		c := New[int](1, 1, pol)
+		c.Put(1, 0)
+		for i := 0; i < 5; i++ {
+			c.Touch(1, 0)
+		}
+		ev, evicted := c.Put(2, 0)
+		if !evicted || ev.Key != 1 || ev.Ref != 6 {
+			t.Fatalf("%v: evicted %+v (evicted=%v), want key 1 with ref 6", pol, ev, evicted)
+		}
+		if r := c.Ref(2); r != 1 {
+			t.Fatalf("%v: Ref(2) = %d after Put, want 1", pol, r)
+		}
+		if _, r, _ := c.GetRef(2); r != 1 {
+			t.Fatalf("%v: GetRef(2) ref = %d, want 1", pol, r)
+		}
+		c.PutWithRef(3, 0, 4)
+		if r := c.Ref(3); r != 4 {
+			t.Fatalf("%v: Ref(3) = %d after PutWithRef(.., 4), want 4", pol, r)
+		}
+	}
+}
+
+// TestOnlyFIFOKeepsInsertionTicks pins the per-way arrays: only FIFO
+// reads born, so only a FIFO cache allocates it.
+func TestOnlyFIFOKeepsInsertionTicks(t *testing.T) {
+	for _, pol := range []Policy{LRU, FIFO, LRCU} {
+		c := New[int](64, 8, pol)
+		if got, want := c.born != nil, pol == FIFO; got != want {
+			t.Fatalf("%v: born allocated = %v, want %v", pol, got, want)
+		}
+		for k := uint64(0); k < 200; k++ {
+			c.Put(k, int(k))
+			if k%3 == 0 {
+				c.Delete(k)
+			}
+		}
+		c.Clear()
+		if c.Len() != 0 {
+			t.Fatalf("%v: Len = %d after Clear", pol, c.Len())
+		}
+	}
+}
 
 func TestStatsAndHitRate(t *testing.T) {
 	c := New[int](4, 4, LRU)

@@ -12,6 +12,7 @@
 package nvm
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 )
@@ -28,15 +29,21 @@ const wearHistBuckets = 64
 // Wear counters live in demand-allocated fixed pages indexed by a flat
 // pointer table (device capacity is known at construction), so the
 // per-write wear bump is two array stores — cheaper than the single map
-// operation the pre-health code paid. 4096 lines/page = 32 KiB,
-// allocated only for touched neighbourhoods.
+// operation the pre-health code paid. 4096 lines/page = 8 KiB of 16-bit
+// slots, allocated only for touched neighbourhoods. A slot holds a line's
+// exact count up to wearEscape-1; a line written more often than that
+// holds wearEscape, and its exact count lives in health.over. The
+// hash-scattered metadata region touches every page of its range with a
+// few writes per page, so the slot width, not the line count, sets what
+// wear costs (DESIGN.md §11).
 const (
 	wearPageShift = 12
 	wearPageSize  = 1 << wearPageShift
 	wearPageMask  = wearPageSize - 1
+	wearEscape    = math.MaxUint16
 )
 
-type wearPage [wearPageSize]uint64
+type wearPage [wearPageSize]uint16
 
 // bankHealth is the per-bank slice of the health counters (guarded by
 // health.mu).
@@ -91,8 +98,10 @@ type health struct {
 	hist        [wearHistBuckets]uint64
 
 	// Per-line wear: pages[addr>>wearPageShift][addr&wearPageMask],
-	// pages allocated on first touch.
+	// pages allocated on first touch; over holds the exact count of every
+	// line whose slot reads wearEscape.
 	pages []*wearPage
+	over  map[uint64]uint64
 
 	reads        uint64
 	rowHits      uint64
@@ -108,6 +117,7 @@ type health struct {
 func (h *health) init(banks int, lines int64) {
 	h.banks = make([]bankHealth, banks)
 	h.pages = make([]*wearPage, (lines+wearPageSize-1)>>wearPageShift)
+	h.over = make(map[uint64]uint64)
 	n := int64(healthRegions)
 	if lines < n {
 		n = lines
@@ -145,10 +155,28 @@ func (h *health) page(addr uint64) *wearPage {
 
 // wearOf returns addr's write count. Caller holds h.mu.
 func (h *health) wearOf(addr uint64) uint64 {
-	if pg := h.pages[addr>>wearPageShift]; pg != nil {
-		return pg[addr&wearPageMask]
+	pg := h.pages[addr>>wearPageShift]
+	if pg == nil {
+		return 0
 	}
-	return 0
+	if s := pg[addr&wearPageMask]; s != wearEscape {
+		return uint64(s)
+	}
+	return h.over[addr]
+}
+
+// bumpOver counts one write of addr, whose slot is full, and returns its
+// new count: the line's first write past wearEscape-1 moves its count
+// from the slot to the side map. Caller holds h.mu.
+func (h *health) bumpOver(addr uint64, slot *uint16) uint64 {
+	w, ok := h.over[addr]
+	if !ok {
+		w = uint64(*slot)
+		*slot = wearEscape
+	}
+	w++
+	h.over[addr] = w
+	return w
 }
 
 // noteWrite stages one media write of addr. Simulation thread only; no
@@ -197,8 +225,14 @@ func (h *health) sync() {
 // one media write. Caller holds h.mu.
 func (h *health) applyWrite(addr uint64, bank int) {
 	pg := h.page(addr)
-	w := pg[addr&wearPageMask] + 1
-	pg[addr&wearPageMask] = w
+	i := addr & wearPageMask
+	var w uint64
+	if s := pg[i]; s < wearEscape-1 {
+		w = uint64(s) + 1
+		pg[i] = uint16(w)
+	} else {
+		w = h.bumpOver(addr, &pg[i])
+	}
 
 	h.writes++
 	b := &h.banks[bank]

@@ -1,10 +1,16 @@
 package nvm
 
 import (
+	"math/bits"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
+	"github.com/esdsim/esd/internal/config"
 	"github.com/esdsim/esd/internal/ecc"
 	"github.com/esdsim/esd/internal/sim"
 )
@@ -123,6 +129,133 @@ func TestHealthMatchesWear(t *testing.T) {
 	}
 }
 
+// checkWearExact compares every wear accessor with the per-line counts in
+// want, which hold every write d has seen. The caller has synced d.
+func checkWearExact(t *testing.T, d *Device, want map[uint64]uint64) {
+	t.Helper()
+	var total, top uint64
+	counts := make([]uint64, 0, len(want))
+	var hist [wearHistBuckets]uint64
+	bankMax := make([]uint64, len(d.banks))
+	for addr, c := range want {
+		if got := d.WearOf(addr); got != c {
+			t.Fatalf("WearOf(%d) = %d, want %d", addr, got, c)
+		}
+		counts = append(counts, c)
+		total += c
+		top = max(top, c)
+		hist[bits.Len64(c)-1]++
+		b := addr % uint64(len(d.banks))
+		bankMax[b] = max(bankMax[b], c)
+	}
+	slices.Sort(counts)
+	exact := WearSummary{
+		TotalWrites:  total,
+		LinesTouched: len(counts),
+		MaxWear:      top,
+		MeanWear:     float64(total) / float64(len(counts)),
+		P99Wear:      counts[len(counts)*99/100],
+	}
+	if got := d.Wear(); got != exact {
+		t.Fatalf("Wear() = %+v, want %+v", got, exact)
+	}
+	snap := d.HealthSnapshot()
+	if s := snap.HealthSummary; s.Writes != total || s.LinesTouched != uint64(len(counts)) || s.MaxWear != top {
+		t.Fatalf("health writes=%d lines=%d max=%d, want %d/%d/%d",
+			s.Writes, s.LinesTouched, s.MaxWear, total, len(counts), top)
+	}
+	if s := d.HealthSummary(); s != snap.HealthSummary {
+		t.Fatalf("HealthSummary %+v differs from the snapshot's %+v", s, snap.HealthSummary)
+	}
+	var gotHist [wearHistBuckets]uint64
+	for _, wb := range snap.WearHist {
+		gotHist[wearBucket(wb.Lo)] = wb.Lines
+	}
+	if gotHist != hist {
+		t.Fatalf("wear histogram %v, want %v", snap.WearHist, hist)
+	}
+	for _, b := range snap.Banks {
+		if b.MaxWear != bankMax[b.Bank] {
+			t.Fatalf("bank %d max wear %d, want %d", b.Bank, b.MaxWear, bankMax[b.Bank])
+		}
+	}
+}
+
+// TestWearExactPastEscape drives a data line and a metadata line past the
+// last count a 16-bit wear slot holds, beside a line that stops one write
+// short of it and a scattered crowd, and checks every wear accessor
+// against a plain map at the crossing and well past it.
+func TestWearExactPastEscape(t *testing.T) {
+	d := New(testCfg())
+	want := map[uint64]uint64{}
+	var line ecc.Line
+	now := sim.Time(0)
+	write := func(addr uint64, meta bool) {
+		if meta {
+			d.WriteMeta(addr, now)
+		} else {
+			d.Write(addr, &line, now)
+		}
+		want[addr]++
+		now += 100 * sim.Nanosecond
+	}
+	const hot, hotMeta, edge = 5, 1<<19 + 3, 4096 + 9
+	rng := rand.New(rand.NewSource(3))
+	crowd := func() uint64 { return 1<<14 + uint64(rng.Intn(1<<14)) }
+	for i := 0; i < wearEscape; i++ {
+		write(hot, false)
+		write(hotMeta, true)
+		if i < wearEscape-1 {
+			write(edge, false)
+		}
+		if i%16 == 0 {
+			write(crowd(), i%32 == 0)
+		}
+	}
+	d.SyncHealth()
+	if want[hot] != wearEscape || want[hotMeta] != wearEscape || want[edge] != wearEscape-1 {
+		t.Fatalf("setup: hot=%d meta=%d edge=%d", want[hot], want[hotMeta], want[edge])
+	}
+	checkWearExact(t, d, want)
+
+	for i := 0; i < 3000; i++ {
+		write(hot, false)
+		if i%3 == 0 {
+			write(hotMeta, true)
+		}
+		write(crowd(), i%2 == 0)
+	}
+	d.SyncHealth()
+	checkWearExact(t, d, want)
+}
+
+// TestMetadataRegionWearFootprint pins what wear costs the metadata
+// region: 10 000 writes hash-scattered over a 256 MiB device's last 1 Mi
+// lines touch every one of its 256 wear pages, and those pages may hold
+// no more than 8 KiB each.
+func TestMetadataRegionWearFootprint(t *testing.T) {
+	cfg := config.Default().PCM
+	cfg.CapacityBytes = 256 << 20
+	d := New(cfg)
+	const region = 1 << 20
+	first := uint64(d.Lines()) - region
+	for i := uint64(0); i < 10_000; i++ {
+		// Fibonacci hashing onto the region's 20 address bits.
+		d.WriteMeta(first+(i*0x9E3779B97F4A7C15)>>44, sim.Time(i)*sim.Microsecond)
+	}
+	d.SyncHealth()
+	pages := 0
+	for _, pg := range d.health.pages {
+		if pg != nil {
+			pages++
+		}
+	}
+	bytes := uintptr(pages) * unsafe.Sizeof(wearPage{})
+	if pages != region/wearPageSize || bytes > region/wearPageSize*8<<10 {
+		t.Fatalf("10k metadata writes hold %d wear pages, %d bytes; want all 256 pages of the region, at most 8 KiB each", pages, bytes)
+	}
+}
+
 func TestWearSummaryEdgeCases(t *testing.T) {
 	d := New(testCfg())
 	// Empty device: all zeros, no division by zero.
@@ -155,42 +288,75 @@ func TestWearSummaryEdgeCases(t *testing.T) {
 }
 
 // TestWearReadsRaceWithWrites drives the device from one goroutine while
-// another polls every concurrent-safe wear/health accessor. Run under
-// -race this is the device-level half of the wear-concurrency guarantee
-// (the engine-level half lives in internal/shard).
+// another polls every concurrent-safe wear/health accessor, and line 7
+// crosses the wear slot's escape to the side map meanwhile: a reader must
+// never see its count, or the device's maximum, go down, and the writer
+// goes on only once a reader has seen the crossing. Run under -race this
+// is the device-level half of the wear-concurrency guarantee (the
+// engine-level half lives in internal/shard).
 func TestWearReadsRaceWithWrites(t *testing.T) {
 	d := New(testCfg())
 	done := make(chan struct{})
+	var seen7 atomic.Uint64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var last7, lastMax uint64
 		for {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			_ = d.Wear()
-			_ = d.WearOf(7)
+			w := d.Wear()
+			w7 := d.WearOf(7)
 			_ = d.HealthSummary()
 			_ = d.HealthSnapshot()
+			if w7 < last7 || w.MaxWear < lastMax {
+				t.Errorf("wear went down: line 7 %d -> %d, max %d -> %d", last7, w7, lastMax, w.MaxWear)
+			}
+			last7, lastMax = w7, w.MaxWear
+			seen7.Store(w7)
 		}
 	}()
 	var line ecc.Line
 	now := sim.Time(0)
+	var writes, line7 uint64
+	write := func(addr uint64) {
+		d.Write(addr, &line, now)
+		writes++
+		if addr == 7 {
+			line7++
+		}
+		now += 100 * sim.Nanosecond
+	}
 	for i := 0; i < 20000; i++ {
-		d.Write(uint64(i%512), &line, now)
+		write(uint64(i % 512))
 		if i%3 == 0 {
 			d.Read(uint64(i%512), now)
 		}
-		now += 100 * sim.Nanosecond
+	}
+	for line7 < wearEscape+500 {
+		write(7)
+		if line7 == wearEscape {
+			d.SyncHealth()
+			for seen7.Load() < wearEscape {
+				runtime.Gosched()
+			}
+		}
+		if line7%64 == 0 {
+			write(line7 % 512)
+		}
 	}
 	close(done)
 	wg.Wait()
 	d.SyncHealth()
-	if s := d.Wear(); s.TotalWrites != 20000 {
-		t.Fatalf("TotalWrites=%d, want 20000", s.TotalWrites)
+	if s := d.Wear(); s.TotalWrites != writes || s.MaxWear != line7 {
+		t.Fatalf("TotalWrites=%d MaxWear=%d, want %d/%d", s.TotalWrites, s.MaxWear, writes, line7)
+	}
+	if w := d.WearOf(7); w != line7 {
+		t.Fatalf("WearOf(7) = %d, want %d", w, line7)
 	}
 }
 

@@ -14,7 +14,7 @@ package nvm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/esdsim/esd/internal/config"
 	"github.com/esdsim/esd/internal/ecc"
@@ -401,19 +401,21 @@ func (d *Device) Wear() WearSummary {
 			continue
 		}
 		for _, c := range pg {
-			if c == 0 {
-				continue
-			}
-			counts = append(counts, c)
-			s.TotalWrites += c
-			if c > s.MaxWear {
-				s.MaxWear = c
+			if c != 0 && c != wearEscape {
+				counts = append(counts, uint64(c))
 			}
 		}
 	}
+	for _, c := range d.health.over {
+		counts = append(counts, c)
+	}
+	for _, c := range counts {
+		s.TotalWrites += c
+	}
 	s.LinesTouched = len(counts)
 	s.MeanWear = float64(s.TotalWrites) / float64(len(counts))
-	sort.Slice(counts, func(i, j int) bool { return counts[i] < counts[j] })
+	slices.Sort(counts)
+	s.MaxWear = counts[len(counts)-1]
 	s.P99Wear = counts[len(counts)*99/100]
 	return s
 }

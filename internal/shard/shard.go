@@ -501,19 +501,26 @@ func (e *Engine) Flush() error {
 
 // Summary snapshots and merges every shard's counters. It is a barrier
 // like Flush: the snapshot is taken in queue order, so it covers every
-// request submitted before the call.
+// request submitted before the call. Its wear figures come from each
+// device's incremental health state, so it costs the same however many
+// lines the shards have written.
 func (e *Engine) Summary() (Summary, error) {
-	snaps, err := e.Snapshots()
+	snaps, err := e.snapshots(false)
 	if err != nil {
 		return Summary{}, err
 	}
 	return merge(e, snaps), nil
 }
 
-// Snapshots returns the per-shard views behind Summary.
+// Snapshots returns the per-shard views behind Summary, each with its
+// device's exact wear summary (P99 included).
 func (e *Engine) Snapshots() ([]Snapshot, error) {
+	return e.snapshots(true)
+}
+
+func (e *Engine) snapshots(exactWear bool) ([]Snapshot, error) {
 	snaps := make([]Snapshot, len(e.shards))
-	if err := e.barrier(func(s *shard) { snaps[s.id] = s.snapshot() }); err != nil {
+	if err := e.barrier(func(s *shard) { snaps[s.id] = s.snapshot(exactWear) }); err != nil {
 		return nil, err
 	}
 	return snaps, nil

@@ -270,6 +270,73 @@ func TestSummaryBarrierSeesAllPriorWrites(t *testing.T) {
 	}
 }
 
+// TestSummaryWearFromHealth: Summary takes its wear figures from each
+// device's incremental health state instead of walking every line. With
+// one line past the 16-bit wear slot's escape they must equal what the
+// exact per-shard walks give, and the bytes a Summary allocates must not
+// grow with the number of lines the shards have written.
+func TestSummaryWearFromHealth(t *testing.T) {
+	e, err := New(testConfig(), "baseline", Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	summaryBytes := func() uint64 {
+		best := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := e.Summary(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	const hot = 1 << 16 // past the 65 534 writes a wear slot holds
+	for i := 0; i < hot; i++ {
+		if err := e.WriteAsync(0, lineWith(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	few := summaryBytes()
+	const lines = 1 << 15
+	for a := uint64(1); a <= lines; a++ {
+		if err := e.WriteAsync(a, lineWith(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	many := summaryBytes()
+
+	sum, err := e.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maxWear, writes, touched uint64
+	for _, w := range e.WearSummaries() {
+		maxWear = max(maxWear, w.MaxWear)
+		writes += w.TotalWrites
+		touched += uint64(w.LinesTouched)
+	}
+	if maxWear != hot || sum.MaxWear != maxWear {
+		t.Fatalf("Summary MaxWear = %d, exact walks %d, want %d", sum.MaxWear, maxWear, hot)
+	}
+	if mean := float64(writes) / float64(touched); sum.MeanWear != mean {
+		t.Fatalf("Summary MeanWear = %g, exact walks %g", sum.MeanWear, mean)
+	}
+	if many > few+1024 {
+		t.Fatalf("Summary allocates %d bytes with %d more lines written, %d before: it grows with the touched lines",
+			many, lines, few)
+	}
+}
+
 // TestBarrierRunsAfterQueuedRequests: Barrier calls fn once per shard,
 // with that shard's scheme, after every request queued before the call.
 func TestBarrierRunsAfterQueuedRequests(t *testing.T) {

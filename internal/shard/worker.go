@@ -6,6 +6,7 @@ import (
 
 	"github.com/esdsim/esd/internal/ecc"
 	"github.com/esdsim/esd/internal/memctrl"
+	"github.com/esdsim/esd/internal/nvm"
 	"github.com/esdsim/esd/internal/sim"
 	"github.com/esdsim/esd/internal/stats"
 	"github.com/esdsim/esd/internal/telemetry"
@@ -301,9 +302,24 @@ func (s *shard) flush() {
 	}
 }
 
-func (s *shard) snapshot() Snapshot {
+// snapshot takes the shard's counters. With exactWear it walks the
+// device's per-line wear for Wear; without, Wear carries only the totals,
+// line count, maximum and mean, which the health state keeps as it goes.
+func (s *shard) snapshot(exactWear bool) Snapshot {
 	s.env.Device.SyncHealth()
 	mst := s.env.Device.MediaStats()
+	var wear nvm.WearSummary
+	if exactWear {
+		wear = s.env.Device.Wear()
+	} else {
+		h := s.env.Device.HealthSummary()
+		wear = nvm.WearSummary{
+			TotalWrites:  h.Writes,
+			LinesTouched: int(h.LinesTouched),
+			MaxWear:      h.MaxWear,
+			MeanWear:     h.MeanWear(),
+		}
+	}
 	return Snapshot{
 		Shard:        s.id,
 		Scheme:       s.sch.Stats(),
@@ -313,7 +329,7 @@ func (s *shard) snapshot() Snapshot {
 		MediaEnergy:  mst.MediaEnergy,
 		DeviceWrites: mst.Writes,
 		DeviceReads:  mst.Reads,
-		Wear:         s.env.Device.Wear(),
+		Wear:         wear,
 		MetadataNVMM: s.sch.MetadataNVMM(),
 		MetadataSRAM: s.sch.MetadataSRAM(),
 		Now:          s.now,
