@@ -28,13 +28,16 @@ test:
 # frame deadlines a connection arms lazily around drain and split frames.
 # So do the device's wear tests: scrapes read wear under the health lock
 # while the simulation thread moves a line's count from its 16-bit slot
-# to the side map.
+# to the side map. So do the scrape tests: a publication reads the
+# device's, crypto engine's, caches' and schemes' own counters under the
+# owner lock, raced against every engine and System entry point.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/shard
 	$(GO) test -race -count=10 -run Wave ./internal/cluster
 	$(GO) test -race -count=10 -run 'Timeout|Drain|Split' ./internal/server
 	$(GO) test -race -count=10 -run Wear ./internal/nvm
+	$(GO) test -race -count=10 -run Scrape ./internal/server .
 
 # Within-run telemetry overhead gate (TestTelemetryOverheadGate): three
 # Systems — telemetry off, metrics, metrics plus the flight recorder —

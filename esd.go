@@ -219,8 +219,9 @@ type System struct {
 
 // SystemOption configures optional System features (telemetry) at
 // construction. Telemetry must be wired before the scheme exists so that
-// scheme-owned caches (the EFIT, fingerprint caches) attach their probes,
-// which is why these are NewSystem options rather than setters.
+// the scheme's constructors register the counts their caches (the EFIT,
+// fingerprint caches, the AMT cache) keep, which is why these are
+// NewSystem options rather than setters.
 type SystemOption func(*sysOptions)
 
 type sysOptions struct {

@@ -67,16 +67,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Probe receives cache events as they happen, in addition to the Stats
-// counters. It exists so an external telemetry layer can observe live
-// hit/miss/eviction rates without polling; telemetry's CacheProbe satisfies
-// it structurally, keeping this package dependency-free.
-type Probe interface {
-	Hit()
-	Miss()
-	Evict()
-}
-
 // Cache is a set-associative cache mapping uint64 keys to values of type V.
 // It is not safe for concurrent use.
 //
@@ -94,8 +84,9 @@ type Cache[V any] struct {
 	policy Policy
 	tick   uint64
 	len    int
-	probe  Probe
 
+	// Stats only grows: Clear keeps it, so it counts over the cache's
+	// whole life, crashes included.
 	Stats Stats
 }
 
@@ -139,11 +130,6 @@ func (c *Cache[V]) Len() int { return c.len }
 // Policy returns the replacement policy.
 func (c *Cache[V]) Policy() Policy { return c.policy }
 
-// SetProbe attaches an event probe (nil detaches). Callers holding only a
-// possibly-nil concrete pointer must guard the call themselves: storing a
-// typed nil here would make the probe checks non-nil.
-func (c *Cache[V]) SetProbe(p Probe) { c.probe = p }
-
 // mix is a splitmix64-style finalizer, decorrelating set indices from
 // low-order key bits (fingerprints and line addresses both need this).
 func mix(x uint64) uint64 {
@@ -182,15 +168,9 @@ func (c *Cache[V]) Get(key uint64) (V, bool) {
 		c.tick++
 		c.last[i] = c.tick
 		c.Stats.Hits++
-		if c.probe != nil {
-			c.probe.Hit()
-		}
 		return c.vals[i], true
 	}
 	c.Stats.Misses++
-	if c.probe != nil {
-		c.probe.Miss()
-	}
 	var zero V
 	return zero, false
 }
@@ -203,15 +183,9 @@ func (c *Cache[V]) GetRef(key uint64) (V, int, bool) {
 		c.tick++
 		c.last[i] = c.tick
 		c.Stats.Hits++
-		if c.probe != nil {
-			c.probe.Hit()
-		}
 		return c.vals[i], int(c.ref[i]), true
 	}
 	c.Stats.Misses++
-	if c.probe != nil {
-		c.probe.Miss()
-	}
 	var zero V
 	return zero, 0, false
 }
@@ -228,7 +202,7 @@ func (c *Cache[V]) Peek(key uint64) (V, bool) {
 // Prefetch reads key's set the way a probe and the update after it will —
 // the tag, value and recency lines and, under LRCU, the reference
 // counts — without scanning it or changing anything: no
-// statistic, recency tick or probe callback moves. A batch calls it for
+// statistic or recency tick moves. A batch calls it for
 // every op before deciding any, so the sets' host cache misses overlap
 // instead of stalling op by op; with no scan there is no branch on a load
 // still in flight to stall on. It returns the set's first value slot and
@@ -324,9 +298,6 @@ func (c *Cache[V]) PutWithRef(key uint64, value V, ref int) (ev Evicted[V], evic
 		ev = Evicted[V]{Key: c.keys[i], Value: c.vals[i], Ref: int(c.ref[i])}
 		evicted = true
 		c.Stats.Evictions++
-		if c.probe != nil {
-			c.probe.Evict()
-		}
 	} else {
 		c.len++
 	}
@@ -434,7 +405,7 @@ func (c *Cache[V]) Range(fn func(key uint64, value V, ref int) bool) {
 	}
 }
 
-// Clear removes all entries and resets statistics.
+// Clear removes all entries. It keeps the statistics (see Stats).
 func (c *Cache[V]) Clear() {
 	for i := range c.keys {
 		if c.last[i] != 0 {
@@ -443,5 +414,4 @@ func (c *Cache[V]) Clear() {
 	}
 	c.len = 0
 	c.tick = 0
-	c.Stats = Stats{}
 }

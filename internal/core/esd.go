@@ -116,9 +116,7 @@ func New(env *memctrl.Env, opts ...Option) *ESD {
 		DisableLRCU:    o.policy != cache.LRCU,
 		DisableCompare: !o.compare,
 	}
-	if env.Tel != nil {
-		s.efit.SetProbe(env.Tel.CacheProbe("efit"))
-	}
+	env.Tel.EFITFrom(&s.efit.Stats, s.efit.Len)
 	s.OnFree = s.purge
 	return s
 }
@@ -241,7 +239,6 @@ func (s *ESD) writeFP(logical uint64, data *ecc.Line, fp uint64, at sim.Time, ba
 			} else {
 				equal = false
 			}
-			s.Env.Tel.OnCompare(!equal)
 		}
 		if equal {
 			// Duplicate confirmed. Saturating referH: beyond the limit the
@@ -302,7 +299,6 @@ func (s *ESD) writeUnique(logical uint64, data *ecc.Line, fp uint64, at, t sim.T
 			s.Env.Tel.OnEFITEvict(ev.Key, ev.Ref, t)
 		}
 		s.physFP.Set(phys, fp)
-		s.Env.Tel.OnEFITInsert(s.efit.Len())
 	}
 	bd.Metadata = mapLat
 	if batch != nil {

@@ -41,9 +41,6 @@ func (e *Engine) ReserveCounter(addr uint64) uint64 {
 	counter := e.counters.Load(addr) + 1
 	e.counters.Set(addr, counter)
 	e.Encryptions++
-	if e.Probe != nil {
-		e.Probe.CryptoEncrypt()
-	}
 	return counter
 }
 
@@ -106,9 +103,6 @@ func (e *Engine) DecryptBatch(ops []BatchOp) {
 	for i := range ops {
 		ops[i].Counter = e.counters.Load(ops[i].Addr)
 		e.Decryptions++
-		if e.Probe != nil {
-			e.Probe.CryptoDecrypt()
-		}
 	}
 	e.XorPadBatch(ops)
 }

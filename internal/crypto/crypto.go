@@ -21,15 +21,6 @@ import (
 	"github.com/esdsim/esd/internal/sparse"
 )
 
-// Probe receives crypto events as they happen, mirroring the Stats fields
-// for a concurrently scraped telemetry layer (telemetry's Sink satisfies it
-// structurally; this package stays dependency-free).
-type Probe interface {
-	CryptoEncrypt()
-	CryptoDecrypt()
-	CounterOverflow(linesRekeyed int)
-}
-
 // Engine is a counter-mode encryption engine with per-line counters.
 // It is not safe for concurrent use; the simulator is single-threaded.
 type Engine struct {
@@ -55,9 +46,6 @@ type Engine struct {
 	// Stats.
 	Encryptions uint64
 	Decryptions uint64
-
-	// Probe, when non-nil, observes every encryption and decryption.
-	Probe Probe
 }
 
 // NewEngine creates an engine from a 16-, 24- or 32-byte AES key.
@@ -122,9 +110,6 @@ func (e *Engine) EncryptInPlace(addr uint64, line *ecc.Line) (counter uint64) {
 	e.counters.Set(addr, counter)
 	e.xorPad(addr, counter, line)
 	e.Encryptions++
-	if e.Probe != nil {
-		e.Probe.CryptoEncrypt()
-	}
 	return counter
 }
 
@@ -145,9 +130,6 @@ func (e *Engine) EncryptSpeculativeInPlace(addr uint64, line *ecc.Line) (counter
 	counter = e.counters.Load(addr) + 1
 	e.xorPad(addr, counter, line)
 	e.Encryptions++
-	if e.Probe != nil {
-		e.Probe.CryptoEncrypt()
-	}
 	return counter
 }
 
@@ -171,9 +153,6 @@ func (e *Engine) DecryptInPlace(addr uint64, ct *ecc.Line) {
 func (e *Engine) DecryptAtInPlace(addr, counter uint64, ct *ecc.Line) {
 	e.xorPad(addr, counter, ct)
 	e.Decryptions++
-	if e.Probe != nil {
-		e.Probe.CryptoDecrypt()
-	}
 }
 
 // Decrypt returns the plaintext of ct stored at addr under the line's

@@ -32,10 +32,6 @@ type SplitCounterEngine struct {
 	MinorOverflows   uint64
 	LinesReencrypted uint64
 	PagesReencrypted uint64
-
-	// Probe, when non-nil, observes encryptions, decryptions and minor
-	// counter overflows (with the page-rekey line count).
-	Probe Probe
 }
 
 // LinesPerPage is the split-counter page granularity in cache lines.
@@ -77,9 +73,6 @@ func (e *SplitCounterEngine) Encrypt(addr uint64, plain *ecc.Line,
 	getPlain func(addr uint64) (ecc.Line, bool),
 	storeCipher func(addr uint64, ct ecc.Line)) (ct ecc.Line, counter uint64) {
 	e.Encryptions++
-	if e.Probe != nil {
-		e.Probe.CryptoEncrypt()
-	}
 	if e.minors[addr] >= e.minorMax {
 		// Overflow: re-key the whole page.
 		e.MinorOverflows++
@@ -87,7 +80,6 @@ func (e *SplitCounterEngine) Encrypt(addr uint64, plain *ecc.Line,
 		page := pageOf(addr)
 		e.majors[page]++
 		base := page * LinesPerPage
-		rekeyed := 0
 		for i := uint64(0); i < LinesPerPage; i++ {
 			other := base + i
 			if other == addr {
@@ -103,13 +95,9 @@ func (e *SplitCounterEngine) Encrypt(addr uint64, plain *ecc.Line,
 			}
 			if pt, ok := getPlain(other); ok {
 				e.LinesReencrypted++
-				rekeyed++
 				c := e.padEncrypt(other, &pt)
 				storeCipher(other, c)
 			}
-		}
-		if e.Probe != nil {
-			e.Probe.CounterOverflow(rekeyed)
 		}
 	}
 	e.minors[addr]++
@@ -129,9 +117,6 @@ func (e *SplitCounterEngine) padEncrypt(addr uint64, plain *ecc.Line) ecc.Line {
 func (e *SplitCounterEngine) Decrypt(addr uint64, ct *ecc.Line) ecc.Line {
 	pt := *ct
 	e.inner.xorPad(addr, e.counterFor(addr), &pt)
-	if e.Probe != nil {
-		e.Probe.CryptoDecrypt()
-	}
 	return pt
 }
 

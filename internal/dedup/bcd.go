@@ -183,14 +183,10 @@ func (s *BCD) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.WriteOu
 				s.dropDelta(logical)
 				mapLat := s.DedupHit(logical, candidate, t)
 				bd.Metadata = mapLat
-				s.Env.Tel.OnCompare(false)
 				s.Env.Tel.OnWrite(telemetry.DecDupFPCache, logical, candidate, true, at, t+mapLat, &bd)
 				return memctrl.WriteOutcome{Done: t + mapLat, Breakdown: bd, Deduplicated: true, PhysAddr: candidate}
 			}
 			s.St.CompareMismatches++
-			s.Env.Tel.OnCompare(true)
-		} else {
-			s.Env.Tel.OnCompare(false)
 		}
 	}
 	s.St.FPCacheMisses++
@@ -200,7 +196,6 @@ func (s *BCD) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.WriteOu
 		ct, found, rr := s.Env.Device.Read(base, t)
 		s.St.CompareReads++
 		s.Env.ChargeCompare()
-		s.Env.Tel.OnCompare(false) // similarity probe, not a collision check
 		t = rr.Done + cfg.FP.CompareTime
 		bd.ReadCompare = t - feEnd
 		if found {

@@ -50,9 +50,7 @@ func NewDeWrite(env *memctrl.Env) *DeWrite {
 		entries = 1
 	}
 	s.fpCache = cache.New[uint64](entries, 8, cache.LRU)
-	if env.Tel != nil {
-		s.fpCache.SetProbe(env.Tel.CacheProbe("dewrite-fp"))
-	}
+	env.Tel.CacheCountsFrom("dewrite-fp", &s.fpCache.Stats)
 	// Entries start weak (1), not confidently-unique (0): an address never
 	// seen should defer to the global duplicate-rate majority.
 	for i := range s.predictor {
@@ -145,16 +143,13 @@ func (s *DeWrite) verify(candidate uint64, data *ecc.Line, t sim.Time, bd *stats
 	now = rr.Done + s.Env.Cfg.FP.CompareTime
 	bd.ReadCompare += now - t
 	if !ok {
-		s.Env.Tel.OnCompare(false)
 		return false, now
 	}
 	s.Env.Crypto.DecryptInPlace(candidate, &ct)
 	if ct != *data {
 		s.St.CompareMismatches++
-		s.Env.Tel.OnCompare(true)
 		return false, now
 	}
-	s.Env.Tel.OnCompare(false)
 	return true, now
 }
 

@@ -43,9 +43,7 @@ func NewSHA1(env *memctrl.Env) *SHA1 {
 		entries = 1
 	}
 	s.fpCache = cache.New[uint64](entries, 8, cache.LRU)
-	if env.Tel != nil {
-		s.fpCache.SetProbe(env.Tel.CacheProbe("sha1-fp"))
-	}
+	env.Tel.CacheCountsFrom("sha1-fp", &s.fpCache.Stats)
 	s.OnFree = s.purge
 	return s
 }

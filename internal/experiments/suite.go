@@ -14,6 +14,7 @@ import (
 	"github.com/esdsim/esd/internal/core"
 	"github.com/esdsim/esd/internal/dedup"
 	"github.com/esdsim/esd/internal/memctrl"
+	"github.com/esdsim/esd/internal/telemetry"
 	"github.com/esdsim/esd/internal/workload"
 )
 
@@ -50,27 +51,32 @@ const SchemeESDCaram = "esd+caram"
 
 // NewScheme builds a scheme by name on env. A hybrid scheme name enables
 // the hybrid media tier on env as a side effect, so it must run before
-// any traffic flows through env.
+// any traffic flows through env. The env's telemetry publishes the
+// scheme's byte-compare counts from its Stats.
 func NewScheme(env *memctrl.Env, name string) (memctrl.Scheme, error) {
+	var sch memctrl.Scheme
 	switch name {
 	case SchemeBaseline:
-		return dedup.NewBaseline(env), nil
+		sch = dedup.NewBaseline(env)
 	case SchemeSHA1:
-		return dedup.NewSHA1(env), nil
+		sch = dedup.NewSHA1(env)
 	case SchemeDeWrite:
-		return dedup.NewDeWrite(env), nil
+		sch = dedup.NewDeWrite(env)
 	case SchemeESD:
-		return core.New(env), nil
+		sch = core.New(env)
 	case SchemeBCD:
-		return dedup.NewBCD(env), nil
+		sch = dedup.NewBCD(env)
 	case SchemeESDCaram:
 		if err := env.EnableHybridMedia(); err != nil {
 			return nil, err
 		}
-		return core.New(env, core.WithName(SchemeESDCaram)), nil
+		sch = core.New(env, core.WithName(SchemeESDCaram))
 	default:
 		return nil, fmt.Errorf("experiments: unknown scheme %q", name)
 	}
+	env.Tel.CountFrom(telemetry.CompareReads, func() uint64 { return sch.Stats().CompareReads })
+	env.Tel.CountFrom(telemetry.CompareMismatches, func() uint64 { return sch.Stats().CompareMismatches })
+	return sch, nil
 }
 
 // Options parameterizes an evaluation campaign.

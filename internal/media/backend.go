@@ -64,10 +64,9 @@ type Backend interface {
 	HealthSummary() nvm.HealthSummary
 	HealthSnapshot() nvm.HealthSnapshot
 
-	// MediaStats returns the activity counters (simulation thread).
+	// MediaStats returns the activity counters (simulation thread), which
+	// telemetry publishes as the device's read and write totals.
 	MediaStats() nvm.Stats
-	// SetProbe installs the media event probe used by telemetry.
-	SetProbe(p nvm.Probe)
 }
 
 // nvm.Device is the canonical Backend.

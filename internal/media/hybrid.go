@@ -476,17 +476,14 @@ func (h *Hybrid) HealthSnapshot() nvm.HealthSnapshot { return h.pcm.HealthSnapsh
 // MediaStats returns the PCM activity counters with the DRAM buffer's
 // energy folded into MediaEnergy, so scheme-level energy totals account
 // for both tiers. Reads/Writes stay PCM-only: they feed wear and
-// endurance interpretation, where DRAM traffic is free by design.
+// endurance interpretation, where DRAM traffic is free by design, and
+// telemetry's device read/write totals, which describe PCM media traffic
+// (DRAM activity is scraped from Snapshot).
 func (h *Hybrid) MediaStats() nvm.Stats {
 	st := h.pcm.MediaStats()
 	st.MediaEnergy += h.dram.Stats.EnergyNJ
 	return st
 }
-
-// SetProbe installs the media probe on the durable device: telemetry's
-// device read/write rates describe PCM media traffic; DRAM activity is
-// scraped from Snapshot.
-func (h *Hybrid) SetProbe(p nvm.Probe) { h.pcm.SetProbe(p) }
 
 // Crash models power failure with recovery: replay every dirty resident
 // and the in-flight WAL tail into their PCM homes (functionally — the

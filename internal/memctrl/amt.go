@@ -4,6 +4,7 @@ import (
 	"github.com/esdsim/esd/internal/cache"
 	"github.com/esdsim/esd/internal/sim"
 	"github.com/esdsim/esd/internal/sparse"
+	"github.com/esdsim/esd/internal/telemetry"
 )
 
 // amtEntry is the cached mapping value packed into one word: the physical
@@ -42,16 +43,22 @@ type AMT struct {
 	NVMMWrites uint64
 }
 
-// NewAMT builds an AMT whose SRAM cache holds cacheBytes of entries.
+// NewAMT builds an AMT whose SRAM cache holds cacheBytes of entries. The
+// env's telemetry publishes the cache's hits and misses and the table's
+// write-backs from the AMT's own counts.
 func NewAMT(env *Env, cacheBytes int) *AMT {
 	entries := cacheBytes / env.Cfg.Meta.AMTEntryBytes
 	if entries < 1 {
 		entries = 1
 	}
-	return &AMT{
+	a := &AMT{
 		env:   env,
 		cache: cache.New[amtEntry](entries, 8, cache.LRU),
 	}
+	env.Tel.CountFrom(telemetry.AMTHits, func() uint64 { return a.cache.Stats.Hits })
+	env.Tel.CountFrom(telemetry.AMTMisses, func() uint64 { return a.cache.Stats.Misses })
+	env.Tel.CountFrom(telemetry.AMTWritebacks, func() uint64 { return a.NVMMWrites })
+	return a
 }
 
 // evict handles a displaced cache entry, writing it back if dirty.
@@ -60,7 +67,6 @@ func (a *AMT) evict(ev cache.Evicted[amtEntry], now sim.Time) {
 		return
 	}
 	a.NVMMWrites++
-	a.env.Tel.OnAMTWriteback()
 	a.env.Device.WriteMeta(a.env.MetaLineFor(ev.Key), now)
 }
 
@@ -72,10 +78,8 @@ func (a *AMT) Lookup(logical uint64, at sim.Time) (phys uint64, ok bool, lat sim
 	lat = a.env.Cfg.Meta.SRAMLatency
 	a.env.ChargeSRAM()
 	if e, hit := a.cache.Get(logical); hit {
-		a.env.Tel.OnAMT(true)
 		return e & amtPhys, e&amtMapped != 0, lat
 	}
-	a.env.Tel.OnAMT(false)
 	phys, ok = a.backing.Get(logical)
 	// The miss costs an NVMM metadata read whether or not the entry
 	// exists: the table bucket must be fetched to know. The fetched state
@@ -141,7 +145,6 @@ func (a *AMT) CrashFlush(now sim.Time) {
 	a.cache.Range(func(key uint64, e amtEntry, _ int) bool {
 		if e&amtDirty != 0 {
 			a.NVMMWrites++
-			a.env.Tel.OnAMTWriteback()
 			a.env.Device.WriteMeta(a.env.MetaLineFor(key), now)
 		}
 		return true

@@ -36,8 +36,8 @@ func WriteBatch(s Scheme, ops []BatchWrite) {
 
 // ReadPrefetcher is implemented by schemes that can touch the metadata a
 // run of reads will probe before the first of them runs (dedup.Base). The
-// touch must be inert — it moves no statistic, recency tick, probe
-// callback, device timing or telemetry — so the reads that follow run
+// touch must be inert — it moves no statistic, recency tick, device
+// timing or telemetry — so the reads that follow run
 // exactly as they would without it, only with their host cache misses
 // already overlapped.
 type ReadPrefetcher interface {

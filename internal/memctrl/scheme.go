@@ -191,7 +191,8 @@ type Env struct {
 	// Tel is the telemetry sink every layer reports into. It is nil when
 	// telemetry is off — all Sink hooks are nil-safe, so instrumented hot
 	// paths pay only one predictable branch per hook. Set it (via
-	// AttachTelemetry) before constructing a scheme so cache probes attach.
+	// AttachTelemetry) before constructing a scheme, whose constructors
+	// register the counts their caches and AMT keep.
 	Tel *telemetry.Sink
 
 	// StepHook, when non-nil, is invoked at named intermediate points
@@ -335,14 +336,18 @@ func (e *Env) CrashMedia() {
 }
 
 // AttachTelemetry wires tel into the environment and the hardware it owns:
-// the device's media probe, the crypto engine's probe, and the
-// device-health gauge family (wear shape and energy split, computed from
-// the device's race-safe health summary at scrape time).
+// the sink publishes the device's media reads, writes and row hits and the
+// crypto engine's encryptions and decryptions from their own counters, and
+// the device-health gauge family (wear shape and energy split, computed
+// from the device's race-safe health summary at scrape time).
 func (e *Env) AttachTelemetry(tel *telemetry.Sink) {
 	e.Tel = tel
 	if tel != nil {
-		e.Device.SetProbe(tel)
-		e.Crypto.Probe = tel
+		tel.CountFrom(telemetry.DeviceReads, func() uint64 { return e.Device.MediaStats().Reads })
+		tel.CountFrom(telemetry.DeviceWrites, func() uint64 { return e.Device.MediaStats().Writes })
+		tel.CountFrom(telemetry.DeviceRowHits, func() uint64 { return e.Device.MediaStats().RowHits })
+		tel.CountFrom(telemetry.CryptoEncrypts, func() uint64 { return e.Crypto.Encryptions })
+		tel.CountFrom(telemetry.CryptoDecrypts, func() uint64 { return e.Crypto.Decryptions })
 		dev := e.Device
 		tel.RegisterDeviceHealth(func() telemetry.DeviceHealth {
 			h := dev.HealthSummary()

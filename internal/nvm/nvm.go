@@ -120,16 +120,6 @@ type Stats struct {
 	MediaEnergy    float64 // nJ
 }
 
-// Probe receives media-level events as they happen. The Stats struct is
-// read by the single simulation thread only; a telemetry layer that must be
-// scraped concurrently mirrors activity through this interface instead
-// (telemetry's Sink satisfies it structurally).
-type Probe interface {
-	DeviceRead(rowHit bool)
-	DeviceWrite()
-	GapMove(from, to uint64, at sim.Time)
-}
-
 // Device is the PCM device. The timing model and functional store are not
 // safe for concurrent use (one simulation thread drives them), but the wear
 // and health accessors — Wear, WearOf, HealthSummary, HealthSnapshot — are
@@ -150,9 +140,6 @@ type Device struct {
 	health health
 
 	Stats Stats
-	// Probe, when non-nil, observes every media read/write (and StartGap
-	// line move, fired by LeveledDevice).
-	Probe Probe
 }
 
 // New constructs a device from cfg. It panics on an invalid configuration;
@@ -243,9 +230,6 @@ func (d *Device) readTimed(addr uint64, now sim.Time) ReadResult {
 		lat = d.cfg.RowHitLatency
 		d.Stats.RowHits++
 	}
-	if d.Probe != nil {
-		d.Probe.DeviceRead(rowHit)
-	}
 	b.openLine, b.hasOpen = addr, true
 	b.busyUntil = start + lat
 	b.busy += lat
@@ -308,9 +292,6 @@ func (d *Device) writeTimed(addr uint64, now sim.Time) WriteResult {
 	d.health.noteWrite(addr, int(bi))
 	d.Stats.Writes++
 	d.Stats.MediaEnergy += d.cfg.WriteEnergy
-	if d.Probe != nil {
-		d.Probe.DeviceWrite()
-	}
 	res := WriteResult{AcceptedAt: ack, Stall: ack - now, ServiceLatency: b.tWrite}
 	d.Stats.WriteStallTime += res.Stall
 	return res
@@ -449,6 +430,3 @@ func (d *Device) QueuedWrites() int {
 // satisfy the media.Backend interface (Stats is a plain field here, but a
 // composed backend has to assemble the struct on demand).
 func (d *Device) MediaStats() Stats { return d.Stats }
-
-// SetProbe installs (or clears) the media event probe.
-func (d *Device) SetProbe(p Probe) { d.Probe = p }

@@ -127,9 +127,6 @@ func (ld *LeveledDevice) Write(logical uint64, line *ecc.Line, now sim.Time) Wri
 		// The gap move copies one line: read the source slot, write it to
 		// the destination slot. These are real media operations and show
 		// up in wear and energy accounting.
-		if ld.dev.Probe != nil {
-			ld.dev.Probe.GapMove(m.From, m.To, now)
-		}
 		data, ok, rr := ld.dev.Read(m.From, now)
 		if ok {
 			ld.dev.Write(m.To, &data, rr.Done)

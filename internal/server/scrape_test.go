@@ -19,7 +19,8 @@ import (
 // goroutines drive the engine through every entry point, so the race
 // detector sees publication racing the shards' owners, inline and queued.
 // At quiescence the published write and read counters must equal the
-// barrier Summary's.
+// barrier Summary's, and so must the device and byte-compare counters,
+// which the sinks publish from the device's and the schemes' own counts.
 func TestScrapeDuringWrites(t *testing.T) {
 	e, s := testServer(t, shard.Options{Shards: 4, Metrics: true, Tracing: true, QueueDepth: 16}, Config{})
 	const writers, rounds = 8, 120
@@ -116,20 +117,28 @@ func TestScrapeDuringWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, body := get(t, s.URL()+"/metrics")
-	var writes, reads uint64
+	published := make(map[string]uint64) // summed over shards
 	for _, ln := range strings.Split(body, "\n") {
-		var v uint64
-		if rest, ok := strings.CutPrefix(ln, "esd_writes_total{"); ok {
+		if name, rest, ok := strings.Cut(ln, "{"); ok && !strings.HasPrefix(ln, "#") {
+			var v uint64
 			fmt.Sscan(rest[strings.IndexByte(rest, ' ')+1:], &v)
-			writes += v
-		} else if rest, ok := strings.CutPrefix(ln, "esd_reads_total{"); ok {
-			fmt.Sscan(rest[strings.IndexByte(rest, ' ')+1:], &v)
-			reads += v
+			published[name] += v
 		}
 	}
-	if writes != sum.Scheme.Writes || reads != sum.Scheme.Reads {
-		t.Errorf("published writes/reads %d/%d at quiescence, summary says %d/%d",
-			writes, reads, sum.Scheme.Writes, sum.Scheme.Reads)
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"esd_writes_total", sum.Scheme.Writes},
+		{"esd_reads_total", sum.Scheme.Reads},
+		{"esd_device_reads_total", sum.DeviceReads},
+		{"esd_device_writes_total", sum.DeviceWrites},
+		{"esd_compare_reads_total", sum.Scheme.CompareReads},
+		{"esd_compare_mismatches_total", sum.Scheme.CompareMismatches},
+	} {
+		if got := published[c.name]; got != c.want {
+			t.Errorf("published %s = %d at quiescence, summary says %d", c.name, got, c.want)
+		}
 	}
 	if efit := s.Statusz().Stages["efit"].Count; efit != sum.Scheme.Writes {
 		t.Errorf("/statusz efit stage count %d, summary writes %d", efit, sum.Scheme.Writes)

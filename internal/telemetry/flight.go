@@ -18,12 +18,10 @@ const (
 	// KindWrite and KindRead are one completed engine request.
 	KindWrite Kind = iota
 	KindRead
-	// KindEFITEvict, KindGapMove, KindCtrOverflow, KindCrash and the run
-	// markers are the rare engine events a System's trace file carries
-	// besides its sampled requests. No ring holds them.
+	// KindEFITEvict, KindCrash and the run markers are the rare engine
+	// events a System's trace file carries besides its sampled requests.
+	// No ring holds them.
 	KindEFITEvict
-	KindGapMove
-	KindCtrOverflow
 	KindCrash
 	KindRunStart
 	KindRunMeasure
@@ -47,10 +45,6 @@ func (k Kind) String() string {
 		return "read"
 	case KindEFITEvict:
 		return "efit-evict"
-	case KindGapMove:
-		return "gap-move"
-	case KindCtrOverflow:
-		return "ctr-overflow"
 	case KindCrash:
 		return "crash"
 	case KindRunStart:
@@ -115,8 +109,8 @@ type Record struct {
 	// engine records, "wall" for router records.
 	Clock string `json:"clock"`
 	// Kind is "write" or "read", a rare engine event ("efit-evict",
-	// "gap-move", "ctr-overflow", "crash", "run-start", "run-measure",
-	// "run-end"), or a router hop ("route", "attempt", ...).
+	// "crash", "run-start", "run-measure", "run-end"), or a router hop
+	// ("route", "attempt", ...).
 	Kind string `json:"kind"`
 	// Trace is the originating request's trace ID (0 = untraced traffic).
 	Trace uint64 `json:"trace,omitempty"`
@@ -128,11 +122,11 @@ type Record struct {
 	// Op is the data op a router record served: "write", "read",
 	// "write-batch", "read-batch", or "" for control traffic.
 	Op string `json:"op,omitempty"`
-	// Addr is the logical line (a gap move's source line).
+	// Addr is the logical line.
 	Addr uint64 `json:"addr"`
 	// Phys is the physical line backing a write — the freshly written
-	// line, or the shared line of a deduplicated write — a gap move's
-	// destination, or an evicted EFIT entry's fingerprint.
+	// line, or the shared line of a deduplicated write — or an evicted
+	// EFIT entry's fingerprint.
 	Phys uint64 `json:"phys,omitempty"`
 	// Decision is a System write's verdict (see Decision); shard records
 	// leave it out.
@@ -147,8 +141,7 @@ type Record struct {
 	// when OK).
 	Status int `json:"status,omitempty"`
 	// Detail carries a rare event's context (an evicted entry's reference
-	// count, the lines a counter overflow re-encrypted, a run marker's
-	// note).
+	// count, a run marker's note).
 	Detail string `json:"detail,omitempty"`
 	// AtNs is when the record's span began and LatNs how long it took, in
 	// nanoseconds on Clock: simulated time since the engine started, or
@@ -207,8 +200,6 @@ func (r *rec) decode(seq uint64) Record {
 		out.Shard, out.Hit = int(r.n), r.flag
 	case KindEFITEvict:
 		out.Detail = "ref=" + strconv.Itoa(int(r.n))
-	case KindCtrOverflow:
-		out.Detail = "lines=" + strconv.Itoa(int(r.n))
 	default:
 		if r.text != nil {
 			out.Detail = *r.text

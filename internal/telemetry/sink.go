@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/esdsim/esd/internal/cache"
 	"github.com/esdsim/esd/internal/sim"
 	"github.com/esdsim/esd/internal/stats"
 )
@@ -89,8 +90,8 @@ type Options struct {
 	// means counters/histograms only.
 	Tracer *Tracer
 	// SampleEvery renders one write/read record per N requests (default
-	// 1 = every request). Rare events (evictions, gap moves, counter
-	// overflows, crashes, run markers) are never sampled out.
+	// 1 = every request). Rare events (EFIT evictions, crashes, run
+	// markers) are never sampled out.
 	SampleEvery int
 	// Registry, when non-nil, is where this sink registers its metrics
 	// instead of a fresh private registry. The sharded engine passes one
@@ -128,7 +129,10 @@ func labeled(name, labels string) string {
 // call its hook methods, which stage counts, latencies and (with a flight
 // recorder or a tracer) one record per request. A nil *Sink is fully
 // valid and makes every hook a single-branch no-op — this is the only
-// cost telemetry-off hot paths pay.
+// cost telemetry-off hot paths pay. What a component counts anyway — the
+// device's media accesses, the crypto engine's pads, the SRAM caches'
+// probes, a scheme's byte-compares — has no hook: the sink reads those
+// counts where it publishes (CountFrom, CacheCountsFrom, EFITFrom).
 //
 // A sink has one owner at a time: the goroutine driving a System (under
 // the System's owner lock), the controller's replay loop, or whichever
@@ -159,9 +163,13 @@ type Sink struct {
 	ctr    [numCounts]*Counter
 	done   [numCounts]uint64 // n as last published
 	gauges [numLevels]*Gauge
-	probes []*CacheProbe
-	writeT *TimeHistogram
-	readT  *TimeHistogram
+	// counted holds the Count series' counters; pulls feeds them, and the
+	// per-cache series, from the components' own counts.
+	counted [numCounted]*Counter
+	pulls   []pull
+	entries func() int // the EFIT's live entry count (EFITFrom)
+	writeT  *TimeHistogram
+	readT   *TimeHistogram
 }
 
 // Staged counter slots of Sink.n.
@@ -170,28 +178,43 @@ const (
 	cReads
 	cDedup
 	cUnique
-	cCompareReads
-	cCompareMism
 	cBytesSaved
-	cEFITInserts
-	cEFITEvicts
-	cAMTHits
-	cAMTMisses
-	cAMTWB
-	cDevReads
-	cDevWrites
-	cDevRowHits
-	cGapMoves
-	cEncrypts
-	cDecrypts
-	cCtrOverflows
-	cReencrypts
 	cCrashes
 	cEvents
 	cRunReqs
 	cDecision // cDecision+d-1 counts decision d (DecNone has no slot)
 	numCounts = cDecision + int(numDecisions) - 1
 )
+
+// Count names a counter series whose events a component counts anyway:
+// the sink publishes that component's count (CountFrom) instead of
+// counting the events again.
+type Count uint8
+
+// Counted series.
+const (
+	AMTHits           Count = iota // the AMT's SRAM cache hits
+	AMTMisses                      // the AMT's SRAM cache misses
+	AMTWritebacks                  // dirty AMT entries written back to NVMM
+	DeviceReads                    // PCM media reads
+	DeviceWrites                   // PCM media writes
+	DeviceRowHits                  // PCM row-buffer hits
+	CryptoEncrypts                 // counter-mode encryptions
+	CryptoDecrypts                 // counter-mode decryptions
+	CompareReads                   // a scheme's byte-compare reads
+	CompareMismatches              // byte-compares that caught a collision
+	efitInserts                    // EFIT inserts (EFITFrom)
+	efitEvictions                  // EFIT evictions (EFITFrom)
+	numCounted
+)
+
+// pull feeds a counter from a component's own count: each publication adds
+// what fn gained since the last one.
+type pull struct {
+	ctr  *Counter
+	fn   func() uint64
+	done uint64
+}
 
 // Staged gauge slots of Sink.lv.
 const (
@@ -229,6 +252,9 @@ func NewSink(opts Options) *Sink {
 	ctr := func(slot int, name, help string) {
 		s.ctr[slot] = s.reg.Counter(labeled(name, s.labels), help)
 	}
+	counted := func(c Count, name, help string) {
+		s.counted[c] = s.reg.Counter(labeled(name, s.labels), help)
+	}
 	gauge := func(slot int, name, help string) {
 		s.gauges[slot] = s.reg.Gauge(labeled(name, s.labels), help)
 	}
@@ -248,25 +274,22 @@ func NewSink(opts Options) *Sink {
 		return histo(`esd_stage_latency_ns{stage="`+Stage(i).String()+`"}`, "write latency by pipeline stage")
 	})
 
-	ctr(cEFITInserts, "esd_efit_inserts_total", "fingerprint entries installed in the EFIT")
-	ctr(cEFITEvicts, "esd_efit_evictions_total", "EFIT entries displaced by the LRCU policy")
+	counted(efitInserts, "esd_efit_inserts_total", "fingerprint entries installed in the EFIT")
+	counted(efitEvictions, "esd_efit_evictions_total", "EFIT entries displaced by the LRCU policy")
 	gauge(lEFITEntries, "esd_efit_entries", "live EFIT entries")
-	ctr(cAMTHits, "esd_amt_cache_hits_total", "AMT SRAM cache hits")
-	ctr(cAMTMisses, "esd_amt_cache_misses_total", "AMT SRAM cache misses (NVMM bucket fetch)")
-	ctr(cAMTWB, "esd_amt_writebacks_total", "dirty AMT entries written back to NVMM")
+	counted(AMTHits, "esd_amt_cache_hits_total", "AMT SRAM cache hits")
+	counted(AMTMisses, "esd_amt_cache_misses_total", "AMT SRAM cache misses (NVMM bucket fetch)")
+	counted(AMTWritebacks, "esd_amt_writebacks_total", "dirty AMT entries written back to NVMM")
 
-	ctr(cDevReads, "esd_device_reads_total", "PCM media reads")
-	ctr(cDevWrites, "esd_device_writes_total", "PCM media writes (data and metadata)")
-	ctr(cDevRowHits, "esd_device_row_hits_total", "row-buffer hits")
-	ctr(cGapMoves, "esd_startgap_moves_total", "Start-Gap wear-leveling rotations")
+	counted(DeviceReads, "esd_device_reads_total", "PCM media reads")
+	counted(DeviceWrites, "esd_device_writes_total", "PCM media writes (data and metadata)")
+	counted(DeviceRowHits, "esd_device_row_hits_total", "row-buffer hits")
 
-	ctr(cEncrypts, "esd_crypto_encrypts_total", "counter-mode line encryptions")
-	ctr(cDecrypts, "esd_crypto_decrypts_total", "counter-mode line decryptions")
-	ctr(cCtrOverflows, "esd_counter_overflows_total", "minor-counter overflows forcing page re-encryption")
-	ctr(cReencrypts, "esd_lines_reencrypted_total", "lines re-encrypted by counter-overflow rekeys")
+	counted(CryptoEncrypts, "esd_crypto_encrypts_total", "counter-mode line encryptions")
+	counted(CryptoDecrypts, "esd_crypto_decrypts_total", "counter-mode line decryptions")
 
-	ctr(cCompareReads, "esd_compare_reads_total", "byte-compare verifications of fingerprint-matched dedup candidates")
-	ctr(cCompareMism, "esd_compare_mismatches_total", "byte-compares that caught an ECC fingerprint collision")
+	counted(CompareReads, "esd_compare_reads_total", "byte-compare verifications of fingerprint-matched dedup candidates")
+	counted(CompareMismatches, "esd_compare_mismatches_total", "byte-compares that caught an ECC fingerprint collision")
 	ctr(cBytesSaved, "esd_dedup_bytes_saved_total", "bytes of media write traffic eliminated by deduplication")
 
 	// Dedup-effectiveness gauge family: derived from the published
@@ -282,9 +305,8 @@ func NewSink(opts Options) *Sink {
 		}
 	}
 	ff("esd_dedup_hit_rate", "fraction of scheme writes eliminated by deduplication", ratio(s.ctr[cDedup], s.ctr[cWrites]))
-	ff("esd_fp_collision_rate", "fraction of byte-compares that caught an ECC fingerprint collision", ratio(s.ctr[cCompareMism], s.ctr[cCompareReads]))
-	ff("esd_compare_verify_rate", "byte-compare verifications per scheme write", ratio(s.ctr[cCompareReads], s.ctr[cWrites]))
-	ff("esd_counter_overflow_pressure", "lines re-encrypted by overflow rekeys per unique line written", ratio(s.ctr[cReencrypts], s.ctr[cUnique]))
+	ff("esd_fp_collision_rate", "fraction of byte-compares that caught an ECC fingerprint collision", ratio(s.counted[CompareMismatches], s.counted[CompareReads]))
+	ff("esd_compare_verify_rate", "byte-compare verifications per scheme write", ratio(s.counted[CompareReads], s.ctr[cWrites]))
 
 	ctr(cCrashes, "esd_crashes_total", "simulated power failures")
 	ctr(cEvents, "esd_trace_events_total", "events emitted to the tracer")
@@ -305,8 +327,15 @@ func (s *Sink) Publish() {
 	s.flight.render()
 	s.n[cEvents] = s.flight.shown
 	publishCounts(s.n[:], s.done[:], s.ctr[:])
-	for _, p := range s.probes {
-		publishCounts(p.n[:], p.done[:], p.ctr[:])
+	for i := range s.pulls {
+		p := &s.pulls[i]
+		if v := p.fn(); v != p.done {
+			p.ctr.Add(v - p.done)
+			p.done = v
+		}
+	}
+	if s.entries != nil {
+		s.lv[lEFITEntries] = int64(s.entries())
 	}
 	for i, g := range s.gauges {
 		g.Set(s.lv[i])
@@ -425,59 +454,57 @@ func (s *Sink) OnRead(logical uint64, hit bool, at, done sim.Time) {
 	s.flight.read(s.cur, logical, hit, at, done-at)
 }
 
-// OnEFITInsert records a fingerprint installation and the resulting entry
-// count.
-func (s *Sink) OnEFITInsert(entries int) {
-	if s == nil {
-		return
-	}
-	s.n[cEFITInserts]++
-	s.lv[lEFITEntries] = int64(entries)
-}
-
-// OnEFITEvict records an LRCU eviction (fp's entry with the given
-// reference count left the controller).
+// OnEFITEvict traces an LRCU eviction (fp's entry with the given
+// reference count left the controller) as a rare record; the eviction
+// count is the EFIT's own (EFITFrom).
 func (s *Sink) OnEFITEvict(fp uint64, ref int, at sim.Time) {
+	if s == nil || s.flight.t == nil {
+		return
+	}
+	s.flight.emit(rec{kind: KindEFITEvict, phys: fp, n: uint16(ref), at: int64(at)})
+}
+
+// CountFrom makes the series c publish what fn counts: each publication
+// adds what fn gained since the last one, or since this call. fn reads
+// the component's own counter, which must never fall; it runs only where
+// Publish does, on the owner, so it may read plain fields. Call it when
+// the component is built. Nil-safe.
+func (s *Sink) CountFrom(c Count, fn func() uint64) {
 	if s == nil {
 		return
 	}
-	s.n[cEFITEvicts]++
-	if s.flight.t != nil {
-		s.flight.emit(rec{kind: KindEFITEvict, phys: fp, n: uint16(ref), at: int64(at)})
+	s.pulls = append(s.pulls, pull{ctr: s.counted[c], fn: fn, done: fn()})
+}
+
+// CacheCountsFrom registers the hit, miss and eviction counters of the SRAM
+// cache labeled label (e.g. "sha1-fp"), published from the cache's own
+// statistics st. Nil-safe.
+func (s *Sink) CacheCountsFrom(label string, st *cache.Stats) {
+	if s == nil {
+		return
+	}
+	for _, c := range []struct {
+		kind string
+		v    *uint64
+	}{{"hits", &st.Hits}, {"misses", &st.Misses}, {"evictions", &st.Evictions}} {
+		ctr := s.reg.Counter(labeled(`esd_cache_`+c.kind+`_total{cache="`+label+`"}`, s.labels), "SRAM cache "+c.kind+" by cache")
+		s.pulls = append(s.pulls, pull{ctr: ctr, fn: func() uint64 { return *c.v }, done: *c.v})
 	}
 }
 
-// OnAMT records one AMT SRAM cache probe.
-func (s *Sink) OnAMT(hit bool) {
+// EFITFrom publishes the EFIT series from the EFIT itself: its inserts,
+// evictions and "efit" cache counters from its statistics st, and the
+// live-entry gauge from entries, read at each publication, so the gauge
+// also falls when a freed line's entry is purged or a crash empties the
+// table. Nil-safe.
+func (s *Sink) EFITFrom(st *cache.Stats, entries func() int) {
 	if s == nil {
 		return
 	}
-	if hit {
-		s.n[cAMTHits]++
-	} else {
-		s.n[cAMTMisses]++
-	}
-}
-
-// OnAMTWriteback records a dirty-entry write-back to the NVMM table.
-func (s *Sink) OnAMTWriteback() {
-	if s == nil {
-		return
-	}
-	s.n[cAMTWB]++
-}
-
-// OnCompare records one byte-compare verification of a fingerprint-matched
-// dedup candidate; mismatch means the compare caught an ECC collision that
-// the fingerprint alone would have mis-deduplicated.
-func (s *Sink) OnCompare(mismatch bool) {
-	if s == nil {
-		return
-	}
-	s.n[cCompareReads]++
-	if mismatch {
-		s.n[cCompareMism]++
-	}
+	s.CountFrom(efitInserts, func() uint64 { return st.Inserts })
+	s.CountFrom(efitEvictions, func() uint64 { return st.Evictions })
+	s.entries = entries
+	s.CacheCountsFrom("efit", st)
 }
 
 // DeviceHealth is the scalar device-health sample exposed as a gauge
@@ -596,98 +623,3 @@ func (s *Sink) OnRunMark(kind Kind, at sim.Time, detail string) {
 	}
 	s.flight.emit(rec{kind: kind, at: int64(at), text: &detail})
 }
-
-// DeviceRead implements the nvm.Probe hook for media reads.
-func (s *Sink) DeviceRead(rowHit bool) {
-	if s == nil {
-		return
-	}
-	s.n[cDevReads]++
-	if rowHit {
-		s.n[cDevRowHits]++
-	}
-}
-
-// DeviceWrite implements the nvm.Probe hook for media writes.
-func (s *Sink) DeviceWrite() {
-	if s == nil {
-		return
-	}
-	s.n[cDevWrites]++
-}
-
-// GapMove implements the nvm.Probe hook for Start-Gap rotations.
-func (s *Sink) GapMove(from, to uint64, at sim.Time) {
-	if s == nil {
-		return
-	}
-	s.n[cGapMoves]++
-	if s.flight.t != nil {
-		s.flight.emit(rec{kind: KindGapMove, addr: from, phys: to, at: int64(at)})
-	}
-}
-
-// CryptoEncrypt implements the crypto.Probe hook.
-func (s *Sink) CryptoEncrypt() {
-	if s == nil {
-		return
-	}
-	s.n[cEncrypts]++
-}
-
-// CryptoDecrypt implements the crypto.Probe hook.
-func (s *Sink) CryptoDecrypt() {
-	if s == nil {
-		return
-	}
-	s.n[cDecrypts]++
-}
-
-// CounterOverflow implements the crypto.Probe hook for a minor-counter
-// overflow that re-encrypted linesRekeyed lines.
-func (s *Sink) CounterOverflow(linesRekeyed int) {
-	if s == nil {
-		return
-	}
-	s.n[cCtrOverflows]++
-	s.n[cReencrypts] += uint64(linesRekeyed)
-	if s.flight.t != nil {
-		s.flight.emit(rec{kind: KindCtrOverflow, n: uint16(linesRekeyed)})
-	}
-}
-
-// CacheProbe is a per-cache instance of the cache.Probe hook interface,
-// labeling hit/miss/eviction counters with the cache's role. Its counts
-// are staged like the sink's and published with them.
-type CacheProbe struct {
-	n    [3]uint64 // hits, misses, evictions
-	done [3]uint64
-	ctr  [3]*Counter
-}
-
-// CacheProbe returns a probe whose counters carry the given cache label
-// (e.g. "efit", "amt"). Returns nil (a valid no-op probe slot) on a nil
-// sink; callers assign the result to an interface field only when non-nil.
-// The cache calls the probe from the sink's owner.
-func (s *Sink) CacheProbe(label string) *CacheProbe {
-	if s == nil {
-		return nil
-	}
-	p := &CacheProbe{}
-	for i, kind := range []string{"hits", "misses", "evictions"} {
-		p.ctr[i] = s.reg.Counter(
-			labeled(`esd_cache_`+kind+`_total{cache="`+label+`"}`, s.labels),
-			"SRAM cache "+kind+" by cache")
-	}
-	s.probes = append(s.probes, p)
-	return p
-}
-
-// Hit implements cache.Probe.
-func (p *CacheProbe) Hit() { p.n[0]++ }
-
-// Miss implements cache.Probe.
-func (p *CacheProbe) Miss() { p.n[1]++ }
-
-// Evict implements cache.Probe.
-func (p *CacheProbe) Evict() { p.n[2]++ }

@@ -6,11 +6,13 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/esdsim/esd/internal/cache"
 	"github.com/esdsim/esd/internal/sim"
 	"github.com/esdsim/esd/internal/stats"
 )
@@ -37,9 +39,10 @@ func TestNilPrimitivesAreNoOps(t *testing.T) {
 }
 
 // TestNilSinkHooksAreNoOps calls EVERY exported Sink method on a nil
-// receiver: the schemes call these unconditionally on the hot path, so a
-// forgotten nil guard on any new hook is a panic in every untelemetered
-// run. Extend this list whenever a hook is added.
+// receiver: the schemes call the hooks unconditionally on the hot path,
+// and the components register their counts whether or not telemetry is
+// on, so a forgotten nil guard on any new method is a panic in every
+// untelemetered run. Extend this list whenever a method is added.
 func TestNilSinkHooksAreNoOps(t *testing.T) {
 	var s *Sink
 	bd := stats.Breakdown{Encrypt: 5}
@@ -47,19 +50,16 @@ func TestNilSinkHooksAreNoOps(t *testing.T) {
 	s.OnWrite(DecDupFPCache, 1, 2, true, 0, 10, nil)
 	s.OnWrite(DecDupFPCache, 1, 2, true, 0, 10, &bd)
 	s.OnRead(1, true, 0, 10)
-	s.OnEFITInsert(3)
 	s.OnEFITEvict(1, 2, 0)
-	s.OnAMT(true)
-	s.OnAMTWriteback()
 	s.OnCrash(0)
 	s.OnRunProgress(0)
 	s.OnRunMark(KindRunStart, 0, "")
-	s.DeviceRead(true)
-	s.DeviceWrite()
-	s.GapMove(0, 1, 0)
-	s.CryptoEncrypt()
-	s.CryptoDecrypt()
-	s.CounterOverflow(4)
+	var st cache.Stats
+	for c := Count(0); c < numCounted; c++ {
+		s.CountFrom(c, func() uint64 { return 1 })
+	}
+	s.CacheCountsFrom("x", &st)
+	s.EFITFrom(&st, func() int { return 1 })
 	s.RegisterHybridHealth(func() HybridHealth { return HybridHealth{} })
 	s.Publish()
 	s.PublishIfAsked()
@@ -71,9 +71,6 @@ func TestNilSinkHooksAreNoOps(t *testing.T) {
 	}
 	if s.Registry() != nil || s.Flight() != nil || s.Stages() != nil {
 		t.Error("nil sink leaked non-nil accessors")
-	}
-	if p := s.CacheProbe("x"); p != nil {
-		t.Error("nil sink returned a probe")
 	}
 }
 
@@ -413,23 +410,78 @@ func TestSinkHistogramExposition(t *testing.T) {
 	}
 }
 
+// TestCacheProbeLabels checks that a cache's probe counts — hits, misses
+// and evictions, read from its own statistics — are published under the
+// cache's label, and only once the owner publishes.
 func TestCacheProbeLabels(t *testing.T) {
 	s := NewSink(Options{})
-	p := s.CacheProbe("efit")
-	p.Hit()
-	p.Hit()
-	p.Miss()
-	p.Evict()
-	s.Publish()
+	st := cache.Stats{Hits: 5} // counted before registration: not published
+	s.CacheCountsFrom("sha1-fp", &st)
+	st.Hits += 2
+	st.Misses++
+	st.Evictions++
 	r := s.Registry()
-	if got := r.Counter(`esd_cache_hits_total{cache="efit"}`, "").Value(); got != 2 {
+	hits := r.Counter(`esd_cache_hits_total{cache="sha1-fp"}`, "")
+	if got := hits.Value(); got != 0 {
+		t.Errorf("hits = %d before a publication", got)
+	}
+	s.Publish()
+	if got := hits.Value(); got != 2 {
 		t.Errorf("hits = %d", got)
 	}
-	if got := r.Counter(`esd_cache_misses_total{cache="efit"}`, "").Value(); got != 1 {
+	if got := r.Counter(`esd_cache_misses_total{cache="sha1-fp"}`, "").Value(); got != 1 {
 		t.Errorf("misses = %d", got)
 	}
-	if got := r.Counter(`esd_cache_evictions_total{cache="efit"}`, "").Value(); got != 1 {
+	if got := r.Counter(`esd_cache_evictions_total{cache="sha1-fp"}`, "").Value(); got != 1 {
 		t.Errorf("evicts = %d", got)
+	}
+}
+
+// TestCountsFromComponents covers the series published from components'
+// own counts: two sinks sharing a registry add up, each publication adds
+// only what a source gained since the last, and the EFIT gauge follows the
+// table down as well as up.
+func TestCountsFromComponents(t *testing.T) {
+	reg := NewRegistry()
+	var reads [2]uint64
+	var efit [2]cache.Stats
+	var entries [2]int
+	var sinks [2]*Sink
+	for i := range sinks {
+		sinks[i] = NewSink(Options{Registry: reg, Labels: `shard="` + strconv.Itoa(i) + `"`})
+		sinks[i].CountFrom(DeviceReads, func() uint64 { return reads[i] })
+		sinks[i].EFITFrom(&efit[i], func() int { return entries[i] })
+	}
+	value := func(name string) uint64 { return reg.Counter(name, "").Value() }
+	level := func(name string) int64 { return reg.Gauge(name, "").Value() }
+	reads[0], reads[1] = 3, 4
+	efit[0].Inserts, efit[0].Evictions, entries[0] = 5, 1, 4
+	sinks[0].Publish()
+	sinks[0].Publish() // nothing gained: nothing added
+	sinks[1].Publish()
+	if a, b := value(`esd_device_reads_total{shard="0"}`), value(`esd_device_reads_total{shard="1"}`); a != 3 || b != 4 {
+		t.Errorf("device reads = %d, %d; want 3, 4", a, b)
+	}
+	if got := value(`esd_efit_inserts_total{shard="0"}`); got != 5 {
+		t.Errorf("efit inserts = %d, want 5", got)
+	}
+	if got := value(`esd_efit_evictions_total{shard="0"}`); got != 1 {
+		t.Errorf("efit evictions = %d, want 1", got)
+	}
+	if got := value(`esd_cache_evictions_total{cache="efit",shard="0"}`); got != 1 {
+		t.Errorf("efit cache evictions = %d, want 1", got)
+	}
+	if got := level(`esd_efit_entries{shard="0"}`); got != 4 {
+		t.Errorf("efit entries = %d, want 4", got)
+	}
+	reads[0] += 10
+	entries[0] = 0 // a crash empties the table
+	sinks[0].Publish()
+	if got := value(`esd_device_reads_total{shard="0"}`); got != 13 {
+		t.Errorf("device reads = %d after a second publication, want 13", got)
+	}
+	if got := level(`esd_efit_entries{shard="0"}`); got != 0 {
+		t.Errorf("efit entries = %d after the table emptied, want 0", got)
 	}
 }
 

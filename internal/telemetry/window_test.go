@@ -171,7 +171,7 @@ func TestDeviceHealthGauges(t *testing.T) {
 	var nilSink *Sink
 	nilSink.RegisterDeviceHealth(nil)
 	nilSink.RegisterDeviceHealth(func() DeviceHealth { return DeviceHealth{} })
-	nilSink.OnCompare(true)
+	nilSink.CountFrom(CompareMismatches, func() uint64 { return 1 })
 	s.RegisterDeviceHealth(nil)
 }
 
@@ -214,12 +214,15 @@ func TestHybridHealthGauges(t *testing.T) {
 
 func TestDedupEffectivenessGauges(t *testing.T) {
 	s := NewSink(Options{})
+	// The scheme's own byte-compare counts, as its Stats keeps them.
+	var compares, mismatches uint64
+	s.CountFrom(CompareReads, func() uint64 { return compares })
+	s.CountFrom(CompareMismatches, func() uint64 { return mismatches })
 	// 3 writes: 2 dedup hits, 1 unique; 2 byte-compares, 1 mismatch.
 	s.OnWrite(DecDupFPCache, 1, 1, true, 0, 100, nil)
 	s.OnWrite(DecDupFPCache, 2, 1, true, 0, 100, nil)
 	s.OnWrite(DecUniqueCollision, 3, 3, false, 0, 100, nil)
-	s.OnCompare(false)
-	s.OnCompare(true)
+	compares, mismatches = 2, 1
 	s.Publish() // the hooks stage; the owner publishes before a read
 	var sb strings.Builder
 	if err := s.Registry().WritePrometheus(&sb); err != nil {

@@ -21,9 +21,12 @@ const overheadBound = 1.10
 // the metrics+flight block's per-op time relative to the off block's must
 // stay within overheadBound. Pairing blocks of the same round cancels
 // both the drift and the cost that the stream itself changes from block
-// to block. A timing gate, it builds only with the overhead tag, so it
-// runs from `make overhead-check` alone and never beside other packages'
-// tests; it is skipped under -race, which would measure the detector.
+// to block. The test also logs what the ratio is made of: the median
+// per-write time of the off System, and the median over rounds of what
+// metrics+flight add to it, in ns per write. A timing gate, it builds
+// only with the overhead tag, so it runs from `make overhead-check` alone
+// and never beside other packages' tests; it is skipped under -race,
+// which would measure the detector.
 func TestTelemetryOverheadGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing gate: meaningless under -race")
@@ -59,6 +62,7 @@ func TestTelemetryOverheadGate(t *testing.T) {
 		return float64(time.Since(start).Nanoseconds()) / block
 	}
 	ratios := make([][]float64, len(systems))
+	var offNs, costNs []float64
 	for r := 0; r < warm+rounds; r++ {
 		var ns [3]float64
 		for k := range systems {
@@ -69,14 +73,20 @@ func TestTelemetryOverheadGate(t *testing.T) {
 			for i := range ns {
 				ratios[i] = append(ratios[i], ns[i]/ns[0])
 			}
+			offNs = append(offNs, ns[0])
+			costNs = append(costNs, ns[2]-ns[0])
 		}
+	}
+	median := func(xs []float64) float64 {
+		slices.Sort(xs)
+		return xs[len(xs)/2]
 	}
 	med := make([]float64, len(systems))
 	for i := range ratios {
-		slices.Sort(ratios[i])
-		med[i] = ratios[i][len(ratios[i])/2]
+		med[i] = median(ratios[i])
 	}
 	t.Logf("per-op time relative to off, median of %d rounds: metrics %.3f, metrics+flight %.3f", rounds, med[1], med[2])
+	t.Logf("off: median %.0f ns per write; metrics+flight: median %.0f ns per write over off", median(offNs), median(costNs))
 	if med[2] > overheadBound {
 		t.Errorf("metrics+flight costs %.3f x telemetry off per write, want at most %.2f", med[2], overheadBound)
 	}

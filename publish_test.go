@@ -175,3 +175,67 @@ func TestTraceRendersEveryStagedRecord(t *testing.T) {
 		t.Fatalf("trace holds %d of %d requests, crash %v", reqs, ops, crashed)
 	}
 }
+
+// TestScrapeAcrossCrash scrapes a System of every scheme before and right
+// after a crash. The crash empties the EFIT, so the live-entry gauge must
+// read 0, and no *_total series may fall: the counters the sink publishes
+// from the components' own counts (the SRAM caches' statistics among
+// them) must survive the crash that clears those caches.
+func TestScrapeAcrossCrash(t *testing.T) {
+	for _, scheme := range append(SchemeNames(), SchemeESDCaram) {
+		sys, err := NewSystem(smallConfig(), scheme, WithMetrics())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var line Line
+		for i := uint64(0); i < 3000; i++ {
+			line.SetWord(0, i%61)
+			sys.Write(i%997, line)
+			if i%3 == 0 {
+				sys.Read(i % 1200)
+			}
+		}
+		before := scrapeSeries(t, sys)
+		sys.Crash()
+		after := scrapeSeries(t, sys)
+		if strings.HasPrefix(scheme, SchemeESD) && before["esd_efit_entries"] == 0 {
+			t.Fatalf("%s: no live EFIT entry before the crash", scheme)
+		}
+		if got := after["esd_efit_entries"]; got != 0 {
+			t.Errorf("%s: esd_efit_entries = %v right after the crash emptied the EFIT", scheme, got)
+		}
+		if got := after["esd_crashes_total"]; got != before["esd_crashes_total"]+1 {
+			t.Errorf("%s: esd_crashes_total = %v after one crash, was %v", scheme, got, before["esd_crashes_total"])
+		}
+		for name, v := range before {
+			if base, _, _ := strings.Cut(name, "{"); strings.HasSuffix(base, "_total") && after[name] < v {
+				t.Errorf("%s: %s fell across the crash: %v, was %v", scheme, name, after[name], v)
+			}
+		}
+	}
+}
+
+// scrapeSeries renders sys's metrics and returns every sample by series
+// name, labels included.
+func scrapeSeries(t *testing.T, sys *System) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sys.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series := make(map[string]float64)
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		ln := sc.Text()
+		if strings.HasPrefix(ln, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(ln, ' ')
+		v, err := strconv.ParseFloat(ln[i+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", ln, err)
+		}
+		series[ln[:i]] = v
+	}
+	return series
+}
