@@ -127,7 +127,10 @@ func TestCrashMidWorkloadProperty(t *testing.T) {
 // install but before the write returns — a power failure is injected
 // exactly there (via memctrl.Env.StepHook), the in-flight write completes
 // under eADR semantics (§III-E), and the recovered state must both read
-// back exactly and satisfy every checker invariant.
+// back exactly and satisfy every checker invariant. Each point runs in
+// two write modes: scalar writes, where every crash fires inside a
+// one-op batch, and runs of 1–12 writes through System.WriteBatch, where
+// a crash can fire while an earlier op's store is still deferred.
 func TestCrashAtStepPoints(t *testing.T) {
 	points := []memctrl.StepPoint{memctrl.StepAMTUpdated, memctrl.StepCounterBumped}
 	hybridPoints := []memctrl.StepPoint{memctrl.StepWALPersisted, memctrl.StepDRAMInstalled}
@@ -141,75 +144,98 @@ func TestCrashAtStepPoints(t *testing.T) {
 				continue // the baseline has no AMT
 			}
 			t.Run(fmt.Sprintf("%s/%v", scheme, point), func(t *testing.T) {
-				for trigger := 1; trigger <= 5; trigger++ {
-					sys, err := NewSystem(smallConfig(), scheme)
-					if err != nil {
-						t.Fatal(err)
-					}
-					r := xrand.New(900 + uint64(trigger))
-					var pool [4]Line
-					for i := range pool {
-						pool[i].SetWord(0, r.Uint64())
-					}
-
-					// Arm the crash at the trigger-th occurrence of the
-					// point. The hook runs inside the scheme's Write; the
-					// write it interrupts still completes (eADR drains
-					// in-flight operations), so the oracle keeps its line.
-					fired := false
-					remaining := trigger
-					sys.env.StepHook = func(p memctrl.StepPoint) {
-						if fired || p != point {
-							return
-						}
-						remaining--
-						if remaining == 0 {
-							fired = true
-							sys.crash() // inside Write, which holds the owner lock
-						}
-					}
-
-					oracle := map[uint64]Line{}
-					write := func(n int) {
-						for i := 0; i < n; i++ {
-							addr := r.Uint64n(48)
-							line := pool[r.Intn(len(pool))]
-							if r.Bool(0.3) {
-								line.SetWord(1, r.Uint64()) // unique content
-							}
-							sys.Write(addr, line)
-							oracle[addr] = line
-						}
-					}
-					write(200)
-					if !fired {
-						t.Fatalf("trigger %d: %v never fired in 200 writes", trigger, point)
-					}
-					sys.env.StepHook = nil
-
-					verify := func(stage string) {
-						for addr, want := range oracle {
-							got, ro := sys.Read(addr)
-							if !ro.Hit || got != want {
-								t.Fatalf("trigger %d (%s): line %d lost or corrupted", trigger, stage, addr)
-							}
-						}
-						bad := check.AuditScheme(sys.scheme)
-						if h := sys.env.Hybrid(); h != nil {
-							bad = append(bad, h.Audit()...)
-						}
-						if len(bad) != 0 {
-							t.Fatalf("trigger %d (%s): invariants violated after crash: %v", trigger, stage, bad)
-						}
-					}
-					verify("post-crash")
-
-					// The system must keep absorbing writes correctly after
-					// the mid-write crash, not just preserve old data.
-					write(100)
-					verify("post-recovery")
-				}
+				t.Run("scalar", func(t *testing.T) { crashAtStep(t, scheme, point, false) })
+				t.Run("batch", func(t *testing.T) { crashAtStep(t, scheme, point, true) })
 			})
 		}
+	}
+}
+
+// crashAtStep runs one cell of TestCrashAtStepPoints: five crashes, at the
+// first to fifth occurrence of point, each in a fresh System.
+func crashAtStep(t *testing.T, scheme string, point memctrl.StepPoint, batched bool) {
+	for trigger := 1; trigger <= 5; trigger++ {
+		sys, err := NewSystem(smallConfig(), scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := xrand.New(900 + uint64(trigger))
+		var pool [4]Line
+		for i := range pool {
+			pool[i].SetWord(0, r.Uint64())
+		}
+
+		// Arm the crash at the trigger-th occurrence of the point. The
+		// hook runs inside the scheme's write; the write it interrupts
+		// (and, in a batch, every op of it) still completes (eADR drains
+		// in-flight operations), so the oracle keeps its lines.
+		fired := false
+		remaining := trigger
+		sys.env.StepHook = func(p memctrl.StepPoint) {
+			if fired || p != point {
+				return
+			}
+			remaining--
+			if remaining == 0 {
+				fired = true
+				sys.crash() // inside a write, which holds the owner lock
+			}
+		}
+
+		oracle := map[uint64]Line{}
+		var ops []WriteBatchOp
+		write := func(n int) {
+			for n > 0 {
+				k := 1
+				if batched {
+					k = min(1+r.Intn(12), n)
+				}
+				ops = ops[:0]
+				for i := 0; i < k; i++ {
+					addr := r.Uint64n(48)
+					line := pool[r.Intn(len(pool))]
+					if r.Bool(0.3) {
+						line.SetWord(1, r.Uint64()) // unique content
+					}
+					ops = append(ops, WriteBatchOp{Addr: addr, Line: line})
+				}
+				if batched {
+					sys.WriteBatch(ops)
+				} else {
+					sys.Write(ops[0].Addr, ops[0].Line)
+				}
+				for _, op := range ops {
+					oracle[op.Addr] = op.Line
+				}
+				n -= k
+			}
+		}
+		write(200)
+		if !fired {
+			t.Fatalf("trigger %d: %v never fired in 200 writes", trigger, point)
+		}
+		sys.env.StepHook = nil
+
+		verify := func(stage string) {
+			for addr, want := range oracle {
+				got, ro := sys.Read(addr)
+				if !ro.Hit || got != want {
+					t.Fatalf("trigger %d (%s): line %d lost or corrupted", trigger, stage, addr)
+				}
+			}
+			bad := check.AuditScheme(sys.scheme)
+			if h := sys.env.Hybrid(); h != nil {
+				bad = append(bad, h.Audit()...)
+			}
+			if len(bad) != 0 {
+				t.Fatalf("trigger %d (%s): invariants violated after crash: %v", trigger, stage, bad)
+			}
+		}
+		verify("post-crash")
+
+		// The system must keep absorbing writes correctly after the
+		// mid-write crash, not just preserve old data.
+		write(100)
+		verify("post-recovery")
 	}
 }

@@ -30,6 +30,10 @@ func FuzzDifferential(f *testing.F) {
 			Schemes:    []string{"esd"},
 			Shards:     []int{2},
 			AuditEvery: 100,
+			// Half the write and read runs go through the batched APIs,
+			// so the fuzzers reach ESD's multi-op batches and their
+			// mid-batch flush.
+			BatchFraction: 0.5,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -28,7 +28,6 @@ import (
 	"github.com/esdsim/esd/internal/dedup"
 	"github.com/esdsim/esd/internal/ecc"
 	"github.com/esdsim/esd/internal/memctrl"
-	"github.com/esdsim/esd/internal/nvm"
 	"github.com/esdsim/esd/internal/sim"
 	"github.com/esdsim/esd/internal/sparse"
 	"github.com/esdsim/esd/internal/stats"
@@ -51,11 +50,13 @@ type ESD struct {
 	DisableCompare bool
 
 	// Batch write scratch: deferred unique stores plus the fingerprint and
-	// line-pointer buffers EncodeLines works over. Reused across batches so
-	// the batched write path stays allocation-free.
+	// line-pointer buffers EncodeLines works over, and the one-op batch a
+	// scalar Write runs as. Reused across batches so the write path stays
+	// allocation-free.
 	def      dedup.Deferred
 	fpBuf    []ecc.Fingerprint
 	linePtrs []*ecc.Line
+	one      [1]memctrl.BatchWrite
 	// touchSink is the word touch's loads fold into; storing it keeps
 	// the compiler from dropping them.
 	touchSink uint64
@@ -137,20 +138,24 @@ func (s *ESD) purge(phys uint64) {
 // Name implements memctrl.Scheme.
 func (s *ESD) Name() string { return s.name }
 
-// Write implements memctrl.Scheme: the ESD write path of Fig. 9.
+// Write implements memctrl.Scheme: the ESD write path of Fig. 9, run as a
+// one-op batch.
 func (s *ESD) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.WriteOutcome {
-	// The ECC fingerprint is a by-product of the controller's ECC logic:
-	// zero marginal latency and energy (§III-C).
-	fp := uint64(ecc.EncodeLine(data))
-	return s.writeFP(logical, data, fp, at, nil, 0)
+	op := &s.one[0]
+	op.Logical, op.Data, op.At = logical, data, at
+	s.WriteBatch(s.one[:])
+	return op.Out
 }
 
-// WriteBatch implements memctrl.BatchWriter: the same per-op decision
-// sequence as Write, in op order, with the fixed kernel costs amortized —
-// all fingerprints through one ecc.EncodeLines pass, all unique-store pads
-// through one batched AES pass at flush time. Counters are still committed
-// per op at decision time (StoreUniqueDeferred), so counter state and the
-// pad-uniqueness invariant are identical to the scalar path.
+// WriteBatch implements memctrl.BatchWriter, and is ESD's one write
+// kernel: the per-op decision sequence runs in op order, with the fixed
+// kernel costs amortized — all fingerprints through one ecc.EncodeLines
+// pass (the ECC word is a by-product of the controller's ECC logic: zero
+// marginal latency and energy, §III-C), all unique-store pads through one
+// batched AES pass at flush time. Counters are committed per op at
+// decision time (StoreUniqueDeferred), so counter state and the
+// pad-uniqueness invariant do not depend on how writes are grouped. A
+// one-op batch skips the touch stage: it has no misses to overlap.
 func (s *ESD) WriteBatch(ops []memctrl.BatchWrite) {
 	n := len(ops)
 	if cap(s.fpBuf) < n {
@@ -162,9 +167,11 @@ func (s *ESD) WriteBatch(ops []memctrl.BatchWrite) {
 		lines[i] = ops[i].Data
 	}
 	ecc.EncodeLines(lines, fps)
-	s.touch(ops, fps)
+	if n > 1 {
+		s.touch(ops, fps)
+	}
 	for i := range ops {
-		ops[i].Out = s.writeFP(ops[i].Logical, ops[i].Data, uint64(fps[i]), ops[i].At, ops, i)
+		ops[i].Out = s.writeFP(ops, i, uint64(fps[i]))
 	}
 	s.flushBatch(ops)
 }
@@ -198,11 +205,11 @@ func (s *ESD) touch(ops []memctrl.BatchWrite, fps []ecc.Fingerprint) {
 	s.touchSink = sum
 }
 
-// writeFP runs the ESD write decision for one op. In scalar mode (batch ==
-// nil) unique stores go straight to the device; in batch mode they are
-// deferred into s.def and the media-side outcome fields are finalized by
-// flushBatch. slot is the op's index within batch.
-func (s *ESD) writeFP(logical uint64, data *ecc.Line, fp uint64, at sim.Time, batch []memctrl.BatchWrite, slot int) memctrl.WriteOutcome {
+// writeFP runs the ESD write decision for one op, batch[slot]. Unique
+// stores are deferred into s.def, and flushBatch finalizes their
+// media-side outcome fields.
+func (s *ESD) writeFP(batch []memctrl.BatchWrite, slot int, fp uint64) memctrl.WriteOutcome {
+	logical, data, at := batch[slot].Logical, batch[slot].Data, batch[slot].At
 	s.St.Writes++
 	cfg := s.Env.Cfg
 
@@ -221,10 +228,10 @@ func (s *ESD) writeFP(logical uint64, data *ecc.Line, fp uint64, at sim.Time, ba
 		if !s.DisableCompare {
 			// Similar, not yet identical: fetch the candidate and compare
 			// byte by byte (§III-D), exploiting cheap NVM reads.
-			if batch != nil && s.def.Has(candidate) {
+			if s.def.Has(candidate) {
 				// The candidate's ciphertext is still pending from an
 				// earlier op of this batch: flush so the compare read
-				// observes it, exactly as the scalar order would.
+				// observes it, as if every earlier op had completed.
 				s.flushBatch(batch)
 			}
 			ct, ok, rr := s.Env.Device.Read(candidate, t)
@@ -245,7 +252,7 @@ func (s *ESD) writeFP(logical uint64, data *ecc.Line, fp uint64, at sim.Time, ba
 			// line is treated as brand-new content (§III-D).
 			if refCount >= cfg.ESD.ReferHMax {
 				s.St.ReferHOverflows++
-				return s.writeUnique(logical, data, fp, at, t, bd, true, telemetry.DecUniqueReferH, batch, slot)
+				return s.writeUnique(logical, data, fp, t, bd, true, telemetry.DecUniqueReferH, slot)
 			}
 			s.efit.Touch(fp, cfg.ESD.ReferHMax)
 			s.St.DupByCache++
@@ -257,33 +264,26 @@ func (s *ESD) writeFP(logical uint64, data *ecc.Line, fp uint64, at sim.Time, ba
 		// ECC collision: genuinely different content behind the same
 		// fingerprint. The line is unique; the existing entry stays.
 		s.St.CompareMismatches++
-		return s.writeUnique(logical, data, fp, at, t, bd, false, telemetry.DecUniqueCollision, batch, slot)
+		return s.writeUnique(logical, data, fp, t, bd, false, telemetry.DecUniqueCollision, slot)
 	}
 
 	// EFIT miss: selective deduplication treats the line as non-duplicate
 	// immediately — no fingerprint store in NVMM, no NVMM lookup, ever.
 	s.St.FPCacheMisses++
-	return s.writeUnique(logical, data, fp, at, t, bd, true, telemetry.DecUniqueFPMiss, batch, slot)
+	return s.writeUnique(logical, data, fp, t, bd, true, telemetry.DecUniqueFPMiss, slot)
 }
 
 // writeUnique encrypts and stores a unique line, optionally (re)pointing
-// the EFIT entry for fp at the new physical line. at is the write's arrival
-// time, t the current pipeline time, dec the telemetry decision to report.
-// In batch mode the store is deferred: Done, Queue and Media arrive when
-// flushBatch fills them from the batched device writes.
-func (s *ESD) writeUnique(logical uint64, data *ecc.Line, fp uint64, at, t sim.Time, bd stats.Breakdown, installFP bool, dec telemetry.Decision, batch []memctrl.BatchWrite, slot int) memctrl.WriteOutcome {
+// the EFIT entry for fp at the new physical line. t is the current
+// pipeline time, dec the telemetry decision flushBatch reports. The store
+// is deferred: Done, Queue and Media arrive when flushBatch fills them
+// from the batched device writes.
+func (s *ESD) writeUnique(logical uint64, data *ecc.Line, fp uint64, t sim.Time, bd stats.Breakdown, installFP bool, dec telemetry.Decision, slot int) memctrl.WriteOutcome {
 	cfg := s.Env.Cfg
 	// The dedicated AES engine adds latency without occupying the
 	// controller pipeline.
 	bd.Encrypt = cfg.Crypto.EncryptLatency
-	var phys uint64
-	var mapLat sim.Time
-	var wr nvm.WriteResult
-	if batch != nil {
-		phys, mapLat = s.StoreUniqueDeferred(&s.def, logical, data, t+cfg.Crypto.EncryptLatency, slot, uint8(dec), 0)
-	} else {
-		phys, wr, mapLat = s.StoreUnique(logical, data, t+cfg.Crypto.EncryptLatency)
-	}
+	phys, mapLat := s.StoreUniqueDeferred(&s.def, logical, data, t+cfg.Crypto.EncryptLatency, slot, uint8(dec), 0)
 	if installFP {
 		// Re-pointing an existing entry (e.g. after a referH overflow)
 		// starts a fresh reference count, so delete-then-insert.
@@ -301,18 +301,7 @@ func (s *ESD) writeUnique(logical uint64, data *ecc.Line, fp uint64, at, t sim.T
 		s.physFP.Set(phys, fp)
 	}
 	bd.Metadata = mapLat
-	if batch != nil {
-		return memctrl.WriteOutcome{Breakdown: bd, PhysAddr: phys}
-	}
-	bd.Queue += wr.Stall
-	bd.Media = wr.ServiceLatency
-	done := wr.AcceptedAt + wr.ServiceLatency
-	s.Env.Tel.OnWrite(dec, logical, phys, false, at, done, &bd)
-	return memctrl.WriteOutcome{
-		Done:      done,
-		Breakdown: bd,
-		PhysAddr:  phys,
-	}
+	return memctrl.WriteOutcome{Breakdown: bd, PhysAddr: phys}
 }
 
 // flushBatch drains the deferred stores — one batched pad pass, device

@@ -34,9 +34,10 @@ type Base struct {
 
 	St memctrl.SchemeStats
 
-	// ctBuf is the scratch line StoreUnique encrypts into. Schemes are
-	// single-threaded per instance, so one buffer keeps the steady-state
-	// write path free of per-call line copies on the heap.
+	// ctBuf is the scratch line StoreUnique (DeWrite, BCD) and DeWrite's
+	// speculation encrypt into. Schemes are single-threaded per instance,
+	// so one buffer keeps the steady-state write path free of per-call
+	// line copies on the heap.
 	ctBuf ecc.Line
 
 	// touchSink is the word PrefetchReads' loads fold into; storing it
@@ -76,7 +77,8 @@ func (b *Base) MapWrite(logical, phys uint64, at sim.Time) sim.Time {
 }
 
 // StoreUnique encrypts data, writes it to a freshly allocated physical
-// line at time at, and installs the logical mapping. Encryption *latency*
+// line at time at, and installs the logical mapping: the scalar store of
+// the schemes without a batch kernel (DeWrite, BCD). Encryption *latency*
 // is the caller's responsibility (schemes overlap it differently);
 // encryption energy is charged here.
 func (b *Base) StoreUnique(logical uint64, data *ecc.Line, at sim.Time) (phys uint64, wr nvm.WriteResult, mapLat sim.Time) {

@@ -15,12 +15,10 @@ type Baseline struct {
 	env *memctrl.Env
 	st  memctrl.SchemeStats
 
-	// ctBuf is the scratch line Write encrypts into, keeping the steady
-	// state free of per-call heap copies (schemes are single-threaded).
-	ctBuf ecc.Line
-
-	// def holds the deferred stores of one WriteBatch call.
+	// def holds the deferred stores of one WriteBatch call, and one the
+	// one-op batch a scalar Write runs as.
 	def Deferred
+	one [1]memctrl.BatchWrite
 }
 
 // NewBaseline constructs the baseline scheme on env.
@@ -31,33 +29,21 @@ func NewBaseline(env *memctrl.Env) *Baseline {
 // Name implements memctrl.Scheme.
 func (s *Baseline) Name() string { return "baseline" }
 
-// Write encrypts and writes the line in place.
+// Write encrypts and writes the line in place, as a one-op batch.
 func (s *Baseline) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.WriteOutcome {
-	s.st.Writes++
-	s.st.UniqueWrites++
-	// The AES engine is dedicated and pipelined: encryption adds latency
-	// to this write but does not occupy the controller pipeline.
-	s.ctBuf = *data
-	counter := s.env.Crypto.EncryptInPlace(logical, &s.ctBuf)
-	s.env.Energy.Crypto += s.env.Cfg.Crypto.EncryptEnergy
-	s.env.Step(memctrl.StepCounterBumped)
-	wr := s.env.Device.Write(logical, &s.ctBuf, at+s.env.Cfg.Crypto.EncryptLatency)
-	metaLat := s.env.IntegrityUpdate(logical, counter, at)
-	done := wr.AcceptedAt + wr.ServiceLatency
-	bd := stats.Breakdown{
-		Queue:    wr.Stall,
-		Encrypt:  s.env.Cfg.Crypto.EncryptLatency,
-		Media:    wr.ServiceLatency,
-		Metadata: metaLat,
-	}
-	s.env.Tel.OnWrite(telemetry.DecBaseline, logical, logical, false, at, done, &bd)
-	return memctrl.WriteOutcome{Done: done, PhysAddr: logical, Breakdown: bd}
+	op := &s.one[0]
+	op.Logical, op.Data, op.At = logical, data, at
+	s.WriteBatch(s.one[:])
+	return op.Out
 }
 
-// WriteBatch implements memctrl.BatchWriter. The baseline has no dedup
-// decision and never reads during a write, so the whole batch defers
-// cleanly: counters are committed per op in order, then every pad comes
-// from one batched AES pass and the device writes issue in op order.
+// WriteBatch implements memctrl.BatchWriter, and is the baseline's one
+// write kernel. The baseline has no dedup decision and never reads during
+// a write, so the whole batch defers cleanly: counters are committed per
+// op in order, then every pad comes from one batched AES pass and the
+// device writes issue in op order. The AES engine is dedicated and
+// pipelined: encryption adds latency to a write but does not occupy the
+// controller pipeline.
 func (s *Baseline) WriteBatch(ops []memctrl.BatchWrite) {
 	cfg := s.env.Cfg
 	for i := range ops {

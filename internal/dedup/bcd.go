@@ -191,10 +191,10 @@ func (s *BCD) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.WriteOu
 	}
 	s.St.FPCacheMisses++
 
-	// Similarity attempt: a base sharing a half-line sub-fingerprint.
+	// Similarity attempt: a base sharing a half-line sub-fingerprint. Its
+	// read checks no fingerprint match, so it is not a compare read.
 	if base, ok := s.lookupSimilar(fp); ok {
 		ct, found, rr := s.Env.Device.Read(base, t)
-		s.St.CompareReads++
 		s.Env.ChargeCompare()
 		t = rr.Done + cfg.FP.CompareTime
 		bd.ReadCompare = t - feEnd

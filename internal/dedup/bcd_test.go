@@ -209,3 +209,24 @@ func TestBCDMetadataAccounting(t *testing.T) {
 		t.Fatal("metadata accounting empty")
 	}
 }
+
+// TestBCDCompareReadsCountFingerprintMatches: a compare read is the read
+// that verifies an exact-fingerprint match, so every one ends in a
+// duplicate (FPCacheHits) or a collision (CompareMismatches). The
+// similarity base's read checks no fingerprint and is not one.
+func TestBCDCompareReadsCountFingerprintMatches(t *testing.T) {
+	env := newEnv(t)
+	s := NewBCD(env)
+	res, err := memctrl.NewController(env, s).Run(workload.NearDupStream(1, 20000, 4096, MaxDeltaWords))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Scheme
+	if s.DeltaWrites == 0 || st.FPCacheHits == 0 {
+		t.Fatalf("stream exercised no delta (%d) or exact dedup (%d)", s.DeltaWrites, st.FPCacheHits)
+	}
+	if st.CompareReads != st.FPCacheHits+st.CompareMismatches {
+		t.Fatalf("CompareReads = %d, want FPCacheHits %d + CompareMismatches %d",
+			st.CompareReads, st.FPCacheHits, st.CompareMismatches)
+	}
+}

@@ -26,8 +26,10 @@ type SHA1 struct {
 	fpIndex map[[20]byte]uint64  // NVMM-resident full index
 	physFP  map[uint64][20]byte  // reverse map for freeing
 
-	// def holds the deferred stores of one WriteBatch call.
+	// def holds the deferred stores of one WriteBatch call, and one the
+	// one-op batch a scalar Write runs as.
 	def Deferred
+	one [1]memctrl.BatchWrite
 }
 
 // NewSHA1 constructs the Dedup_SHA1 scheme on env.
@@ -61,81 +63,23 @@ func (s *SHA1) purge(phys uint64) {
 // Name implements memctrl.Scheme.
 func (s *SHA1) Name() string { return "dedup-sha1" }
 
-// Write implements memctrl.Scheme.
+// Write implements memctrl.Scheme as a one-op batch.
 func (s *SHA1) Write(logical uint64, data *ecc.Line, at sim.Time) memctrl.WriteOutcome {
-	s.St.Writes++
-	cfg := s.Env.Cfg
-	d := s.fper.Fingerprint(data)
-	s.Env.Energy.Fingerprint += s.fper.Energy()
-	s.Env.ChargeSRAM()
-
-	// The hash unit and fingerprint-cache probe occupy the controller
-	// front end serially: this is what cascade-blocks queued requests.
-	feStart, feEnd := s.Env.Frontend.Reserve(at, s.fper.Latency()+cfg.Meta.SRAMLatency)
-	bd := stats.Breakdown{
-		// Waiting for the hash unit is part of the fingerprint-computation
-		// cost: it is the cascade blocking expensive hashes cause (§II-B).
-		FPCompute:    (feStart - at) + s.fper.Latency(),
-		FPLookupSRAM: cfg.Meta.SRAMLatency,
-	}
-	t := feEnd
-
-	if phys, hit := s.fpCache.Get(d.Short); hit {
-		s.St.FPCacheHits++
-		s.St.DupByCache++
-		mapLat := s.DedupHit(logical, phys, t)
-		bd.Metadata = mapLat
-		s.Env.Tel.OnWrite(telemetry.DecDupFPCache, logical, phys, true, at, t+mapLat, &bd)
-		return memctrl.WriteOutcome{Done: t + mapLat, Breakdown: bd, Deduplicated: true, PhysAddr: phys}
-	}
-	s.St.FPCacheMisses++
-
-	// Full deduplication: the authoritative index is in NVMM, so the miss
-	// costs a serial metadata read on the critical write path.
-	rr := s.Env.Device.ReadMeta(s.Env.MetaLineFor(d.Short), t)
-	s.St.FPNVMMLookups++
-	bd.FPLookupNVMM = rr.Done - t
-	t = rr.Done
-
-	if phys, ok := s.fpIndex[d.Key]; ok {
-		s.St.DupByNVMM++
-		s.fpCache.Put(d.Short, phys)
-		mapLat := s.DedupHit(logical, phys, t)
-		bd.Metadata = mapLat
-		s.Env.Tel.OnWrite(telemetry.DecDupFPNVMM, logical, phys, true, at, t+mapLat, &bd)
-		return memctrl.WriteOutcome{Done: t + mapLat, Breakdown: bd, Deduplicated: true, PhysAddr: phys}
-	}
-
-	// Unique line: encrypt (serially, after the lookup resolved) and write.
-	// The AES engine is dedicated, so encryption adds latency without
-	// occupying the controller pipeline.
-	bd.Encrypt = cfg.Crypto.EncryptLatency
-	phys, wr, mapLat := s.StoreUnique(logical, data, t+cfg.Crypto.EncryptLatency)
-	s.fpIndex[d.Key] = phys
-	s.physFP[phys] = d.Key
-	s.fpCache.Put(d.Short, phys)
-	// The new fingerprint entry is persisted to NVMM off the critical path.
-	s.Env.Device.WriteMeta(s.Env.MetaLineFor(d.Short), wr.AcceptedAt)
-	bd.Queue += wr.Stall
-	bd.Media = wr.ServiceLatency
-	bd.Metadata = mapLat
-	done := wr.AcceptedAt + wr.ServiceLatency
-	s.Env.Tel.OnWrite(telemetry.DecUniqueFPMiss, logical, phys, false, at, done, &bd)
-	return memctrl.WriteOutcome{
-		Done:      done,
-		Breakdown: bd,
-		PhysAddr:  phys,
-	}
+	op := &s.one[0]
+	op.Logical, op.Data, op.At = logical, data, at
+	s.WriteBatch(s.one[:])
+	return op.Out
 }
 
-// WriteBatch implements memctrl.BatchWriter: the same decision sequence as
-// Write per op (hash, cache probe, NVMM lookup on a miss), with unique
-// stores deferred so their pads come from one batched AES pass. SHA-1
-// trusts the hash and never reads a data line during a write, so no
-// mid-batch flush is ever needed; the index updates at decision time make
-// an intra-batch duplicate of a deferred store hit the cache path. The
-// posted fingerprint-store write depends on the media accept time, so it
-// moves to the flush with its store.
+// WriteBatch implements memctrl.BatchWriter, and is Dedup_SHA1's one
+// write kernel: per op, the hash, the fingerprint-cache probe and, on a
+// miss, the NVMM index lookup, with unique stores deferred so their pads
+// come from one batched AES pass. SHA-1 trusts the hash and never reads a
+// data line during a write, so no mid-batch flush is ever needed; the
+// index updates at decision time make an intra-batch duplicate of a
+// deferred store hit the cache path. The posted fingerprint-store write
+// depends on the media accept time, so it moves to the flush with its
+// store.
 func (s *SHA1) WriteBatch(ops []memctrl.BatchWrite) {
 	cfg := s.Env.Cfg
 	for i := range ops {
@@ -144,8 +88,13 @@ func (s *SHA1) WriteBatch(ops []memctrl.BatchWrite) {
 		d := s.fper.Fingerprint(op.Data)
 		s.Env.Energy.Fingerprint += s.fper.Energy()
 		s.Env.ChargeSRAM()
+		// The hash unit and fingerprint-cache probe occupy the controller
+		// front end serially: this is what cascade-blocks queued requests.
 		feStart, feEnd := s.Env.Frontend.Reserve(op.At, s.fper.Latency()+cfg.Meta.SRAMLatency)
 		bd := stats.Breakdown{
+			// Waiting for the hash unit is part of the fingerprint-
+			// computation cost: it is the cascade blocking expensive
+			// hashes cause (§II-B).
 			FPCompute:    (feStart - op.At) + s.fper.Latency(),
 			FPLookupSRAM: cfg.Meta.SRAMLatency,
 		}
@@ -161,6 +110,8 @@ func (s *SHA1) WriteBatch(ops []memctrl.BatchWrite) {
 			continue
 		}
 		s.St.FPCacheMisses++
+		// Full deduplication: the authoritative index is in NVMM, so the
+		// miss costs a serial metadata read on the critical write path.
 		rr := s.Env.Device.ReadMeta(s.Env.MetaLineFor(d.Short), t)
 		s.St.FPNVMMLookups++
 		bd.FPLookupNVMM = rr.Done - t
@@ -176,6 +127,8 @@ func (s *SHA1) WriteBatch(ops []memctrl.BatchWrite) {
 			continue
 		}
 
+		// Unique line: encrypt (serially, after the lookup resolved) and
+		// write.
 		bd.Encrypt = cfg.Crypto.EncryptLatency
 		phys, mapLat := s.StoreUniqueDeferred(&s.def, op.Logical, op.Data, t+cfg.Crypto.EncryptLatency, i, 0, d.Short)
 		s.fpIndex[d.Key] = phys

@@ -15,14 +15,14 @@ import (
 )
 
 // Backend is the media layer a scheme's Env writes through: timed data
-// and metadata accesses, the functional store, and the wear/health/stats
+// and metadata accesses, the functional load, and the wear/health/stats
 // surface the observability stack scrapes. nvm.Device satisfies it
 // directly; composed backends (Hybrid) forward the health surface to the
 // durable device they wrap.
 //
 // Method contracts follow nvm.Device: the timed and functional accessors
-// are single-simulation-thread only, while Wear, WearOf, HealthSummary
-// and HealthSnapshot are safe to call concurrently with that thread.
+// are single-simulation-thread only, while Wear, HealthSummary and
+// HealthSnapshot are safe to call concurrently with that thread.
 type Backend interface {
 	// Read performs a timed demand read of line addr, returning the current
 	// content (ok reports whether the line was ever written).
@@ -40,27 +40,15 @@ type Backend interface {
 
 	// Load returns the functional content of addr without timing effects.
 	Load(addr uint64) (ecc.Line, bool)
-	// Store updates the functional content of addr without timing effects.
-	Store(addr uint64, line ecc.Line)
 
 	// Flush drains all queued media work and returns the idle time.
 	Flush(now sim.Time) sim.Time
 	// SyncHealth publishes staged health accounting (simulation thread).
 	SyncHealth()
 
-	// Lines returns the addressable capacity in cache lines.
-	Lines() int64
-	// LinesWritten reports how many distinct lines hold data.
-	LinesWritten() int
-	// QueuedWrites reports the writes currently queued in the media.
-	QueuedWrites() int
-	// Utilization reports mean bank utilization over [0, horizon].
-	Utilization(horizon sim.Time) float64
-
-	// Wear, WearOf, HealthSummary and HealthSnapshot expose the endurance
-	// and health surface of the durable device (concurrency-safe).
+	// Wear, HealthSummary and HealthSnapshot expose the endurance and
+	// health surface of the durable device (concurrency-safe).
 	Wear() nvm.WearSummary
-	WearOf(addr uint64) uint64
 	HealthSummary() nvm.HealthSummary
 	HealthSnapshot() nvm.HealthSnapshot
 

@@ -406,21 +406,6 @@ func (h *Hybrid) Load(addr uint64) (ecc.Line, bool) {
 	return h.pcm.Load(addr)
 }
 
-// Store updates the functional content of addr without timing effects,
-// keeping both tiers coherent: the PCM home always gets the content, and
-// a resident copy is refreshed (and becomes clean — it now matches its
-// home).
-func (h *Hybrid) Store(addr uint64, line ecc.Line) {
-	h.pcm.Store(addr, line)
-	if n := h.res[addr]; n != nil {
-		h.dram.Store(addr, line)
-		if n.dirty {
-			n.dirty = false
-			h.dirtyN.Add(-1)
-		}
-	}
-}
-
 // Flush drains the PCM write queues and waits out the DRAM banks; dirty
 // residents stay resident (their durability is carried by the WAL, not
 // by flushing).
@@ -436,36 +421,8 @@ func (h *Hybrid) Flush(now sim.Time) sim.Time {
 // does not wear).
 func (h *Hybrid) SyncHealth() { h.pcm.SyncHealth() }
 
-// Lines returns the PCM capacity: the hybrid tier does not change the
-// addressable space, only where content physically lives.
-func (h *Hybrid) Lines() int64 { return h.pcm.Lines() }
-
-// LinesWritten reports distinct lines holding data across both tiers: the
-// PCM store plus dirty residents whose home was never written.
-func (h *Hybrid) LinesWritten() int {
-	n := h.pcm.LinesWritten()
-	for addr, r := range h.res {
-		if r.dirty {
-			if _, ok := h.pcm.Load(addr); !ok {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// QueuedWrites reports the PCM posted-write backlog (DRAM posts none).
-func (h *Hybrid) QueuedWrites() int { return h.pcm.QueuedWrites() }
-
-// Utilization reports the durable device's bank utilization; the DRAM
-// buffer's occupancy is reported through Snapshot instead.
-func (h *Hybrid) Utilization(horizon sim.Time) float64 { return h.pcm.Utilization(horizon) }
-
 // Wear delegates to PCM — DRAM does not wear, which is the point.
 func (h *Hybrid) Wear() nvm.WearSummary { return h.pcm.Wear() }
-
-// WearOf delegates to PCM.
-func (h *Hybrid) WearOf(addr uint64) uint64 { return h.pcm.WearOf(addr) }
 
 // HealthSummary delegates to PCM.
 func (h *Hybrid) HealthSummary() nvm.HealthSummary { return h.pcm.HealthSummary() }

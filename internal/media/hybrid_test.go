@@ -87,7 +87,7 @@ func TestHotWritePromotesViaWAL(t *testing.T) {
 // clean fill; a clean resident must match its home byte for byte.
 func TestReadPromotesClean(t *testing.T) {
 	h := testHybrid(t, 8)
-	h.Store(5, line(0xBEEF))
+	h.PCM().Store(5, line(0xBEEF))
 	h.Read(5, 0)
 	h.Read(5, 100)
 	st := h.Snapshot()
@@ -185,7 +185,7 @@ func TestCrashAtWALPersisted(t *testing.T) {
 // line (clean fill from its home) once it crosses the threshold.
 func TestRefHintPromotes(t *testing.T) {
 	h := testHybrid(t, 8)
-	h.Store(4, line(0xF00))
+	h.PCM().Store(4, line(0xF00))
 	h.RefHint(4, 0)
 	st := h.Snapshot()
 	if st.ResidentLines != 1 || st.DirtyLines != 0 {
@@ -201,7 +201,7 @@ func TestRefHintPromotes(t *testing.T) {
 // flag the divergence from the PCM home.
 func TestAuditCatchesDivergence(t *testing.T) {
 	h := testHybrid(t, 8)
-	h.Store(2, line(1))
+	h.PCM().Store(2, line(1))
 	h.Read(2, 0)
 	h.Read(2, 100) // clean resident
 	h.DRAM().Store(2, line(0xBAD))

@@ -6,7 +6,7 @@ import (
 )
 
 // BatchWrite is one write of a batched write call. Out is filled in by the
-// scheme: batch writes report the same WriteOutcome the scalar path would.
+// scheme.
 type BatchWrite struct {
 	Logical uint64
 	Data    *ecc.Line
@@ -14,24 +14,29 @@ type BatchWrite struct {
 	Out     WriteOutcome
 }
 
-// BatchWriter is implemented by schemes with a batched write path that
-// amortizes the fixed per-line kernel costs (ECC fingerprinting, AES pad
-// generation) across all lines of a batch. A batched call must be
-// observably identical to issuing the same writes through Write in order:
-// same data, same mappings, same counters, same statistics.
+// BatchWriter is implemented by schemes whose write kernel takes a batch,
+// amortizing the fixed per-line kernel costs (ECC fingerprinting, AES pad
+// generation) across all lines of it. Baseline, Dedup_SHA1 and ESD have
+// this kernel only: their Write runs it over a one-op batch. A batched
+// call makes the same decisions as issuing the same writes one op per
+// batch, in order: same data, same mappings, same counters, same
+// statistics; only device timing may differ, since a batch's stores reach
+// the device together.
 type BatchWriter interface {
 	WriteBatch(ops []BatchWrite)
 }
 
-// WriteBatch drives ops through the scheme's batched write path when it
-// has one, falling back to the scalar path otherwise (DeWrite's
-// speculative pipeline has no batch form).
+// WriteBatch drives ops through the scheme's batch kernel when it has
+// one, and otherwise through its scalar Write op by op (DeWrite's
+// speculative pipeline and BCD have no batch form).
 func WriteBatch(s Scheme, ops []BatchWrite) {
 	if bw, ok := s.(BatchWriter); ok {
 		bw.WriteBatch(ops)
 		return
 	}
-	WriteBatchFallback(s, ops)
+	for i := range ops {
+		ops[i].Out = s.Write(ops[i].Logical, ops[i].Data, ops[i].At)
+	}
 }
 
 // ReadPrefetcher is implemented by schemes that can touch the metadata a
@@ -48,12 +53,5 @@ type ReadPrefetcher interface {
 func PrefetchReads(s Scheme, logical []uint64) {
 	if p, ok := s.(ReadPrefetcher); ok {
 		p.PrefetchReads(logical)
-	}
-}
-
-// WriteBatchFallback loops ops through the scalar write path.
-func WriteBatchFallback(s Scheme, ops []BatchWrite) {
-	for i := range ops {
-		ops[i].Out = s.Write(ops[i].Logical, ops[i].Data, ops[i].At)
 	}
 }

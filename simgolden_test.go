@@ -30,12 +30,15 @@ var updateSimGolden = flag.Bool("update", false, "rewrite testdata/simulation.go
 var simGoldenPath = filepath.Join("testdata", "simulation.golden")
 
 // Row sizes: the scalar rows warm up before a measured window; the
-// sharded rows replay every record.
+// sharded rows replay every record. The paper-scale rows run at the
+// figures' scale (make figures).
 const (
 	simGoldenSeed   = 1
 	simGoldenWarmup = 5000
 	simGoldenN      = 20000
 	simGoldenBatch  = 64
+	paperWarmup     = 100000
+	paperN          = 150000
 )
 
 // simGoldenRow is one pinned configuration.
@@ -44,6 +47,7 @@ type simGoldenRow struct {
 	shards      int // 0 runs a System; otherwise a ShardedSystem
 	fpScale     int // experiments.ScaleFPCaches factor (1 = paper-sized)
 	batch       bool
+	paper       bool // a System row of paperWarmup + paperN requests
 }
 
 func (r simGoldenRow) name() string {
@@ -54,13 +58,18 @@ func (r simGoldenRow) name() string {
 	if r.batch {
 		mode += "-batch64"
 	}
+	if r.paper {
+		mode += "-paper"
+	}
 	return fmt.Sprintf("%s/%s/%s/fp%d", r.scheme, r.app, mode, r.fpScale)
 }
 
 // simGoldenRows: the paper's four schemes and esd+caram × namd, lbm,
 // dedup, gcc × {scalar, 4 shards} × {paper-sized fingerprint caches,
 // divided by 64}, plus 64-op batches on namd over 4 shards — the arrival
-// grouping namd-batch64 serves, which changes simulated time by design.
+// grouping namd-batch64 serves, which changes simulated time by design —
+// plus six System rows at the paper's scale, where the order of
+// same-instant device accesses shows in the figures' tables.
 func simGoldenRows() []simGoldenRow {
 	var rows []simGoldenRow
 	for _, scheme := range append(SchemeNames(), SchemeESDCaram) {
@@ -72,6 +81,13 @@ func simGoldenRows() []simGoldenRow {
 			}
 		}
 		rows = append(rows, simGoldenRow{scheme: scheme, app: "namd", shards: 4, fpScale: 1, batch: true})
+	}
+	for _, r := range []struct{ scheme, app string }{
+		{SchemeESD, "cactuBSSN"}, {SchemeESD, "bodytrack"},
+		{SchemeSHA1, "cactuBSSN"}, {SchemeSHA1, "lbm"},
+		{SchemeESDCaram, "lbm"}, {SchemeESDCaram, "namd"},
+	} {
+		rows = append(rows, simGoldenRow{scheme: r.scheme, app: r.app, fpScale: 1, paper: true})
 	}
 	return rows
 }
@@ -102,8 +118,12 @@ func (r simGoldenRow) run() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.SetWarmup(simGoldenWarmup)
-		res, err := sys.RunWorkload(r.app, simGoldenSeed, simGoldenWarmup+simGoldenN)
+		warmup, n := simGoldenWarmup, simGoldenN
+		if r.paper {
+			warmup, n = paperWarmup, paperN
+		}
+		sys.SetWarmup(warmup)
+		res, err := sys.RunWorkload(r.app, simGoldenSeed, warmup+n)
 		if err != nil {
 			return nil, err
 		}
