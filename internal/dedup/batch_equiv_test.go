@@ -43,15 +43,19 @@ func schemeMeta(s memctrl.Scheme) metaCounters {
 	return m
 }
 
-// The batch write path must be observably identical to the scalar path:
-// same dedup decisions, same physical placements, same counters and
-// statistics, same metadata-cache counters, energy, device traffic and
-// wear, same data on every read-back. This drives one op stream through a
-// scalar engine and a batch engine (same seed, same config) and compares
+// How writes are grouped into batches must not be observable: one-op
+// batches and multi-op batches make the same dedup decisions, physical
+// placements, counters and statistics, metadata-cache counters, energy,
+// device traffic and wear, and read back the same data. This drives one op
+// stream through an engine taking one Write per op (for Baseline, SHA1 and
+// ESD a one-op batch of the scheme's kernel) and an engine taking
+// batchSize-op WriteBatch calls (same seed, same config) and compares
 // everything except latencies, which legitimately differ because deferred
 // device writes see different bank-queue states. The metadata-cache
 // counters are what a batch's touch stage would move first if it probed
-// through a counting lookup.
+// through a counting lookup. At batchSize 1 both engines run the same
+// code path, and for DeWrite and BCD, which have no batch kernel, so do
+// they at every size.
 func testScheme(t *testing.T, name string, batchSize int) {
 	cfg := config.Default()
 	cfg.PCM.CapacityBytes = 1 << 24
@@ -167,7 +171,8 @@ func TestWriteBatchMatchesScalar(t *testing.T) {
 		experiments.SchemeESD,
 		experiments.SchemeBaseline,
 		experiments.SchemeSHA1,
-		// DeWrite and BCD exercise the scalar fallback in memctrl.WriteBatch.
+		// DeWrite and BCD have no batch kernel: memctrl.WriteBatch loops
+		// their Write.
 		experiments.SchemeDeWrite,
 		experiments.SchemeBCD,
 	} {

@@ -373,10 +373,14 @@ func (d *Device) Wear() WearSummary {
 	var s WearSummary
 	d.health.mu.Lock()
 	defer d.health.mu.Unlock()
-	if d.health.linesTouched == 0 {
+	var lines uint64
+	for i := range d.health.banks {
+		lines += d.health.banks[i].lines
+	}
+	if lines == 0 {
 		return s
 	}
-	counts := make([]uint64, 0, d.health.linesTouched)
+	counts := make([]uint64, 0, lines)
 	for _, pg := range d.health.pages {
 		if pg == nil {
 			continue
