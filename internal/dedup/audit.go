@@ -18,32 +18,49 @@ import (
 //   - refcount conservation: for every physical line, the stored reference
 //     count equals the number of AMT entries mapping to it (in both
 //     directions — no overcounts, no orphaned refcount entries);
-//   - the AMT is a function into the data region: every mapped physical
-//     line lies below DataLines;
+//   - the AMT is a function into the allocated lines: every mapped
+//     physical line lies below the allocator's high water, and so inside
+//     the data region;
 //   - no dangling lines: the allocator's live count equals the number of
 //     referenced physical lines (every allocation is reachable and every
 //     reachable line is allocated).
 func (b *Base) AuditBase() []string {
 	var bad []string
-	counts := make(map[uint64]uint32)
+	hw := b.Alloc.HighWater()
+	if uint64(cap(b.auditRefs)) < hw {
+		b.auditRefs = make([]uint32, hw)
+	}
+	counts := b.auditRefs[:hw]
+	clear(counts)
 	b.AMT.Range(func(logical, phys uint64) bool {
-		counts[phys]++
-		if phys >= b.Env.DataLines {
-			bad = append(bad, fmt.Sprintf("amt: logical %d maps to phys %d outside the data region (%d lines)", logical, phys, b.Env.DataLines))
+		if phys >= hw {
+			bad = append(bad, fmt.Sprintf("amt: logical %d maps to phys %d, which was never allocated (%d lines ever allocated)", logical, phys, hw))
+		} else {
+			counts[phys]++
+		}
+		return true
+	})
+	// Each referenced line's count is checked and then zeroed, so what is
+	// left in counts are AMT targets without a refcount.
+	b.Refs.Range(func(phys uint64, c uint32) bool {
+		switch {
+		case phys >= hw:
+			bad = append(bad, fmt.Sprintf("refcount: phys %d holds %d refs but was never allocated (%d lines ever allocated)", phys, c, hw))
+		case counts[phys] == 0:
+			bad = append(bad, fmt.Sprintf("refcount: phys %d holds %d refs but no AMT entry points at it", phys, c))
+		case counts[phys] != c:
+			bad = append(bad, fmt.Sprintf("refcount: phys %d holds %d refs but %d AMT entries point at it", phys, c, counts[phys]))
+		}
+		if phys < hw {
+			counts[phys] = 0
 		}
 		return true
 	})
 	for phys, want := range counts {
-		if got := b.Refs.Count(phys); got != want {
-			bad = append(bad, fmt.Sprintf("refcount: phys %d holds %d refs but %d AMT entries point at it", phys, got, want))
+		if want != 0 {
+			bad = append(bad, fmt.Sprintf("refcount: phys %d holds 0 refs but %d AMT entries point at it", phys, want))
 		}
 	}
-	b.Refs.Range(func(phys uint64, c uint32) bool {
-		if counts[phys] == 0 {
-			bad = append(bad, fmt.Sprintf("refcount: phys %d holds %d refs but no AMT entry points at it", phys, c))
-		}
-		return true
-	})
 	if live, refd := b.Alloc.Live(), uint64(b.Refs.Lines()); live != refd {
 		bad = append(bad, fmt.Sprintf("alloc: %d live lines but %d referenced lines (dangling or leaked)", live, refd))
 	}

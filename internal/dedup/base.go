@@ -43,6 +43,11 @@ type Base struct {
 	// touchSink is the word PrefetchReads' loads fold into; storing it
 	// keeps the compiler from dropping them.
 	touchSink uint64
+
+	// auditRefs is AuditBase's count of AMT entries per physical line,
+	// indexed by line and kept across audits; a node that never audits
+	// never allocates it.
+	auditRefs []uint32
 }
 
 // NewBase wires the shared machinery onto env.

@@ -11,7 +11,9 @@ import (
 	"github.com/esdsim/esd/internal/dedup"
 	"github.com/esdsim/esd/internal/ecc"
 	"github.com/esdsim/esd/internal/experiments"
+	"github.com/esdsim/esd/internal/media"
 	"github.com/esdsim/esd/internal/memctrl"
+	"github.com/esdsim/esd/internal/nvm"
 	"github.com/esdsim/esd/internal/sim"
 	"github.com/esdsim/esd/internal/xrand"
 )
@@ -46,22 +48,44 @@ func schemeMeta(s memctrl.Scheme) metaCounters {
 // How writes are grouped into batches must not be observable: one-op
 // batches and multi-op batches make the same dedup decisions, physical
 // placements, counters and statistics, metadata-cache counters, energy,
-// device traffic and wear, and read back the same data. This drives one op
-// stream through an engine taking one Write per op (for Baseline, SHA1 and
-// ESD a one-op batch of the scheme's kernel) and an engine taking
-// batchSize-op WriteBatch calls (same seed, same config) and compares
-// everything except latencies, which legitimately differ because deferred
-// device writes see different bank-queue states. The metadata-cache
-// counters are what a batch's touch stage would move first if it probed
-// through a counting lookup. At batchSize 1 both engines run the same
-// code path, and for DeWrite and BCD, which have no batch kernel, so do
-// they at every size.
+// device traffic and wear, hybrid-tier activity, and read back the same
+// data. This drives one op stream through an engine taking one Write per
+// op (for Baseline, SHA1 and ESD a one-op batch of the scheme's kernel)
+// and an engine taking batchSize-op WriteBatch calls (same seed, same
+// config) and compares everything except latencies, which legitimately
+// differ because deferred device writes see different bank-queue states.
+// The metadata-cache counters are what a batch's touch stage would move
+// first if it probed through a counting lookup.
+//
+// Only the rows at batchSize 5, 8 and 32 of esd, esd+caram, baseline and
+// dedup-sha1 compare two code paths, a one-op batch with a multi-op one.
+// At batchSize 1 both engines run the same one-op batch, and DeWrite and
+// BCD, which have no batch kernel, run the same scalar Write at every
+// size (memctrl.WriteBatch loops it); those rows pin that the two engines
+// are built alike.
+//
+// esd+caram runs with a DRAM tier of 128 lines against the stream's 512
+// addresses, so its buffer promotes, demotes and writes back throughout.
+// A batch defers its unique stores to its end, or to a mid-batch flush,
+// so the tier sees a stored line's write after the compare reads and
+// duplicate hints of the ops that follow it in the batch, and its LRU
+// (and its heat decay, which counts accesses) sees that order. At batch
+// 32 a later op's compare read promotes its candidate before an earlier
+// op's deferred store promotes its own line, the two promotions demote
+// each other's LRU victims, and the runs end one promotion, demotion and
+// write-back apart. So on these rows the tier's promotion, demotion,
+// write-back, resident and dirty counts are not compared, nor the PCM
+// energy and wear that write-backs and DRAM fills move; the PCM write
+// count is compared less its write-backs. Everything else, the tier's
+// hits, misses, WAL appends and absorbed writes included, is compared.
+// DESIGN.md §13 describes the effect.
 func testScheme(t *testing.T, name string, batchSize int) {
 	cfg := config.Default()
 	cfg.PCM.CapacityBytes = 1 << 24
 	cfg.Meta.EFITCacheBytes = 16 << 10
 	cfg.Meta.AMTCacheBytes = 16 << 10
 	cfg.SHA1.FPCacheBytes = 16 << 10
+	cfg.Media.DRAM.CapacityBytes = 8 << 10
 	if msg := cfg.Validate(); msg != "" {
 		t.Fatal(msg)
 	}
@@ -149,12 +173,30 @@ func testScheme(t *testing.T, name string, batchSize int) {
 	// the device's read and write energy charges, so that float sum is
 	// compared to a tolerance.
 	ds, db := envS.Device.MediaStats(), envB.Device.MediaStats()
+	envS.Device.SyncHealth()
+	envB.Device.SyncHealth()
+	ws, wb := envS.Device.Wear(), envB.Device.Wear()
+	if hs, hb := envS.Hybrid(), envB.Hybrid(); hs != nil {
+		// The counts a batch's store order may move are left out: its
+		// write-backs are PCM writes, so the device's write count is
+		// compared without them, and its energy and wear, which they and
+		// the tier's DRAM fills move, are not compared.
+		s, b := hs.Snapshot(), hb.Snapshot()
+		ds.Writes -= s.Writebacks
+		db.Writes -= b.Writebacks
+		ds.MediaEnergy, db.MediaEnergy = 0, 0
+		ws, wb = nvm.WearSummary{}, nvm.WearSummary{}
+		for _, h := range []*media.HybridStats{&s, &b} {
+			h.Promotions, h.Demotions, h.Writebacks, h.ResidentLines, h.DirtyLines = 0, 0, 0, 0, 0
+		}
+		if s != b {
+			t.Fatalf("%s: hybrid tier diverged:\nscalar %+v\nbatch  %+v", name, s, b)
+		}
+	}
 	if ds.Reads != db.Reads || ds.Writes != db.Writes || math.Abs(ds.MediaEnergy-db.MediaEnergy) > 1e-9*ds.MediaEnergy {
 		t.Fatalf("%s: device traffic diverged:\nscalar %+v\nbatch  %+v", name, ds, db)
 	}
-	envS.Device.SyncHealth()
-	envB.Device.SyncHealth()
-	if ws, wb := envS.Device.Wear(), envB.Device.Wear(); ws != wb {
+	if ws != wb {
 		t.Fatalf("%s: wear diverged:\nscalar %+v\nbatch  %+v", name, ws, wb)
 	}
 	late := at + sim.Millisecond
@@ -181,5 +223,10 @@ func TestWriteBatchMatchesScalar(t *testing.T) {
 				testScheme(t, name, size)
 			})
 		}
+	}
+	for _, size := range []int{5, 8, 32} {
+		t.Run(fmt.Sprintf("%s/batch=%d", experiments.SchemeESDCaram, size), func(t *testing.T) {
+			testScheme(t, experiments.SchemeESDCaram, size)
+		})
 	}
 }

@@ -7,8 +7,8 @@
 // Everything here is O(1) per media operation: per-bank and per-region
 // counters are direct array bumps, and the wear distribution is maintained
 // as a bounded log2-bucketed histogram updated incrementally as lines move
-// between buckets. Snapshots never walk the per-line wear map (that remains
-// the job of the exact, now also lock-protected, Wear()).
+// between buckets. Snapshots never walk the per-line wear pages (that
+// remains the job of the exact, now also lock-protected, Wear()).
 package nvm
 
 import (
@@ -28,24 +28,90 @@ const healthRegions = 64
 // whose wear w satisfies 2^i <= w < 2^(i+1), which covers all of uint64.
 const wearHistBuckets = 64
 
-// Wear counters live in demand-allocated fixed pages indexed by a flat
-// pointer table (device capacity is known at construction), so the
-// per-write wear bump is two array stores — cheaper than the single map
-// operation the pre-health code paid. 4096 lines/page = 8 KiB of 16-bit
-// slots, allocated only for touched neighbourhoods. A slot holds a line's
-// exact count up to wearEscape-1; a line written more often than that
-// holds wearEscape, and its exact count lives in health.over. The
-// hash-scattered metadata region touches every page of its range with a
-// few writes per page, so the slot width, not the line count, sets what
-// wear costs (DESIGN.md §11).
+// Wear counters live in demand-allocated pages of 4096 lines, indexed by
+// a flat pointer table (device capacity is known at construction), so an
+// untouched page costs one nil pointer. A page starts as a block: an
+// open-addressed table of packed (offset+1)<<16 | count entries (0 is an
+// empty entry), wearBlockMin of them at first, doubled whenever an insert
+// would fill it past 3/4. The hash-scattered metadata region writes a few
+// lines in every page of its range, and a block costs such a page 4 B per
+// entry instead of 2 B per line of the page. Once a doubled block would
+// cost as much as the dense form (wearBlockDense entries, 8 KiB), the page
+// turns dense instead: 4096 uint16 slots indexed by offset, so the
+// per-write bump is a direct index again. A slot or an entry's count holds
+// a line's exact count up to wearEscape-1; a line written more often than
+// that holds wearEscape, and its exact count lives in health.over
+// (DESIGN.md §11).
 const (
-	wearPageShift = 12
-	wearPageSize  = 1 << wearPageShift
-	wearPageMask  = wearPageSize - 1
-	wearEscape    = math.MaxUint16
+	wearPageShift  = 12
+	wearPageSize   = 1 << wearPageShift
+	wearPageMask   = wearPageSize - 1
+	wearEscape     = math.MaxUint16
+	wearBlockMin   = 8
+	wearBlockDense = wearPageSize * 2 / 4 // entries of 4 B that cost a dense page's 2 B slots
 )
 
-type wearPage [wearPageSize]uint16
+// wearPage holds one page's per-line wear: a block while few of its lines
+// have been written, dense slots after.
+type wearPage struct {
+	dense *[wearPageSize]uint16 // nil while the page is a block
+	block []uint32              // open-addressed entries; nil once dense
+	used  int                   // occupied block entries
+}
+
+// wearHome is where offset off's block probe starts, before the block's
+// mask: the top 12 bits of a Fibonacci hash, so strided offsets spread.
+func wearHome(off uint64) uint32 { return uint32(off) * 0x9E3779B1 >> 20 }
+
+// find returns the index in pg's block of offset off's entry, or of the
+// empty entry where the line's first write goes: one linear probe from
+// the offset's home.
+func (pg *wearPage) find(off uint64) uint32 {
+	key := uint32(off+1) << 16
+	mask := uint32(len(pg.block) - 1)
+	i := wearHome(off) & mask
+	for e := pg.block[i]; e != 0 && e&^wearEscape != key; e = pg.block[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// count returns the slot or entry of offset off: 0 if the line was never
+// written, wearEscape if its count lives in health.over.
+func (pg *wearPage) count(off uint64) uint16 {
+	if pg.dense != nil {
+		return pg.dense[off]
+	}
+	return uint16(pg.block[pg.find(off)])
+}
+
+// put stores entry e, whose line pg does not hold yet, without growing.
+func (pg *wearPage) put(e uint32) {
+	off := uint64(e>>16 - 1)
+	if pg.dense != nil {
+		pg.dense[off] = uint16(e)
+		return
+	}
+	pg.block[pg.find(off)] = e
+	pg.used++
+}
+
+// grow makes room for one more line: it doubles pg's block, or turns the
+// page dense once the doubled block would cost as much.
+func (pg *wearPage) grow() {
+	old := pg.block
+	if 2*len(old) >= wearBlockDense {
+		pg.dense, pg.block = new([wearPageSize]uint16), nil
+	} else {
+		pg.block = make([]uint32, 2*len(old))
+	}
+	pg.used = 0
+	for _, e := range old {
+		if e != 0 {
+			pg.put(e)
+		}
+	}
+}
 
 // bankHealth is the per-bank slice of the health counters (guarded by
 // health.mu).
@@ -99,9 +165,9 @@ type health struct {
 	regionShift uint // log2 lines per region
 	hist        [wearHistBuckets]uint64
 
-	// Per-line wear: pages[addr>>wearPageShift][addr&wearPageMask],
-	// pages allocated on first touch; over holds the exact count of every
-	// line whose slot reads wearEscape.
+	// Per-line wear: pages[addr>>wearPageShift] holds line addr at
+	// offset addr&wearPageMask, pages allocated on first touch; over holds
+	// the exact count of every line whose slot or entry reads wearEscape.
 	pages []*wearPage
 	over  map[uint64]uint64
 
@@ -138,37 +204,26 @@ func (h *health) init(banks int, lines int64) {
 // wearBucket returns the log2 bucket index of wear w (w >= 1).
 func wearBucket(w uint64) int { return bits.Len64(w) - 1 }
 
-// page returns the wear page holding addr, allocating it on first touch.
-// Caller holds h.mu.
-func (h *health) page(addr uint64) *wearPage {
-	pg := h.pages[addr>>wearPageShift]
-	if pg == nil {
-		pg = new(wearPage)
-		h.pages[addr>>wearPageShift] = pg
-	}
-	return pg
-}
-
 // wearOf returns addr's write count. Caller holds h.mu.
 func (h *health) wearOf(addr uint64) uint64 {
 	pg := h.pages[addr>>wearPageShift]
 	if pg == nil {
 		return 0
 	}
-	if s := pg[addr&wearPageMask]; s != wearEscape {
+	if s := pg.count(addr & wearPageMask); s != wearEscape {
 		return uint64(s)
 	}
 	return h.over[addr]
 }
 
-// bumpOver counts one write of addr, whose slot is full, and returns its
-// new count: the line's first write past wearEscape-1 moves its count
-// from the slot to the side map. Caller holds h.mu.
-func (h *health) bumpOver(addr uint64, slot *uint16) uint64 {
+// bumpOver counts one write of addr, whose slot or entry holds s, at least
+// wearEscape-1, and returns its new count: the line's first write past
+// wearEscape-1 moves its count to the side map, and the caller stores
+// wearEscape in its place. Caller holds h.mu.
+func (h *health) bumpOver(addr uint64, s uint16) uint64 {
 	w, ok := h.over[addr]
 	if !ok {
-		w = uint64(*slot)
-		*slot = wearEscape
+		w = uint64(s)
 	}
 	w++
 	h.over[addr] = w
@@ -218,16 +273,42 @@ func (h *health) sync() {
 }
 
 // applyWrite bumps addr's wear counter and every write-side aggregate for
-// one media write. Caller holds h.mu.
+// one media write: a direct index on a dense page, one probe of a block.
+// Caller holds h.mu.
 func (h *health) applyWrite(addr uint64, bank int) {
-	pg := h.page(addr)
-	i := addr & wearPageMask
+	pg := h.pages[addr>>wearPageShift]
+	if pg == nil {
+		pg = &wearPage{block: make([]uint32, wearBlockMin)}
+		h.pages[addr>>wearPageShift] = pg
+	}
+	off := addr & wearPageMask
 	var w uint64
-	if s := pg[i]; s < wearEscape-1 {
-		w = uint64(s) + 1
-		pg[i] = uint16(w)
+	if pg.dense != nil {
+		if s := pg.dense[off]; s < wearEscape-1 {
+			w = uint64(s) + 1
+			pg.dense[off] = uint16(w)
+		} else {
+			w = h.bumpOver(addr, s)
+			pg.dense[off] = wearEscape
+		}
 	} else {
-		w = h.bumpOver(addr, &pg[i])
+		i := pg.find(off)
+		if e := pg.block[i]; e == 0 {
+			w = 1
+			if (pg.used+1)*4 > len(pg.block)*3 {
+				pg.grow()
+				pg.put(uint32(off+1)<<16 | 1)
+			} else {
+				pg.block[i] = uint32(off+1)<<16 | 1
+				pg.used++
+			}
+		} else if s := uint16(e); s < wearEscape-1 {
+			w = uint64(s) + 1
+			pg.block[i] = e + 1
+		} else {
+			w = h.bumpOver(addr, s)
+			pg.block[i] = e | wearEscape
+		}
 	}
 
 	b := &h.banks[bank]
@@ -238,9 +319,10 @@ func (h *health) applyWrite(addr uint64, bank int) {
 		b.lines++
 		r.lines++
 		h.hist[0]++
-	} else if b0, b1 := wearBucket(w-1), wearBucket(w); b0 != b1 {
-		h.hist[b0]--
-		h.hist[b1]++
+	} else if w&(w-1) == 0 { // a power of two starts the next log2 bucket
+		k := wearBucket(w)
+		h.hist[k-1]--
+		h.hist[k]++
 	}
 	if w > b.maxWear {
 		b.maxWear = w

@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -99,7 +100,7 @@ func TestHealthAccounting(t *testing.T) {
 }
 
 // TestHealthMatchesWear cross-checks the incremental health aggregates
-// against the exact per-line wear map under a random workload.
+// against the exact per-line wear under a random workload.
 func TestHealthMatchesWear(t *testing.T) {
 	d := New(testCfg())
 	rng := rand.New(rand.NewSource(7))
@@ -229,31 +230,172 @@ func TestWearExactPastEscape(t *testing.T) {
 	checkWearExact(t, d, want)
 }
 
+// wearBytes is what d's wear pages hold: each touched page's header, plus
+// its dense slots or its block's capacity (not its length).
+func wearBytes(d *Device) (pages int, bytes uintptr) {
+	for _, pg := range d.health.pages {
+		if pg == nil {
+			continue
+		}
+		pages++
+		bytes += unsafe.Sizeof(*pg) + uintptr(cap(pg.block))*unsafe.Sizeof(uint32(0))
+		if pg.dense != nil {
+			bytes += unsafe.Sizeof(*pg.dense)
+		}
+	}
+	return pages, bytes
+}
+
 // TestMetadataRegionWearFootprint pins what wear costs the metadata
 // region: 10 000 writes hash-scattered over a 256 MiB device's last 1 Mi
 // lines touch every one of its 256 wear pages, and those pages may hold
-// no more than 8 KiB each.
+// no more than 16 B per written line plus 64 B per page, so the store
+// grows with the lines written, not with the region.
 func TestMetadataRegionWearFootprint(t *testing.T) {
 	cfg := config.Default().PCM
 	cfg.CapacityBytes = 256 << 20
 	d := New(cfg)
 	const region = 1 << 20
 	first := uint64(d.Lines()) - region
+	written := map[uint64]bool{}
 	for i := uint64(0); i < 10_000; i++ {
 		// Fibonacci hashing onto the region's 20 address bits.
-		d.WriteMeta(first+(i*0x9E3779B97F4A7C15)>>44, sim.Time(i)*sim.Microsecond)
+		addr := first + (i*0x9E3779B97F4A7C15)>>44
+		d.WriteMeta(addr, sim.Time(i)*sim.Microsecond)
+		written[addr] = true
 	}
 	d.SyncHealth()
-	pages := 0
-	for _, pg := range d.health.pages {
-		if pg != nil {
-			pages++
+	pages, bytes := wearBytes(d)
+	limit := uintptr(16*len(written) + 64*pages)
+	if pages != region/wearPageSize || bytes > limit {
+		t.Fatalf("%d metadata lines hold %d wear pages, %d bytes; want all 256 pages of the region, at most %d bytes",
+			len(written), pages, bytes, limit)
+	}
+}
+
+// TestWearStoreShapesExact writes random lines across pages and drives
+// one page through every shape its wear store takes: a block of
+// wearBlockMin entries, an escaped entry, block growth carrying that
+// entry, the switch to dense slots, and escapes on a dense page. After
+// each phase it checks the shapes reached and every wear accessor
+// against a plain map.
+func TestWearStoreShapesExact(t *testing.T) {
+	d := New(testCfg())
+	rng := rand.New(rand.NewSource(11))
+	want := map[uint64]uint64{}
+	var line ecc.Line
+	now := sim.Time(0)
+	write := func(addr uint64) {
+		if addr%2 == 0 {
+			d.Write(addr, &line, now)
+		} else {
+			d.WriteMeta(addr, now)
+		}
+		want[addr]++
+		now += 100 * sim.Nanosecond
+	}
+	page := func(p uint64) *wearPage { return d.health.pages[p] }
+	// newLine returns a line of page p that has not been written yet.
+	newLine := func(p uint64) uint64 {
+		for {
+			if a := p<<wearPageShift | uint64(rng.Intn(wearPageSize)); want[a] == 0 {
+				return a
+			}
 		}
 	}
-	bytes := uintptr(pages) * unsafe.Sizeof(wearPage{})
-	if pages != region/wearPageSize || bytes > region/wearPageSize*8<<10 {
-		t.Fatalf("10k metadata writes hold %d wear pages, %d bytes; want all 256 pages of the region, at most 8 KiB each", pages, bytes)
+	phase := func(name string, shapes func() string) {
+		t.Helper()
+		d.SyncHealth()
+		if bad := shapes(); bad != "" {
+			t.Fatalf("%s: %s", name, bad)
+		}
+		checkWearExact(t, d, want)
 	}
+
+	// A few lines, some rewritten, in each of 32 scattered pages.
+	const hot = 5 // the page driven through every shape
+	pages := rng.Perm(256)[:32]
+	pages[0] = hot
+	for _, p := range pages {
+		n := 1 + rng.Intn(6)
+		if p == hot {
+			n = 4 // room for two more lines in its first block
+		}
+		for range n {
+			a := newLine(uint64(p))
+			for range 1 + rng.Intn(4) {
+				write(a)
+			}
+		}
+	}
+	phase("small blocks", func() string {
+		for _, p := range pages {
+			if pg := page(uint64(p)); pg.dense != nil || len(pg.block) != wearBlockMin {
+				return fmt.Sprintf("page %d: dense=%v block=%d, want a block of %d", p, pg.dense != nil, len(pg.block), wearBlockMin)
+			}
+		}
+		return ""
+	})
+
+	// A line of the hot page past the escape, and one a write short of it.
+	esc, edge := newLine(hot), newLine(hot)
+	for i := 0; i < wearEscape+10; i++ {
+		write(esc)
+		if i < wearEscape-1 {
+			write(edge)
+		}
+	}
+	phase("escape in a block", func() string {
+		if pg := page(hot); pg.dense != nil || len(pg.block) != wearBlockMin {
+			return fmt.Sprintf("hot page: dense=%v block=%d, want a block of %d", pg.dense != nil, len(pg.block), wearBlockMin)
+		}
+		return ""
+	})
+
+	// 600 more lines grow the hot page's block, rehashing both entries.
+	for range 600 {
+		write(newLine(hot))
+		if rng.Intn(8) == 0 {
+			write(esc)
+		}
+	}
+	phase("grown block", func() string {
+		pg := page(hot)
+		if pg.dense != nil || len(pg.block) != wearBlockDense/2 || pg.used*4 > len(pg.block)*3 {
+			return fmt.Sprintf("hot page: dense=%v block=%d used=%d, want a block of %d at most 3/4 full",
+				pg.dense != nil, len(pg.block), pg.used, wearBlockDense/2)
+		}
+		return ""
+	})
+
+	// Past 3/4 of the largest block, the page turns dense; another page is
+	// written end to end and turns dense on the way.
+	for range 300 {
+		write(newLine(hot))
+	}
+	write(esc)
+	write(edge) // its count reaches wearEscape in a dense slot
+	for a := uint64(0); a < wearPageSize; a++ {
+		write(9<<wearPageShift | a)
+	}
+	phase("dense", func() string {
+		for _, p := range []uint64{hot, 9} {
+			if pg := page(p); pg.dense == nil || pg.block != nil {
+				return fmt.Sprintf("page %d: dense=%v block=%d, want dense", p, pg.dense != nil, len(pg.block))
+			}
+		}
+		return ""
+	})
+
+	// A line of the dense page past the escape, beside the moved ones.
+	for i := 0; i < wearEscape+3; i++ {
+		write(9<<wearPageShift | 77)
+		if i%64 == 0 {
+			write(esc)
+			write(newLine(uint64(pages[1+rng.Intn(len(pages)-1)])))
+		}
+	}
+	phase("escape on a dense page", func() string { return "" })
 }
 
 func TestWearSummaryEdgeCases(t *testing.T) {
@@ -288,21 +430,23 @@ func TestWearSummaryEdgeCases(t *testing.T) {
 }
 
 // TestWearReadsRaceWithWrites drives the device from one goroutine while
-// another polls every concurrent-safe wear/health accessor, and line 7
-// crosses the wear slot's escape to the side map meanwhile: a reader must
-// never see its count, or the device's maximum, go down, and the writer
-// goes on only once a reader has seen the crossing. Run under -race this
-// is the device-level half of the wear-concurrency guarantee (the
-// engine-level half lives in internal/shard).
+// another polls every concurrent-safe wear/health accessor. Meanwhile
+// line 7 crosses the wear escape to the side map while its page is a
+// block, and then that page turns dense as 512 more of its lines are
+// written, 64 at a time: a reader must never see line 7's count, the
+// device's maximum or its lines touched go down, and the writer goes on
+// only once a reader has seen the crossing and each step of the growth.
+// Run under -race this is the device-level half of the wear-concurrency
+// guarantee (the engine-level half lives in internal/shard).
 func TestWearReadsRaceWithWrites(t *testing.T) {
 	d := New(testCfg())
 	done := make(chan struct{})
-	var seen7 atomic.Uint64
+	var seen7, seenLines atomic.Uint64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var last7, lastMax uint64
+		var last7, lastMax, lastLines uint64
 		for {
 			select {
 			case <-done:
@@ -313,11 +457,14 @@ func TestWearReadsRaceWithWrites(t *testing.T) {
 			w7 := d.WearOf(7)
 			_ = d.HealthSummary()
 			_ = d.HealthSnapshot()
-			if w7 < last7 || w.MaxWear < lastMax {
-				t.Errorf("wear went down: line 7 %d -> %d, max %d -> %d", last7, w7, lastMax, w.MaxWear)
+			lines := uint64(w.LinesTouched)
+			if w7 < last7 || w.MaxWear < lastMax || lines < lastLines {
+				t.Errorf("wear went down: line 7 %d -> %d, max %d -> %d, lines %d -> %d",
+					last7, w7, lastMax, w.MaxWear, lastLines, lines)
 			}
-			last7, lastMax = w7, w.MaxWear
+			last7, lastMax, lastLines = w7, w.MaxWear, lines
 			seen7.Store(w7)
+			seenLines.Store(lines)
 		}
 	}()
 	var line ecc.Line
@@ -349,11 +496,24 @@ func TestWearReadsRaceWithWrites(t *testing.T) {
 			write(line7 % 512)
 		}
 	}
+	for a := uint64(512); a < 1024; a++ {
+		write(a)
+		if a%64 == 63 {
+			d.SyncHealth()
+			for seenLines.Load() <= a {
+				runtime.Gosched()
+			}
+		}
+	}
 	close(done)
 	wg.Wait()
 	d.SyncHealth()
-	if s := d.Wear(); s.TotalWrites != writes || s.MaxWear != line7 {
-		t.Fatalf("TotalWrites=%d MaxWear=%d, want %d/%d", s.TotalWrites, s.MaxWear, writes, line7)
+	if d.health.pages[0].dense == nil {
+		t.Fatal("page 0 holds 1024 lines and is still a block")
+	}
+	if s := d.Wear(); s.TotalWrites != writes || s.MaxWear != line7 || s.LinesTouched != 1024 {
+		t.Fatalf("TotalWrites=%d MaxWear=%d LinesTouched=%d, want %d/%d/1024",
+			s.TotalWrites, s.MaxWear, s.LinesTouched, writes, line7)
 	}
 	if w := d.WearOf(7); w != line7 {
 		t.Fatalf("WearOf(7) = %d, want %d", w, line7)

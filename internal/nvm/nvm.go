@@ -136,7 +136,8 @@ type Device struct {
 	// (no hashing, no rehash churn as the device fills).
 	data sparse.Map[ecc.Line]
 	// health holds all wear and health accounting, including the per-line
-	// wear pages (guarded by health.mu; read counters are atomics).
+	// wear pages. The simulation thread stages reads and writes alike and
+	// folds them under health.mu, which guards everything readers see.
 	health health
 
 	Stats Stats
@@ -365,10 +366,11 @@ type WearSummary struct {
 	P99Wear uint64
 }
 
-// Wear computes the exact device wear summary by walking the per-line wear
-// pages. Safe to call concurrently with the simulation (it snapshots under
-// the device health lock) but may lag it by up to healthBatch media ops
-// (exact after Flush/SyncHealth); prefer HealthSummary for cheap polling.
+// Wear computes the exact device wear summary by walking the dense slots
+// and occupied block entries of the per-line wear pages. Safe to call
+// concurrently with the simulation (it snapshots under the device health
+// lock) but may lag it by up to healthBatch media ops (exact after
+// Flush/SyncHealth); prefer HealthSummary for cheap polling.
 func (d *Device) Wear() WearSummary {
 	var s WearSummary
 	d.health.mu.Lock()
@@ -382,12 +384,19 @@ func (d *Device) Wear() WearSummary {
 	}
 	counts := make([]uint64, 0, lines)
 	for _, pg := range d.health.pages {
-		if pg == nil {
-			continue
-		}
-		for _, c := range pg {
-			if c != 0 && c != wearEscape {
-				counts = append(counts, uint64(c))
+		switch {
+		case pg == nil:
+		case pg.dense != nil:
+			for _, c := range pg.dense {
+				if c != 0 && c != wearEscape {
+					counts = append(counts, uint64(c))
+				}
+			}
+		default:
+			for _, e := range pg.block {
+				if c := uint16(e); c != 0 && c != wearEscape {
+					counts = append(counts, uint64(c))
+				}
 			}
 		}
 	}

@@ -283,3 +283,33 @@ func BenchmarkDeviceWrite(b *testing.B) {
 		d.Write(addrs[i%len(addrs)], &ecc.Line{}, sim.Time(i)*100*sim.Nanosecond)
 	}
 }
+
+// wearSink keeps BenchmarkDeviceWear's walks from being optimized away.
+var wearSink WearSummary
+
+// BenchmarkDeviceWear times the exact wear walk on one benchmark shard's
+// shape: a 256 MiB device with 34 600 data lines written from line 0 and
+// 20 300 hash-scattered metadata lines in its top quarter.
+func BenchmarkDeviceWear(b *testing.B) {
+	cfg := config.Default().PCM
+	cfg.CapacityBytes = 256 << 20
+	d := New(cfg)
+	var line ecc.Line
+	now := sim.Time(0)
+	for a := uint64(0); a < 34_600; a++ {
+		d.Write(a, &line, now)
+		now += 100 * sim.Nanosecond
+	}
+	first := uint64(d.Lines()) * 3 / 4
+	for i := uint64(0); i < 20_300; i++ {
+		// Fibonacci hashing onto the quarter's 20 address bits.
+		d.WriteMeta(first+(i*0x9E3779B97F4A7C15)>>44, now)
+		now += 100 * sim.Nanosecond
+	}
+	d.SyncHealth()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wearSink = d.Wear()
+	}
+}
